@@ -24,7 +24,6 @@ from .jets import (
     _conv,
     jet_constant,
     jet_exp,
-    jet_linear_combine,
     jet_product,
     jet_reciprocal,
 )
@@ -193,36 +192,23 @@ def fn_product(fs: Sequence[SmoothFn]) -> SmoothFn:
     return SmoothFn(desc, jet_fn, dom, is_zero=any(f.is_zero for f in factors))
 
 
-def fn_scale_add(a: float, f: SmoothFn, b: float, g: SmoothFn) -> SmoothFn:
-    """a·f + b·g."""
-    dom = f.domain.intersect(g.domain)
+def fn_linear_combination(terms: Sequence[tuple[float, SmoothFn]]) -> SmoothFn:
+    """Σ c_i·f_i from (c_i, f_i) pairs; jets combined componentwise. A lone
+    term with coefficient 1 is returned as is."""
+    pairs = tuple((float(c), f) for c, f in terms)
+    if not pairs:
+        raise StructuralError("fn_linear_combination needs at least one term")
+    if len(pairs) == 1 and pairs[0][0] == 1.0:
+        return pairs[0][1]
+    dom = common_domain([f for _, f in pairs])
 
     def jet_fn(x0: float, order: int) -> Jet:
-        return jet_linear_combine(a, f.eval_jet(x0, order), b, g.eval_jet(x0, order))
+        jets = [(c, f.eval_jet(x0, order).derivs) for c, f in pairs]
+        return Jet(x0, [sum(c * d[k] for c, d in jets) for k in range(order + 1)])
 
-    zero = (a == 0.0 or f.is_zero) and (b == 0.0 or g.is_zero)
-    desc = f"{a}*({f.descriptor})+{b}*({g.descriptor})"
+    desc = "+".join(f"{c}*({f.descriptor})" for c, f in pairs)
+    zero = all(c == 0.0 or f.is_zero for c, f in pairs)
     return SmoothFn(desc, jet_fn, dom, is_zero=zero)
-
-
-def fn_sum(fs: Sequence[SmoothFn]) -> SmoothFn:
-    """f1 + f2 + ... ; jets added componentwise."""
-    terms = tuple(fs)
-    if not terms:
-        raise StructuralError("fn_sum needs at least one term")
-    if len(terms) == 1:
-        return terms[0]
-    dom = common_domain(terms)
-
-    def jet_fn(x0: float, order: int) -> Jet:
-        jets = [f.eval_jet(x0, order) for f in terms]
-        derivs = tuple(
-            sum(j.derivs[k] for j in jets) for k in range(order + 1)
-        )
-        return Jet(x0, derivs)
-
-    desc = "+".join(f"({f.descriptor})" for f in terms)
-    return SmoothFn(desc, jet_fn, dom, is_zero=all(f.is_zero for f in terms))
 
 
 def fn_exp_of(g: SmoothFn) -> SmoothFn:

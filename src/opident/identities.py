@@ -5,9 +5,11 @@ The core object is the signed sum over subsets I of {1..n+1} (|I| <= n) of
     (-1)^|I| · (prod_{j in I} f_j(x)) · D(prod_{k not in I} f_k)(x),
 
 which vanishes identically when D is a differential operator of order at
-most n (and, with log terms, for the full canonical family). Residuals are
-reported against a scale — the largest single term magnitude — because the
-sum cancels catastrophically by design.
+most n (and, with log terms, for the full canonical family). Each sample's
+residual is judged against its own bound tol_abs + tol_rel·scale, the scale
+being the largest single term magnitude, because the sum cancels
+catastrophically by design. A report carries the sample with the worst
+ratio of residual to bound, so it passes only if every sample does.
 
 Products fed to D are opaque SmoothFn values, so black-box operators are
 checked through exactly the same path as canonical ones.
@@ -15,6 +17,7 @@ checked through exactly the same path as canonical ones.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
@@ -51,7 +54,9 @@ class WorstCase:
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Outcome of one identity check over a sample."""
+    """Outcome of one identity check over a sample. max_abs_residual and
+    max_scale are the pair of the sample with the largest bound_ratio, so
+    the record passes iff every sample is within its own bound."""
 
     name: str
     n: int
@@ -84,39 +89,47 @@ class ResidualReport:
         extra = " (vacuous)" if self.vacuous else ""
         return (
             f"[{flag}] {self.name}  n={self.n}  samples={self.samples}  "
-            f"max|residual|={self.max_abs_residual:.3e}  scale={self.max_scale:.3e}{extra}"
+            f"worst: |residual|={self.max_abs_residual:.3e} "
+            f"at scale={self.max_scale:.3e}{extra}"
         )
 
 
+def bound_ratio(residual: float, scale: float, tol_abs: float, tol_rel: float) -> float:
+    """|residual| / (tol_abs + tol_rel·scale); with a zero bound, 0 for a
+    zero residual and inf otherwise."""
+    bound = tol_abs + tol_rel * scale
+    if bound > 0.0:
+        return abs(residual) / bound
+    return 0.0 if residual == 0.0 else math.inf
+
+
 class _Aggregator:
-    """Deterministic max/argmax reduction with first-encounter tie-break."""
+    """Collects (residual, scale, x, descriptors) samples; the report carries
+    the sample with the largest bound_ratio, the first one on ties."""
 
     def __init__(self):
-        self.max_abs_residual = 0.0
-        self.max_scale = 0.0
-        self.worst: WorstCase | None = None
-        self.samples = 0
+        self._samples: list[tuple] = []
 
     def add(self, residual: float, scale: float, x: float, descriptors) -> None:
-        self.samples += 1
-        self.max_scale = max(self.max_scale, scale)
-        if abs(residual) > self.max_abs_residual or self.worst is None:
-            self.max_abs_residual = abs(residual)
-            self.worst = WorstCase(x, tuple(descriptors), residual)
+        self._samples.append((residual, scale, x, descriptors))
 
     def report(
-        self, name: str, n: int, tol_abs: float, tol_rel: float, vacuous=False
+        self, name: str, n: int, tol_abs: float, tol_rel: float
     ) -> ResidualReport:
+        if not self._samples:
+            return ResidualReport(name, n, 0, 0.0, 0.0, None, tol_abs, tol_rel, True)
+        residual, scale, x, descriptors = max(
+            self._samples, key=lambda s: bound_ratio(s[0], s[1], tol_abs, tol_rel)
+        )
         return ResidualReport(
             name,
             n,
-            self.samples,
-            self.max_abs_residual,
-            self.max_scale,
-            self.worst,
+            len(self._samples),
+            abs(residual),
+            scale,
+            WorstCase(x, tuple(descriptors), residual),
             tol_abs,
             tol_rel,
-            vacuous=vacuous or self.samples == 0,
         )
 
 
@@ -239,21 +252,16 @@ def graded_leibniz_residual(
     return lhs - rhs
 
 
-def check_units(
-    op: Operator,
-    grid: Sequence[float],
-    n: int = 0,
-    tol_abs: float = 0.0,
-) -> ResidualReport:
-    """Max of |D(1)(x)| and |D(-1)(x)| over the grid; canonical operators
-    give exactly zero."""
+def check_units(op: Operator, grid: Sequence[float]) -> ResidualReport:
+    """D(1)(x) = D(-1)(x) = 0 at every grid point, with no tolerance:
+    canonical operators give exactly zero."""
     agg = _Aggregator()
     for value, name in ((1.0, "1"), (-1.0, "-1")):
         unit = fn_constant(value)
         for x in grid:
             r = apply(op, unit, x)
             agg.add(r, abs(r), x, (name,))
-    return agg.report("units", n, tol_abs, 0.0)
+    return agg.report("units", 0, 0.0, 0.0)
 
 
 def check_localization(
@@ -262,10 +270,9 @@ def check_localization(
     f2: SmoothFn,
     interval: tuple[float, float],
     grid: Sequence[float],
-    tol_abs: float = 1e-12,
 ) -> ResidualReport:
-    """Max |D(f1)(x) - D(f2)(x)| over grid points inside the interval where
-    f1 and f2 agree."""
+    """|D(f1)(x) - D(f2)(x)| <= 1e-12 at grid points inside the interval
+    where f1 and f2 agree."""
     a, b = interval
     for x in grid:
         if not a < x < b:
@@ -276,16 +283,14 @@ def check_localization(
     for x in grid:
         r = apply(op, f1, x) - apply(op, f2, x)
         agg.add(r, abs(r), x, (f1.descriptor, f2.descriptor))
-    return agg.report("localization", 0, tol_abs, 0.0)
+    return agg.report("localization", 0, 1e-12, 0.0)
 
 
 def check_poly_annihilation(
-    op: Operator,
-    j: int,
-    grid: Sequence[float],
-    tol_abs: float = 0.0,
+    op: Operator, j: int, grid: Sequence[float]
 ) -> ResidualReport:
-    """Max |D(x^m)(x)| over monomials of degree m <= j and the grid."""
+    """D(x^m)(x) = 0 exactly for monomials of degree m <= j at every grid
+    point."""
     if j < 0:
         raise StructuralError("polynomial degree bound must be nonnegative")
     agg = _Aggregator()
@@ -294,16 +299,18 @@ def check_poly_annihilation(
         for x in grid:
             r = apply(op, mono, x)
             agg.add(r, abs(r), x, (mono.descriptor,))
-    return agg.report(f"poly-annihilation(j={j})", 0, tol_abs, 0.0)
+    return agg.report(f"poly-annihilation(j={j})", 0, 0.0, 0.0)
 
 
 # Random function family for the suites: p, exp(q), p·exp(q) with p, q
-# low-degree polynomials; exercises both signs and zero crossings.
+# polynomials whose coefficients are uniform on [-COEF_RANGE, COEF_RANGE];
+# exercises both signs and zero crossings.
 
-def random_polynomial(
-    rng: random.Random, degree: int = 3, coef_range: float = 2.0
-) -> SmoothFn:
-    coeffs = [rng.uniform(-coef_range, coef_range) for _ in range(degree + 1)]
+COEF_RANGE = 2.0
+
+
+def random_polynomial(rng: random.Random, degree: int = 3) -> SmoothFn:
+    coeffs = [rng.uniform(-COEF_RANGE, COEF_RANGE) for _ in range(degree + 1)]
     fact = 1.0
     jet = []
     for l, cl in enumerate(coeffs):
@@ -315,20 +322,13 @@ def random_polynomial(
     return fn
 
 
-def random_function(
-    rng: random.Random, degree: int = 3, coef_range: float = 2.0
-) -> SmoothFn:
+def random_function(rng: random.Random) -> SmoothFn:
     kind = rng.randrange(3)
     if kind == 0:
-        return random_polynomial(rng, degree, coef_range)
+        return random_polynomial(rng)
     if kind == 1:
-        return fn_exp_of(random_polynomial(rng, degree, coef_range))
-    return fn_product(
-        [
-            random_polynomial(rng, degree, coef_range),
-            fn_exp_of(random_polynomial(rng, degree, coef_range)),
-        ]
-    )
+        return fn_exp_of(random_polynomial(rng))
+    return fn_product([random_polynomial(rng), fn_exp_of(random_polynomial(rng))])
 
 
 def default_grid(points: int = 21, lo: float = -1.0, hi: float = 1.0) -> tuple:
@@ -340,15 +340,11 @@ def default_grid(points: int = 21, lo: float = -1.0, hi: float = 1.0) -> tuple:
 
 @dataclass
 class SamplingConfig:
-    """Deterministic sampling plan for run_check_suite."""
+    """Deterministic sampling plan for run_check_suite_full."""
 
     seed: int = 42
     tuples: int = 10
     grid: tuple[float, ...] = field(default_factory=default_grid)
-    tol_abs: float = DEFAULT_TOL_ABS
-    tol_rel: float = DEFAULT_TOL_REL
-    poly_degree: int = 3
-    coef_range: float = 2.0
     include_diagonal: bool = True
 
 
@@ -380,10 +376,7 @@ def run_check_suite_full(op: Operator, n: int, cfg: SamplingConfig) -> SuiteOutc
     agg = _Aggregator()
     gap_agg = _Aggregator()
     for _ in range(cfg.tuples):
-        fs = tuple(
-            random_function(rng, cfg.poly_degree, cfg.coef_range)
-            for _ in range(n + 1)
-        )
+        fs = tuple(random_function(rng) for _ in range(n + 1))
         descriptors = tuple(f.descriptor for f in fs)
         f0 = fs[0]
         plan = _subset_plan(fs)
@@ -405,7 +398,7 @@ def run_check_suite_full(op: Operator, n: int, cfg: SamplingConfig) -> SuiteOutc
                 dscale = max(abs(t) for t in dterms)
                 gap = sum(pterms) - sum(sorted(dterms))
                 gap_agg.add(gap, max(pscale, dscale), x, (f0.descriptor,))
-    report = agg.report("identity-suite", n, cfg.tol_abs, cfg.tol_rel)
+    report = agg.report("identity-suite", n, DEFAULT_TOL_ABS, DEFAULT_TOL_REL)
     gap_report = (
         gap_agg.report("diagonal-consistency", n, 0.0, 1e-12)
         if cfg.include_diagonal
@@ -413,7 +406,3 @@ def run_check_suite_full(op: Operator, n: int, cfg: SamplingConfig) -> SuiteOutc
     )
     return SuiteOutcome(report, gap_report)
 
-
-def run_check_suite(op: Operator, n: int, cfg: SamplingConfig) -> ResidualReport:
-    """Aggregate subset- and diagonal-identity residuals over a random sample."""
-    return run_check_suite_full(op, n, cfg).report

@@ -18,8 +18,6 @@ from typing import Iterable, Sequence
 
 from .errors import EvalDomainError, NumericRangeError, StructuralError
 
-DEFAULT_MAX_ORDER = 12
-
 # Pascal rows, extended on demand; entries exact in doubles far beyond order 12.
 _BINOM: list[tuple[float, ...]] = [(1.0,)]
 
@@ -27,7 +25,6 @@ _BINOM: list[tuple[float, ...]] = [(1.0,)]
 def binomial_row(k: int) -> tuple[float, ...]:
     """Row k of Pascal's triangle as floats: C(k,0..k)."""
     while len(_BINOM) <= k:
-        prev = _BINOM[-1]
         n = len(_BINOM)
         _BINOM.append(tuple(float(math.comb(n, j)) for j in range(n + 1)))
     return _BINOM[k]

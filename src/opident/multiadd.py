@@ -6,36 +6,18 @@ polynomial structure in g and its derivatives. Iterated differences
 Δ_{h1..hm} then act as degree probes: an (n+1)-fold difference of P
 vanishes exactly when P is polynomial of degree at most n in its function
 argument, which is what the canonical family guarantees.
+
+The symmetric (n+1)-slot multiadditive form attached to an operator is the
+subset-identity residual itself, identities.alternating_subset_residual.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
-from .functions import SmoothFn, fn_exp_of, fn_from_jet, fn_sum
-from .identities import alternating_subset_residual, alternating_subset_terms
+from .functions import SmoothFn, fn_exp_of, fn_from_jet, fn_linear_combination
 from .operators import BlackBoxOp, Operator, apply
-
-
-@dataclass(frozen=True)
-class FnPerturbation:
-    """Ordered increments h_1..h_m for an iterated difference."""
-
-    increments: tuple[SmoothFn, ...]
-
-    def __len__(self) -> int:
-        return len(self.increments)
-
-    def __iter__(self):
-        return iter(self.increments)
-
-
-def _as_increments(hs) -> tuple[SmoothFn, ...]:
-    if isinstance(hs, FnPerturbation):
-        return hs.increments
-    return tuple(hs)
 
 
 def conjugate_exp(op: Operator) -> BlackBoxOp:
@@ -48,28 +30,30 @@ def conjugate_exp(op: Operator) -> BlackBoxOp:
 
 
 def difference_terms(
-    op: Operator, f: SmoothFn, hs, x: float
+    op: Operator, f: SmoothFn, hs: Sequence[SmoothFn], x: float
 ) -> list[float]:
     """Signed terms of the m-fold difference of op at (f, x):
-    (-1)^(m-|S|) · op(f + sum_{i in S} h_i)(x) over subsets S, ascending."""
-    increments = _as_increments(hs)
+    (-1)^(m-|S|) · op(f + sum_{i in S} h_i)(x) over subsets S, ascending.
+    A sum near zero, against the largest term, certifies degree-below-m
+    polynomial behavior of op in its function slot at this probe."""
+    increments = tuple(hs)
     m = len(increments)
     terms = []
     for mask in range(1 << m):
-        shifted = [f]
+        shifted = [(1.0, f)]
         for i in range(m):
             if mask >> i & 1:
-                shifted.append(increments[i])
-        value = apply(op, fn_sum(shifted), x)
+                shifted.append((1.0, increments[i]))
+        value = apply(op, fn_linear_combination(shifted), x)
         sign_odd = (m - mask.bit_count()) % 2
         terms.append(-value if sign_odd else value)
     return terms
 
 
-def iterated_difference(op: Operator, hs) -> Operator:
+def iterated_difference(op: Operator, hs: Sequence[SmoothFn]) -> Operator:
     """The m-fold difference operator Δ_{h1..hm} applied to op; with no
     increments op is returned unchanged."""
-    increments = _as_increments(hs)
+    increments = tuple(hs)
     if not increments:
         return op
     names = ",".join(h.descriptor for h in increments)
@@ -78,34 +62,6 @@ def iterated_difference(op: Operator, hs) -> Operator:
         return sum(difference_terms(op, f, increments, x))
 
     return BlackBoxOp(differenced, f"diff[{names}]({op.descriptor})")
-
-
-def multiadditive_form_value(
-    op: Operator, fs: Sequence[SmoothFn], x: float
-) -> float:
-    """The symmetric (n+1)-slot form attached to op — numerically the same
-    signed subset sum as the identity residual, exposed so symmetry and
-    slot-additivity can be asserted against it."""
-    return alternating_subset_residual(op, fs, x)
-
-
-def multiadditive_form_terms(
-    op: Operator, fs: Sequence[SmoothFn], x: float
-) -> list[float]:
-    return alternating_subset_terms(op, fs, x)
-
-
-def frechet_degree_residual(
-    op: Operator, g: SmoothFn, hs, x: float
-) -> float:
-    """Value of the |hs|-fold difference of op at (g, x). Near zero it
-    certifies degree-below-|hs| polynomial behavior of op in its function
-    slot at this probe; use frechet_degree_terms for the cancellation scale."""
-    return sum(difference_terms(op, g, hs, x))
-
-
-def frechet_degree_terms(op: Operator, g: SmoothFn, hs, x: float) -> list[float]:
-    return difference_terms(op, g, hs, x)
 
 
 def jet_response(op: Operator, x: float, v: Sequence[float]) -> float:

@@ -17,7 +17,6 @@ from typing import Callable, Sequence, Union
 
 from .errors import NumericRangeError, StructuralError
 from .functions import SmoothFn, fn_constant
-from .jets import Jet
 
 
 class CanonicalOp:
@@ -51,12 +50,13 @@ class CanonicalOp:
         self.descriptor = descriptor
 
     def coefficient_values(self, x: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """(c_1(x)..c_n(x)), (d_1(x)..d_n(x)), memoized per point."""
+        """(c_1(x)..c_n(x)), (d_1(x)..d_n(x)), memoized per point; the d-row
+        is empty when every log-term coefficient is the zero function."""
         cached = self._coef_cache.get(x)
         if cached is None:
             cached = (
                 tuple(fn.value_at(x) for fn in self.c),
-                tuple(fn.value_at(x) for fn in self.d),
+                tuple(fn.value_at(x) for fn in self.d) if self._has_log_terms else (),
             )
             if len(self._coef_cache) > 4096:
                 self._coef_cache.clear()
@@ -86,19 +86,19 @@ Operator = Union[CanonicalOp, BlackBoxOp]
 def apply_canonical_values(
     c_vals: Sequence[float], d_vals: Sequence[float], f: SmoothFn, x: float
 ) -> float:
-    """Canonical formula with numeric coefficients (used by recovery)."""
-    n = len(c_vals)
-    jet = f.eval_jet(x, n)
+    """The canonical formula with numeric coefficients c_i(x), d_i(x); an
+    empty d_vals skips the log terms."""
+    derivs = f.eval_jet(x, len(c_vals)).derivs
     total = 0.0
-    for i in range(n):
-        total += c_vals[i] * jet.derivs[i + 1]
-    v = jet.value
-    if v != 0.0:
+    for i, cv in enumerate(c_vals, 1):
+        total += cv * derivs[i]
+    v = derivs[0]
+    if d_vals and v != 0.0:
         log_v = math.log(abs(v))
         power = 1.0
-        for i in range(n):
+        for dv in d_vals:
             power *= log_v
-            total += d_vals[i] * v * power
+            total += dv * v * power
     return total
 
 
@@ -111,19 +111,8 @@ def apply(op: Operator, f: SmoothFn, x: float) -> float:
                 f"{op.descriptor} produced a non-finite value at x={x}"
             )
         return out
-    jet: Jet = f.eval_jet(x, op.n)
-    derivs = jet.derivs
     c_vals, d_vals = op.coefficient_values(x)
-    total = 0.0
-    for i in range(op.n):
-        total += c_vals[i] * derivs[i + 1]
-    v = derivs[0]
-    if v != 0.0 and op._has_log_terms:
-        log_v = math.log(abs(v))
-        power = 1.0
-        for dv in d_vals:
-            power *= log_v
-            total += dv * v * power
+    total = apply_canonical_values(c_vals, d_vals, f, x)
     if not math.isfinite(total):
         raise NumericRangeError(
             f"{op.descriptor} produced a non-finite value at x={x}"
@@ -136,7 +125,7 @@ def is_linear_form(op: CanonicalOp) -> bool:
     derivative terms only, which is linear in f)."""
     if not isinstance(op, CanonicalOp):
         raise TypeError("is_linear_form applies to canonical operators")
-    return all(fn.is_zero for fn in op.d)
+    return not op._has_log_terms
 
 
 def linear_op(c: Sequence[SmoothFn], descriptor: str | None = None) -> CanonicalOp:

@@ -19,13 +19,16 @@ from .functions import (
     fn_bump,
     fn_constant,
     fn_from_expr,
-    fn_scale_add,
+    fn_linear_combination,
 )
 from .identities import (
+    DEFAULT_TOL_ABS,
+    DEFAULT_TOL_REL,
     ResidualReport,
     SamplingConfig,
     _Aggregator,
     alternating_subset_residual,
+    bound_ratio,
     check_localization,
     check_poly_annihilation,
     check_units,
@@ -36,11 +39,7 @@ from .identities import (
 )
 from .jets import Jet, jet_ln_abs
 from .logderiv import enumerate_partition_multisets, log_deriv_via_partitions
-from .multiadd import (
-    conjugate_exp,
-    frechet_degree_residual,
-    frechet_degree_terms,
-)
+from .multiadd import conjugate_exp, difference_terms, iterated_difference
 from .operators import (
     BlackBoxOp,
     CanonicalOp,
@@ -64,23 +63,20 @@ def random_canonical_op(rng: random.Random, n: int) -> CanonicalOp:
     )
 
 
-def _ratio(report: ResidualReport) -> float:
-    bound = report.tol_abs + report.tol_rel * report.max_scale
-    if bound > 0.0:
-        return report.max_abs_residual / bound
-    return 0.0 if report.max_abs_residual == 0.0 else math.inf
-
-
 def merge_reports(
     name: str, n: int, reports: Sequence[ResidualReport], tol_abs: float, tol_rel: float
 ) -> ResidualReport:
-    """Merge per-run reports so that the merged record passes iff every
-    component passed: the record carries the (residual, scale) pair of the
-    run with the worst scaled violation."""
+    """Merge per-run reports by the rule _Aggregator applies to samples: the
+    record carries the (residual, scale) pair with the largest bound_ratio
+    under the merged tolerances, the first one on ties, so it passes iff
+    every component pair is within that bound."""
     samples = sum(r.samples for r in reports)
     if not reports or samples == 0:
         return ResidualReport(name, n, samples, 0.0, 0.0, None, tol_abs, tol_rel, True)
-    worst = max(reports, key=_ratio)
+    worst = max(
+        reports,
+        key=lambda r: bound_ratio(r.max_abs_residual, r.max_scale, tol_abs, tol_rel),
+    )
     return ResidualReport(
         name,
         n,
@@ -106,12 +102,11 @@ def converse_battery(
     ops_per_n: int = 100,
     tuples_per_op: int = 10,
     grid_points: int = 21,
-    include_diagonal: bool = True,
 ) -> list[ResidualReport]:
     """Random canonical operators must satisfy the subset identity: per n,
     ops_per_n operators × tuples_per_op random tuples × a grid. Emits one
-    merged identity record per n and, when include_diagonal is set, one
-    merged diagonal-consistency record per n."""
+    merged identity record and one merged diagonal-consistency record per
+    n."""
     rng = random.Random(seed)
     records = []
     grid = default_grid(grid_points)
@@ -121,22 +116,23 @@ def converse_battery(
         for _ in range(ops_per_n):
             op = random_canonical_op(rng, n)
             cfg = SamplingConfig(
-                seed=rng.randrange(2**32),
-                tuples=tuples_per_op,
-                grid=grid,
-                include_diagonal=include_diagonal,
+                seed=rng.randrange(2**32), tuples=tuples_per_op, grid=grid
             )
             outcome = run_check_suite_full(op, n, cfg)
             identity_reports.append(outcome.report)
-            if outcome.diagonal_gap is not None:
-                gap_reports.append(outcome.diagonal_gap)
+            gap_reports.append(outcome.diagonal_gap)
         records.append(
-            merge_reports(f"converse-identity-n{n}", n, identity_reports, 1e-9, 1e-8)
-        )
-        if include_diagonal:
-            records.append(
-                merge_reports(f"diagonal-consistency-n{n}", n, gap_reports, 0.0, 1e-12)
+            merge_reports(
+                f"converse-identity-n{n}",
+                n,
+                identity_reports,
+                DEFAULT_TOL_ABS,
+                DEFAULT_TOL_REL,
             )
+        )
+        records.append(
+            merge_reports(f"diagonal-consistency-n{n}", n, gap_reports, 0.0, 1e-12)
+        )
     return records
 
 
@@ -145,22 +141,14 @@ def counterexample_battery(seed: int = 42) -> list[ResidualReport]:
     probe and must fail the random suite."""
     sq = builtin_blackbox("square")
     x_fn = fn_from_expr("x")
+    pinned = _Aggregator()
     value = alternating_subset_residual(sq, [x_fn, x_fn], 1.0)
-    pinned = ResidualReport(
-        "counterexample-square-value",
-        1,
-        1,
-        abs(value - (-1.0)),
-        1.0,
-        None,
-        1e-12,
-        0.0,
-    )
+    pinned.add(value - (-1.0), 1.0, 1.0, (x_fn.descriptor,) * 2)
     suite = run_check_suite_full(
         sq, 1, SamplingConfig(seed=seed, tuples=10, include_diagonal=False)
     )
     return [
-        pinned,
+        pinned.report("counterexample-square-value", 1, 1e-12, 0.0),
         detection_record("counterexample-square-detected", not suite.report.passed, 1),
     ]
 
@@ -213,15 +201,14 @@ def units_battery(seed: int = 42, ops: int = 20) -> list[ResidualReport]:
     unit_reports = []
     local_reports = []
     fixed = [derivative_op(1), derivative_op(2), derivative_op(3), entropy_op()]
+    bump = fn_bump((2.0, 4.0), (2.5, 3.5))
     for op in fixed + [random_canonical_op(rng, rng.randint(1, 4)) for _ in range(ops)]:
         unit_reports.append(check_units(op, grid))
-        if isinstance(op, CanonicalOp) or op.descriptor.startswith("d"):
-            f1 = random_function(rng)
-            bump = fn_bump((2.0, 4.0), (2.5, 3.5))
-            f2 = fn_scale_add(1.0, f1, 1.0, bump)
-            local_reports.append(
-                check_localization(op, f1, f2, (-1.0, 1.0), grid)
-            )
+        f1 = random_function(rng)
+        f2 = fn_linear_combination([(1.0, f1), (1.0, bump)])
+        # f1 and f2 agree left of the bump's support (2, 4), which holds
+        # the whole grid [-1, 1]
+        local_reports.append(check_localization(op, f1, f2, (-math.inf, 2.0), grid))
     records = [
         merge_reports("units-exact", 0, unit_reports, 0.0, 0.0),
         merge_reports("localization", 0, local_reports, 1e-12, 0.0),
@@ -285,27 +272,17 @@ def frechet_battery(seed: int = 42, ops: int = 15) -> list[ResidualReport]:
         g = random_polynomial(rng, 2)
         hs = [random_polynomial(rng, 2) for _ in range(n + 1)]
         for x in (-0.5, 0.0, 0.5):
-            terms = frechet_degree_terms(P, g, hs, x)
+            terms = difference_terms(P, g, hs, x)
             scale = max(abs(t) for t in terms)
             agg.add(sum(terms), scale, x, (op.descriptor,))
     records = [agg.report("frechet-degree", 0, 0.0, 1e-6)]
 
     probe = BlackBoxOp(lambda g, x: math.exp(g.value_at(x)), "g -> exp(g(x))")
-    witness = frechet_degree_residual(
-        probe, fn_constant(0.0), [fn_constant(1.0), fn_constant(1.0)], 0.0
-    )
-    records.append(
-        ResidualReport(
-            "frechet-witness",
-            1,
-            1,
-            abs(witness - WITNESS_VALUE),
-            WITNESS_VALUE,
-            None,
-            1e-9,
-            0.0,
-        )
-    )
+    unit_steps = iterated_difference(probe, [fn_constant(1.0)] * 2)
+    witness = _Aggregator()
+    value = apply(unit_steps, fn_constant(0.0), 0.0)
+    witness.add(value - WITNESS_VALUE, WITNESS_VALUE, 0.0, (unit_steps.descriptor,))
+    records.append(witness.report("frechet-witness", 1, 1e-9, 0.0))
     return records
 
 

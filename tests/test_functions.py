@@ -14,8 +14,7 @@ from opident.functions import (
     fn_from_jet,
     fn_monomial,
     fn_product,
-    fn_scale_add,
-    fn_sum,
+    fn_linear_combination,
 )
 
 E = math.e
@@ -157,15 +156,16 @@ class TestCombinators:
         assert math.isclose(j.derivs[2], 6 * E, rel_tol=1e-14)
 
     def test_scale_add(self):
-        f = fn_scale_add(2.0, fn_from_expr("x"), -3.0, fn_constant(1.0))
+        f = fn_linear_combination([(2.0, fn_from_expr("x")), (-3.0, fn_constant(1.0))])
         assert f.eval_jet(2.0, 1).derivs == (1.0, 2.0)
 
     def test_scale_add_zero_detection(self):
-        z = fn_scale_add(0.0, fn_from_expr("x"), 1.0, fn_constant(0.0))
+        z = fn_linear_combination([(0.0, fn_from_expr("x")), (1.0, fn_constant(0.0))])
         assert z.is_zero
 
     def test_sum(self):
-        f = fn_sum([fn_from_expr("x"), fn_from_expr("x^2"), fn_constant(1.0)])
+        fs = [fn_from_expr("x"), fn_from_expr("x^2"), fn_constant(1.0)]
+        f = fn_linear_combination([(1.0, g) for g in fs])
         assert f.eval_jet(2.0, 2).derivs == (7.0, 5.0, 2.0)
 
     def test_monomial(self):

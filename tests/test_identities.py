@@ -9,8 +9,8 @@ from opident.functions import (
     fn_bump,
     fn_constant,
     fn_from_expr,
+    fn_linear_combination,
     fn_monomial,
-    fn_scale_add,
 )
 from opident.identities import (
     SamplingConfig,
@@ -23,7 +23,6 @@ from opident.identities import (
     check_units,
     graded_leibniz_residual,
     random_function,
-    run_check_suite,
     run_check_suite_full,
     subset_masks,
 )
@@ -49,6 +48,7 @@ def random_canonical(rng, n):
 
 X = fn_from_expr("x")
 X2 = fn_from_expr("x^2")
+BUMP = fn_bump((2.0, 4.0), (2.5, 3.5))
 
 
 class TestSubsetResidual:
@@ -170,7 +170,7 @@ class TestChecks:
         op = random_canonical(rng, 2)
         f1 = fn_from_expr("x^2")
         # agree on (-1, 1): the bump lives on (2, 4)
-        f2 = fn_scale_add(1.0, f1, 1.0, fn_bump((2.0, 4.0), (2.5, 3.5)))
+        f2 = fn_linear_combination([(1.0, f1), (1.0, BUMP)])
         report = check_localization(op, f1, f2, (-1.0, 1.0), [-0.9, 0.0, 0.9])
         assert report.max_abs_residual == 0.0 and report.passed
 
@@ -178,7 +178,7 @@ class TestChecks:
         # depends on the function far from the agreement interval
         peek = BlackBoxOp(lambda f, x: f.value_at(3.0), "peek@3")
         f1 = fn_from_expr("x^2")
-        f2 = fn_scale_add(1.0, f1, 1.0, fn_bump((2.0, 4.0), (2.5, 3.5)))
+        f2 = fn_linear_combination([(1.0, f1), (1.0, BUMP)])
         report = check_localization(peek, f1, f2, (-1.0, 1.0), [0.0])
         assert report.max_abs_residual == 1.0 and not report.passed
 
@@ -212,29 +212,46 @@ class TestSuite:
         assert outcome.diagonal_gap is not None and outcome.diagonal_gap.passed
 
     def test_square_fails_with_worst_recorded(self):
-        report = run_check_suite(
+        report = run_check_suite_full(
             builtin_blackbox("square"), 1, SamplingConfig(seed=5, tuples=3)
-        )
+        ).report
         assert not report.passed
         assert report.worst_case is not None
         assert abs(report.worst_case.residual) == report.max_abs_residual
 
+    def test_one_sample_over_its_bound_fails(self):
+        # a 1e-8·f² nudge at x=0 only puts one sample over its own bound;
+        # the largest scale, 1.2e7, comes from another sample, and borrowing
+        # it would let the record pass
+        op = random_canonical(random.Random(0), 2)
+
+        def nudged(f, x):
+            out = apply(op, f, x)
+            return out + 1e-8 * f.value_at(x) ** 2 if x == 0.0 else out
+
+        cfg = SamplingConfig(seed=42, tuples=10)
+        assert run_check_suite_full(op, 2, cfg).report.passed
+        report = run_check_suite_full(BlackBoxOp(nudged, "nudged"), 2, cfg).report
+        assert not report.passed
+        assert report.worst_case.x == 0.0
+
     def test_vacuous(self):
-        report = run_check_suite(
+        report = run_check_suite_full(
             derivative_op(1), 1, SamplingConfig(seed=5, tuples=0)
-        )
+        ).report
         assert report.passed and report.vacuous
         assert report.max_abs_residual == 0.0
 
     def test_deterministic(self):
         cfg = SamplingConfig(seed=33, tuples=3)
         op = derivative_op(2)
-        r1 = run_check_suite(op, 2, cfg)
-        r2 = run_check_suite(op, 2, cfg)
+        r1 = run_check_suite_full(op, 2, cfg)
+        r2 = run_check_suite_full(op, 2, cfg)
         assert r1 == r2
 
     def test_first_order_op_passes_higher_identities(self):
         op = linear_op([fn_from_expr("ln(2+x^2)")])
         for n in (2, 3):
-            report = run_check_suite(op, n, SamplingConfig(seed=9, tuples=4))
+            cfg = SamplingConfig(seed=9, tuples=4)
+            report = run_check_suite_full(op, n, cfg).report
             assert report.passed, report.summary()

@@ -11,21 +11,19 @@ from opident.functions import (
     fn_from_expr,
     fn_from_jet,
 )
+from opident.functions import fn_linear_combination
 from opident.identities import (
     alternating_power_residual,
+    alternating_subset_residual,
+    alternating_subset_terms,
     random_function,
     random_polynomial,
 )
 from opident.multiadd import (
-    FnPerturbation,
     conjugate_exp,
     difference_terms,
-    frechet_degree_residual,
-    frechet_degree_terms,
     iterated_difference,
     jet_response,
-    multiadditive_form_terms,
-    multiadditive_form_value,
 )
 from opident.operators import (
     BlackBoxOp,
@@ -75,7 +73,7 @@ class TestConjugateExp:
 class TestIteratedDifference:
     def test_empty_returns_same_operator(self):
         op = derivative_op(1)
-        assert iterated_difference(op, FnPerturbation(())) is op
+        assert iterated_difference(op, []) is op
 
     def test_single_difference_of_linear_op(self):
         op = derivative_op(1)
@@ -108,9 +106,9 @@ class TestMultiadditiveForm:
         op = random_canonical(rng, 2)
         fs = [random_function(rng) for _ in range(3)]
         x = 0.4
-        base = multiadditive_form_value(op, fs, x)
+        base = alternating_subset_residual(op, fs, x)
         for perm in itertools.permutations(fs):
-            assert multiadditive_form_value(op, list(perm), x) == base
+            assert alternating_subset_residual(op, list(perm), x) == base
 
     def test_slot_additivity_for_linear_ops(self):
         rng = random.Random(62)
@@ -119,16 +117,14 @@ class TestMultiadditiveForm:
             op = linear_op([random_polynomial(rng, 2) for _ in range(n)])
             rest = [random_function(rng) for _ in range(n)]
             f, g = random_function(rng), random_function(rng)
-            from opident.functions import fn_scale_add
-
             x = rng.uniform(-1, 1)
-            joint = multiadditive_form_value(op, [fn_scale_add(1, f, 1, g)] + rest, x)
-            split = multiadditive_form_value(op, [f] + rest, x) + multiadditive_form_value(
-                op, [g] + rest, x
-            )
+            f_plus_g = fn_linear_combination([(1, f), (1, g)])
+            joint = alternating_subset_residual(op, [f_plus_g] + rest, x)
+            split = alternating_subset_residual(
+                op, [f] + rest, x
+            ) + alternating_subset_residual(op, [g] + rest, x)
             scale = max(
-                abs(t)
-                for t in multiadditive_form_terms(op, [fn_scale_add(1, f, 1, g)] + rest, x)
+                abs(t) for t in alternating_subset_terms(op, [f_plus_g] + rest, x)
             )
             assert abs(joint - split) <= 1e-10 * max(1.0, scale)
 
@@ -137,7 +133,7 @@ class TestMultiadditiveForm:
         op = random_canonical(rng, 2)
         f = random_function(rng)
         x = 0.1
-        diag = multiadditive_form_value(op, (f, f, f), x)
+        diag = alternating_subset_residual(op, (f, f, f), x)
         single = alternating_power_residual(op, f, 2, x)
         assert math.isclose(diag, single, rel_tol=1e-10, abs_tol=1e-10)
 
@@ -154,8 +150,8 @@ class TestMultiadditiveForm:
                 terms = alternating_power_residual(op, probe, n, x)
                 assert abs(terms) <= 1e-8 * max(1.0, abs(apply(op, probe, x)))
             fs = [random_function(rng) for _ in range(n + 1)]
-            value = multiadditive_form_value(op, fs, x)
-            scale = max(abs(t) for t in multiadditive_form_terms(op, fs, x))
+            value = alternating_subset_residual(op, fs, x)
+            scale = max(abs(t) for t in alternating_subset_terms(op, fs, x))
             assert abs(value) <= 1e-8 * max(1.0, scale)
 
 
@@ -164,8 +160,8 @@ class TestFrechetDegree:
         P = conjugate_exp(derivative_op(1))
         g = fn_from_expr("x^2")
         hs = [fn_from_expr("sin(x)"), fn_from_expr("x")]
-        r = frechet_degree_residual(P, g, hs, 0.5)
-        scale = max(abs(t) for t in frechet_degree_terms(P, g, hs, 0.5))
+        r = sum(difference_terms(P, g, hs, 0.5))
+        scale = max(abs(t) for t in difference_terms(P, g, hs, 0.5))
         assert abs(r) <= 1e-13 * max(1.0, scale)
 
     def test_quadratic_conjugate_three_fold(self):
@@ -173,8 +169,8 @@ class TestFrechetDegree:
         rng = random.Random(65)
         g = random_polynomial(rng, 3)
         hs = [random_polynomial(rng, 3) for _ in range(3)]
-        r = frechet_degree_residual(P, g, hs, 0.3)
-        scale = max(abs(t) for t in frechet_degree_terms(P, g, hs, 0.3))
+        r = sum(difference_terms(P, g, hs, 0.3))
+        scale = max(abs(t) for t in difference_terms(P, g, hs, 0.3))
         assert abs(r) <= 1e-8 * max(1.0, scale)
 
     def test_exp_probe_witness(self):
@@ -182,7 +178,7 @@ class TestFrechetDegree:
         # at g=0 expands to e^2 - 2e + 1
         P = BlackBoxOp(lambda g, x: math.exp(g.value_at(x)), "g -> exp(g(x))")
         hs = [fn_constant(1.0), fn_constant(1.0)]
-        r = frechet_degree_residual(P, fn_constant(0.0), hs, 0.0)
+        r = sum(difference_terms(P, fn_constant(0.0), hs, 0.0))
         assert math.isclose(r, E * E - 2 * E + 1, rel_tol=0, abs_tol=1e-12)
 
     def test_degree_bound_with_witness_search(self):
@@ -199,15 +195,15 @@ class TestFrechetDegree:
             x = 0.25
             g = random_polynomial(rng, 2)
             hs_full = [random_polynomial(rng, 2) for _ in range(n + 1)]
-            r = frechet_degree_residual(P, g, hs_full, x)
-            scale = max(abs(t) for t in frechet_degree_terms(P, g, hs_full, x))
+            r = sum(difference_terms(P, g, hs_full, x))
+            scale = max(abs(t) for t in difference_terms(P, g, hs_full, x))
             assert abs(r) <= 1e-6 * max(1.0, scale)
 
             found = False
             for _ in range(20):
                 hs = [random_polynomial(rng, 2) for _ in range(n)]
-                r = frechet_degree_residual(P, g, hs, x)
-                scale = max(abs(t) for t in frechet_degree_terms(P, g, hs, x))
+                r = sum(difference_terms(P, g, hs, x))
+                scale = max(abs(t) for t in difference_terms(P, g, hs, x))
                 if abs(r) > 10 * 1e-6 * max(1.0, scale):
                     found = True
                     break

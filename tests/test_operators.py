@@ -6,7 +6,7 @@ import random
 import pytest
 
 from opident.errors import NumericRangeError, StructuralError
-from opident.functions import fn_constant, fn_from_expr, fn_scale_add
+from opident.functions import fn_constant, fn_from_expr, fn_linear_combination
 from opident.identities import random_function
 from opident.operators import (
     BlackBoxOp,
@@ -22,7 +22,7 @@ from opident.operators import (
 
 
 def neg(f):
-    return fn_scale_add(-1.0, f, 0.0, fn_constant(0.0))
+    return fn_linear_combination([(-1.0, f)])
 
 
 def random_canonical(rng, n):
@@ -113,7 +113,7 @@ class TestOperatorInvariants:
             g = random_function(rng)
             a, b = rng.uniform(-2, 2), rng.uniform(-2, 2)
             x = rng.uniform(-1, 1)
-            combined = apply(op, fn_scale_add(a, f, b, g), x)
+            combined = apply(op, fn_linear_combination([(a, f), (b, g)]), x)
             split = a * apply(op, f, x) + b * apply(op, g, x)
             scale = abs(a * apply(op, f, x)) + abs(b * apply(op, g, x)) + 1.0
             assert abs(combined - split) <= 1e-10 * scale

@@ -5,10 +5,11 @@ import random
 
 import pytest
 
-from opident.errors import RecoveryError
+from opident.errors import EvalDomainError, RecoveryError
 from opident.functions import fn_constant, fn_from_expr
 from opident.identities import random_polynomial
 from opident.operators import (
+    BlackBoxOp,
     CanonicalOp,
     apply,
     apply_canonical_values,
@@ -117,12 +118,10 @@ class TestRecoverProfile:
         assert jump_d[0] < 1e-9
 
     def test_failures_recorded_not_fatal(self):
-        # operator whose evaluation blows up at one grid point
-        from opident.operators import BlackBoxOp
-
+        # operator whose evaluation leaves its domain at one grid point
         def fragile(f, x):
             if x == 0.5:
-                raise ValueError("boom")
+                raise EvalDomainError("boom")
             return f.eval_jet(x, 1).derivs[1]
 
         op = BlackBoxOp(fragile, "fragile")
@@ -131,6 +130,16 @@ class TestRecoverProfile:
         assert profile.failures[0][0] == 1
         assert profile.c_rows[1] is None
         assert profile.c_rows[0] is not None
+
+    def test_black_box_bug_propagates(self):
+        # a TypeError is a bug in the black box, not a failed recovery
+        def buggy(f, x):
+            if x == 0.5:
+                raise TypeError("bug")
+            return f.eval_jet(x, 1).derivs[1]
+
+        with pytest.raises(TypeError):
+            recover_profile(BlackBoxOp(buggy, "buggy"), 1, [0.0, 0.5, 1.0])
 
 
 class TestValidation:

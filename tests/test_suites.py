@@ -1,0 +1,46 @@
+"""Standard batteries and the record-merging rule."""
+
+from opident.identities import _Aggregator, bound_ratio
+from opident.suites import merge_reports, selftest
+
+# (residual, scale, x): at tolerances 1e-9 / 1e-8 the ratios are about 3,
+# 0.5, 2 and 3, so the first sample is the worst and the last one ties it
+SAMPLES = [(3e-9, 0.0, 0.1), (5.0, 1e9, 0.2), (-4e-9, 0.1, 0.3), (-3e-9, 0.0, 0.4)]
+
+
+def aggregate(samples):
+    agg = _Aggregator()
+    for residual, scale, x in samples:
+        agg.add(residual, scale, x, ())
+    return agg.report("part", 0, 1e-9, 1e-8)
+
+
+def test_aggregator_reports_worst_ratio_first_on_ties():
+    report = aggregate(SAMPLES)
+    assert report.worst_case.x == 0.1
+    assert (report.max_abs_residual, report.max_scale) == (3e-9, 0.0)
+    assert not report.passed
+
+
+def test_merge_reports_picks_the_aggregator_worst_case():
+    whole = aggregate(SAMPLES)
+    for cut in range(1, len(SAMPLES)):
+        parts = [aggregate(SAMPLES[:cut]), aggregate(SAMPLES[cut:])]
+        merged = merge_reports("all", 0, parts, 1e-9, 1e-8)
+        assert merged.samples == whole.samples
+        assert merged.worst_case == whole.worst_case
+        assert (merged.max_abs_residual, merged.max_scale) == (
+            whole.max_abs_residual,
+            whole.max_scale,
+        )
+
+
+def test_zero_bound_ratio():
+    assert bound_ratio(0.0, 5.0, 0.0, 0.0) == 0.0
+    assert bound_ratio(-1e-300, 5.0, 0.0, 0.0) == float("inf")
+
+
+def test_selftest_fast_all_pass():
+    records = selftest(fast=True)
+    assert len(records) == 23
+    assert [r.summary() for r in records if not r.passed] == []
