@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import EvalDomainError, NumericRangeError, StructuralError
 
 # Pascal rows, extended on demand; entries exact in doubles far beyond order 12.
@@ -149,6 +151,28 @@ def _conv(a: Sequence[float], b: Sequence[float]) -> list[float]:
         if j == k - j:
             s += row[j] * (a[j] * b[j])
         out[k] = s
+    return out
+
+
+def conv_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """_conv along the last axis of two broadcastable (..., K+1) arrays.
+
+    Same terms in the same grouping and order as _conv, so every entry is
+    bitwise the scalar result.
+    """
+    n = a.shape[-1]
+    rows = [binomial_row(k) for k in range(n)]
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    for k in range(n):
+        row = rows[k]
+        s = 0.0
+        j = 0
+        while j < k - j:
+            s = s + row[j] * (a[..., j] * b[..., k - j] + a[..., k - j] * b[..., j])
+            j += 1
+        if j == k - j:
+            s = s + row[j] * (a[..., j] * b[..., j])
+        out[..., k] = s
     return out
 
 

@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from typing import Callable, Sequence, Union
 
+import numpy as np
+
 from .errors import NumericRangeError, StructuralError
 from .functions import SmoothFn, fn_constant
 
@@ -99,6 +101,29 @@ def apply_canonical_values(
         for dv in d_vals:
             power *= log_v
             total += dv * v * power
+    return total
+
+
+def apply_canonical_batch(
+    c_vals: np.ndarray, d_vals: np.ndarray, derivs: np.ndarray
+) -> np.ndarray:
+    """apply_canonical_values over a batch of jets, bitwise: derivs is
+    (..., P, n+1), c_vals and d_vals are (n, P) coefficient rows at P points
+    (a d_vals with no rows skips the log terms). Terms are added in the same
+    order; logs go through math.log, as np.log can differ in the last ulp."""
+    total = 0.0
+    for i, cv in enumerate(c_vals, 1):
+        total = total + cv * derivs[..., i]
+    if len(d_vals):
+        v = derivs[..., 0]
+        nonzero = v != 0.0
+        log_v = np.array(
+            [math.log(abs(a)) if a != 0.0 else 0.0 for a in v.ravel().tolist()]
+        ).reshape(v.shape)
+        power = 1.0
+        for dv in d_vals:
+            power = power * log_v
+            total = np.where(nonzero, total + dv * v * power, total)
     return total
 
 

@@ -1,19 +1,25 @@
 """Identity engine: residuals, structural sanity, and the random suites."""
 
+import itertools
 import math
 import random
 
 import pytest
 
+from opident.errors import EvalDomainError, NumericRangeError
 from opident.functions import (
     fn_bump,
     fn_constant,
     fn_from_expr,
     fn_linear_combination,
-    fn_monomial,
 )
 from opident.identities import (
+    DEFAULT_TOL_ABS,
+    DEFAULT_TOL_REL,
     SamplingConfig,
+    _Aggregator,
+    _points_batched,
+    _points_per_point,
     alternating_power_residual,
     alternating_power_terms,
     alternating_subset_residual,
@@ -21,6 +27,7 @@ from opident.identities import (
     check_localization,
     check_poly_annihilation,
     check_units,
+    default_grid,
     graded_leibniz_residual,
     random_function,
     run_check_suite_full,
@@ -28,7 +35,6 @@ from opident.identities import (
 )
 from opident.operators import (
     BlackBoxOp,
-    CanonicalOp,
     apply,
     builtin_blackbox,
     derivative_op,
@@ -36,15 +42,7 @@ from opident.operators import (
     linear_op,
 )
 from opident.identities import random_polynomial
-
-
-def random_canonical(rng, n):
-    return CanonicalOp(
-        n,
-        [random_polynomial(rng, 2) for _ in range(n)],
-        [random_polynomial(rng, 2) for _ in range(n)],
-    )
-
+from opident.suites import random_canonical_op
 
 X = fn_from_expr("x")
 X2 = fn_from_expr("x^2")
@@ -88,7 +86,7 @@ class TestPowerResidual:
         rng = random.Random(23)
         for _ in range(20):
             n = rng.randint(1, 3)
-            op = random_canonical(rng, n)
+            op = random_canonical_op(rng, n)
             f = random_function(rng)
             x = rng.uniform(-1, 1)
             single = alternating_power_residual(op, f, n, x)
@@ -146,7 +144,7 @@ class TestStructuralSanity:
 class TestChecks:
     def test_units_canonical_exact(self):
         rng = random.Random(3)
-        op = random_canonical(rng, 3)
+        op = random_canonical_op(rng, 3)
         report = check_units(op, [-0.5, 0.0, 0.7])
         assert report.max_abs_residual == 0.0 and report.passed
 
@@ -167,7 +165,7 @@ class TestChecks:
 
     def test_localization_bump_outside(self):
         rng = random.Random(17)
-        op = random_canonical(rng, 2)
+        op = random_canonical_op(rng, 2)
         f1 = fn_from_expr("x^2")
         # agree on (-1, 1): the bump lives on (2, 4)
         f2 = fn_linear_combination([(1.0, f1), (1.0, BUMP)])
@@ -206,7 +204,7 @@ class TestChecks:
 class TestSuite:
     def test_canonical_passes(self):
         rng = random.Random(1)
-        op = random_canonical(rng, 2)
+        op = random_canonical_op(rng, 2)
         outcome = run_check_suite_full(op, 2, SamplingConfig(seed=5, tuples=4))
         assert outcome.report.passed
         assert outcome.diagonal_gap is not None and outcome.diagonal_gap.passed
@@ -223,7 +221,7 @@ class TestSuite:
         # a 1e-8·f² nudge at x=0 only puts one sample over its own bound;
         # the largest scale, 1.2e7, comes from another sample, and borrowing
         # it would let the record pass
-        op = random_canonical(random.Random(0), 2)
+        op = random_canonical_op(random.Random(0), 2)
 
         def nudged(f, x):
             out = apply(op, f, x)
@@ -234,6 +232,20 @@ class TestSuite:
         report = run_check_suite_full(BlackBoxOp(nudged, "nudged"), 2, cfg).report
         assert not report.passed
         assert report.worst_case.x == 0.0
+
+    def test_nan_sample_fails(self):
+        # at x=0.5 the terms overflow to ±inf and their sum is nan; the
+        # other samples are exactly 0, and max() used to skip the nan ratio
+        spike = BlackBoxOp(lambda f, x: 1e308 if x == 0.5 else 0.0, "spike@0.5")
+        fs = [fn_from_expr("x+3"), fn_from_expr("x+4"), fn_from_expr("x+5")]
+        agg = _Aggregator()
+        for x in default_grid(5):
+            terms = alternating_subset_terms(spike, fs, x)
+            agg.add(sum(sorted(terms)), max(abs(t) for t in terms), x, ())
+        report = agg.report("spike", 2, DEFAULT_TOL_ABS, DEFAULT_TOL_REL)
+        assert math.isnan(report.max_abs_residual)
+        assert report.worst_case.x == 0.5
+        assert not report.passed
 
     def test_vacuous(self):
         report = run_check_suite_full(
@@ -255,3 +267,74 @@ class TestSuite:
             cfg = SamplingConfig(seed=9, tuples=4)
             report = run_check_suite_full(op, n, cfg).report
             assert report.passed, report.summary()
+
+
+def _wrapped(op):
+    """op as a black box: checked per point through opaque products."""
+    return BlackBoxOp(lambda f, x: apply(op, f, x), op.descriptor)
+
+
+def _parity_ops(n):
+    rng = random.Random(100 + n)
+    return [
+        random_canonical_op(rng, n),  # with log terms
+        linear_op([random_polynomial(rng, 2) for _ in range(n)]),  # without
+        random_canonical_op(rng, n + 1),  # planted: order n+1 fails order n
+        linear_op([fn_from_expr("ln(2+x^2)")]),
+    ]
+
+
+class TestBatchedCanonical:
+    """The batched canonical path against the per-point path, bitwise."""
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_suite_matches_black_box_path(self, n):
+        cfg = SamplingConfig(seed=7 * n, tuples=3)
+        for op in _parity_ops(n):
+            assert run_check_suite_full(op, n, cfg) == run_check_suite_full(
+                _wrapped(op), n, cfg
+            )
+            rng = random.Random(n)
+            fs = tuple(random_function(rng) for _ in range(n + 1))
+            batched = _points_batched(op, fs, n, cfg.grid)
+            per_point = list(_points_per_point(op, fs, n, cfg.grid))
+            assert repr(batched) == repr(per_point)
+
+    def test_planted_order_fails(self):
+        op = _parity_ops(4)[2]
+        assert not run_check_suite_full(op, 4, SamplingConfig(seed=1, tuples=2)).passed
+
+    def test_empty_grid_is_vacuous(self):
+        cfg = SamplingConfig(seed=1, tuples=2, grid=())
+        outcome = run_check_suite_full(_parity_ops(2)[0], 2, cfg)
+        assert outcome.report.vacuous and outcome.passed
+
+    @pytest.mark.parametrize("n", (2, 3))
+    def test_permutation_symmetry_exact(self, n):
+        # every term of a permuted tuple is bitwise the term of the same
+        # subset of the original tuple
+        rng = random.Random(61 + n)
+        op = random_canonical_op(rng, n)
+        fs = [random_function(rng) for _ in range(n + 1)]
+        grid = default_grid(9)
+        base = _points_batched(op, fs, n, grid)
+        for perm in itertools.permutations(range(n + 1)):
+            got = _points_batched(op, [fs[k] for k in perm], n, grid)
+            for (_, terms, _), (_, want, _) in zip(got, base):
+                for mask, term in zip(subset_masks(n + 1), terms):
+                    orig = sum(1 << perm[k] for k in range(n + 1) if mask >> k & 1)
+                    assert term.hex() == want[orig].hex()
+
+    @pytest.mark.parametrize(
+        "coefficient, error",
+        [("1/x", EvalDomainError), ("1e308", NumericRangeError)],
+    )
+    def test_errors_match_per_point_path(self, coefficient, error):
+        # 1/x is undefined at the grid point 0; 1e308·f' overflows
+        op = linear_op([fn_from_expr(coefficient)])
+        cfg = SamplingConfig(seed=3, tuples=2)
+        with pytest.raises(error) as batched:
+            run_check_suite_full(op, 1, cfg)
+        with pytest.raises(error) as per_point:
+            run_check_suite_full(_wrapped(op), 1, cfg)
+        assert str(batched.value) == str(per_point.value)

@@ -8,7 +8,6 @@ import pytest
 from opident.errors import EvalDomainError, StructuralError
 from opident.jets import Jet, jet_exp, jet_ln_abs
 from opident.logderiv import (
-    PartitionTerm,
     enumerate_partition_multisets,
     log_deriv_via_partitions,
 )

@@ -4,12 +4,9 @@ import itertools
 import math
 import random
 
-import pytest
-
 from opident.functions import (
     fn_constant,
     fn_from_expr,
-    fn_from_jet,
 )
 from opident.functions import fn_linear_combination
 from opident.identities import (
@@ -34,16 +31,9 @@ from opident.operators import (
     entropy_op,
     linear_op,
 )
+from opident.suites import random_canonical_op
 
 E = math.e
-
-
-def random_canonical(rng, n):
-    return CanonicalOp(
-        n,
-        [random_polynomial(rng, 2) for _ in range(n)],
-        [random_polynomial(rng, 2) for _ in range(n)],
-    )
 
 
 class TestConjugateExp:
@@ -103,7 +93,7 @@ class TestIteratedDifference:
 class TestMultiadditiveForm:
     def test_permutation_symmetry_exact(self):
         rng = random.Random(61)
-        op = random_canonical(rng, 2)
+        op = random_canonical_op(rng, 2)
         fs = [random_function(rng) for _ in range(3)]
         x = 0.4
         base = alternating_subset_residual(op, fs, x)
@@ -130,7 +120,7 @@ class TestMultiadditiveForm:
 
     def test_diagonal_equals_power_residual(self):
         rng = random.Random(63)
-        op = random_canonical(rng, 2)
+        op = random_canonical_op(rng, 2)
         f = random_function(rng)
         x = 0.1
         diag = alternating_subset_residual(op, (f, f, f), x)
@@ -229,7 +219,7 @@ class TestJetResponse:
         # (n+1)-fold finite differences along scaled basis directions vanish
         rng = random.Random(67)
         n = 2
-        op = random_canonical(rng, n)
+        op = random_canonical_op(rng, n)
         P = conjugate_exp(op)
         x = 0.3
         v0 = [rng.uniform(-1, 1) for _ in range(n + 1)]

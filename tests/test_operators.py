@@ -5,13 +5,16 @@ import random
 
 import pytest
 
+import numpy as np
+
 from opident.errors import NumericRangeError, StructuralError
-from opident.functions import fn_constant, fn_from_expr, fn_linear_combination
-from opident.identities import random_function
+from opident.functions import fn_constant, fn_from_expr, fn_from_jet, fn_linear_combination
+from opident.identities import random_function, random_polynomial
 from opident.operators import (
     BlackBoxOp,
     CanonicalOp,
     apply,
+    apply_canonical_batch,
     apply_canonical_values,
     builtin_blackbox,
     derivative_op,
@@ -19,22 +22,11 @@ from opident.operators import (
     is_linear_form,
     linear_op,
 )
+from opident.suites import random_canonical_op
 
 
 def neg(f):
     return fn_linear_combination([(-1.0, f)])
-
-
-def random_canonical(rng, n):
-    c = [random_coeff(rng) for _ in range(n)]
-    d = [random_coeff(rng) for _ in range(n)]
-    return CanonicalOp(n, c, d)
-
-
-def random_coeff(rng):
-    from opident.identities import random_polynomial
-
-    return random_polynomial(rng, degree=2)
 
 
 class TestApply:
@@ -77,7 +69,7 @@ class TestApply:
         rng = random.Random(5)
         for _ in range(10):
             n = rng.randint(1, 3)
-            op = random_canonical(rng, n)
+            op = random_canonical_op(rng, n)
             f = random_function(rng)
             x = rng.uniform(-1, 1)
             direct = apply(op, f, x)
@@ -88,6 +80,27 @@ class TestApply:
                 x,
             )
             assert math.isclose(direct, via_values, rel_tol=1e-12, abs_tol=1e-12)
+
+    @pytest.mark.parametrize("log_terms", [True, False])
+    def test_batch_is_bitwise_the_scalar_formula(self, log_terms):
+        # np.log and math.log disagree in the last ulp on about 2 values in
+        # 10^4, so 20000 jets would show a batch that used np.log
+        rng = random.Random(11)
+        n, points = 3, 20000
+        jets, c_rows, d_rows = [], [], []
+        for p in range(points):
+            value = 0.0 if p % 50 == 0 else rng.choice((-1, 1)) * math.exp(rng.uniform(-5, 5))
+            jets.append([value] + [rng.uniform(-3, 3) for _ in range(n)])
+            c_rows.append([rng.uniform(-2, 2) for _ in range(n)])
+            d_rows.append([rng.uniform(-2, 2) for _ in range(n)] if log_terms else [])
+        batch = apply_canonical_batch(
+            np.array(c_rows).T, np.array(d_rows).T, np.array(jets)
+        )
+        scalar = [
+            apply_canonical_values(c, d, fn_from_jet(0.0, jet), 0.0)
+            for jet, c, d in zip(jets, c_rows, d_rows)
+        ]
+        assert [v.hex() for v in batch.tolist()] == [v.hex() for v in scalar]
 
 
 class TestIsLinearForm:
@@ -108,7 +121,7 @@ class TestOperatorInvariants:
         rng = random.Random(99)
         for _ in range(50):
             n = rng.randint(1, 3)
-            op = linear_op([random_coeff(rng) for _ in range(n)])
+            op = linear_op([random_polynomial(rng, 2) for _ in range(n)])
             f = random_function(rng)
             g = random_function(rng)
             a, b = rng.uniform(-2, 2), rng.uniform(-2, 2)
@@ -122,7 +135,7 @@ class TestOperatorInvariants:
         rng = random.Random(7)
         for _ in range(50):
             n = rng.randint(1, 3)
-            op = random_canonical(rng, n)
+            op = random_canonical_op(rng, n)
             f = random_function(rng)
             x = rng.uniform(-1, 1)
             if f.value_at(x) == 0.0:
@@ -136,7 +149,7 @@ class TestOperatorInvariants:
         one = fn_constant(1.0)
         minus_one = fn_constant(-1.0)
         for _ in range(25):
-            op = random_canonical(rng, rng.randint(1, 4))
+            op = random_canonical_op(rng, rng.randint(1, 4))
             for x in (-0.9, 0.0, 0.4, 1.1):
                 assert apply(op, one, x) == 0.0
                 assert apply(op, minus_one, x) == 0.0

@@ -7,7 +7,6 @@ import pytest
 
 from opident.errors import EvalDomainError, RecoveryError
 from opident.functions import fn_constant, fn_from_expr
-from opident.identities import random_polynomial
 from opident.operators import (
     BlackBoxOp,
     CanonicalOp,
@@ -23,14 +22,7 @@ from opident.recovery import (
     recover_profile,
     validate_recovery,
 )
-
-
-def random_canonical(rng, n):
-    return CanonicalOp(
-        n,
-        [random_polynomial(rng, 2) for _ in range(n)],
-        [random_polynomial(rng, 2) for _ in range(n)],
-    )
+from opident.suites import random_canonical_op
 
 
 HOLDOUT = [fn_from_expr("sin(x)"), fn_from_expr("x^3"), fn_from_expr("x*exp(x)")]
@@ -79,7 +71,7 @@ class TestRecoverAtPoint:
 
     def test_probe_invariance(self):
         rng = random.Random(12)
-        op = random_canonical(rng, 3)
+        op = random_canonical_op(rng, 3)
         base_c, base_d = recover_at_point(op, 3, 0.4)
         alt_c, alt_d = recover_at_point(
             op, 3, 0.4, lambdas=(0.5, -1.5, 2.5), mus=(0.7, -0.9, 1.8)
@@ -147,7 +139,7 @@ class TestValidation:
         rng = random.Random(2718)
         for _ in range(10):
             n = rng.randint(1, 4)
-            op = random_canonical(rng, n)
+            op = random_canonical_op(rng, n)
             grid = [-0.8 + 0.4 * i for i in range(5)]
             profile = recover_profile(op, n, grid)
             assert not profile.failures
@@ -173,7 +165,7 @@ class TestValidation:
 
     def test_units_consistency_of_recovered_op(self):
         rng = random.Random(31415)
-        op = random_canonical(rng, 2)
+        op = random_canonical_op(rng, 2)
         c, d = recover_at_point(op, 2, 0.3)
         one = fn_constant(1.0)
         minus_one = fn_constant(-1.0)

@@ -1,6 +1,8 @@
 """Standard batteries and the record-merging rule."""
 
-from opident.identities import _Aggregator, bound_ratio
+import math
+
+from opident.identities import ResidualReport, _Aggregator, bound_ratio
 from opident.suites import merge_reports, selftest
 
 # (residual, scale, x): at tolerances 1e-9 / 1e-8 the ratios are about 3,
@@ -38,6 +40,16 @@ def test_merge_reports_picks_the_aggregator_worst_case():
 def test_zero_bound_ratio():
     assert bound_ratio(0.0, 5.0, 0.0, 0.0) == 0.0
     assert bound_ratio(-1e-300, 5.0, 0.0, 0.0) == float("inf")
+
+
+def test_non_finite_sample_is_the_worst():
+    assert bound_ratio(math.nan, 1.0, 1e-9, 1e-8) == math.inf
+    assert bound_ratio(0.0, math.inf, 1e-9, 1e-8) == math.inf
+    nan_part = ResidualReport("part", 0, 1, math.nan, math.inf, None, 1e-9, 1e-8)
+    merged = merge_reports("all", 0, [aggregate(SAMPLES[1:2]), nan_part], 1e-9, 1e-8)
+    assert merged.max_scale == math.inf and not merged.passed
+    # an infinite scale must not pass an infinite residual under an inf bound
+    assert not ResidualReport("r", 0, 1, math.inf, math.inf, None, 1e-9, 1e-8).passed
 
 
 def test_selftest_fast_all_pass():
