@@ -6,9 +6,14 @@ machinery needs: pointwise products, linear combinations, exp-composites,
 polynomials with a prescribed jet, compact-support bumps, and
 expression-backed functions.
 
-Evaluation is pure; each SmoothFn memoizes jets per (point, order), which
+Evaluation is pure. eval_jet takes a point, giving a Jet, or a grid (a
+tuple of points), giving a read-only (P, K+1) array whose rows are bitwise
+the per-point jets. Each SmoothFn memoizes per (point or grid, order), which
 makes the subset-product sweeps of the identity engine cheap without giving
-operators any structural access to their inputs.
+operators any structural access to their inputs. Products, exp-composites,
+constants and prescribed-jet polynomials evaluate a grid with numpy in the
+scalar code's operation order; the other constructors stack their
+per-point jets.
 """
 
 from __future__ import annotations
@@ -17,15 +22,20 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from . import exprs
-from .errors import EvalDomainError, StructuralError
+from .errors import EvalDomainError, NumericRangeError, StructuralError
 from .jets import (
     Jet,
     _conv,
+    conv_batch,
+    exp_batch,
     jet_constant,
     jet_exp,
     jet_product,
     jet_reciprocal,
+    sorted_jet_order,
 )
 
 _CACHE_CAP = 8192
@@ -84,7 +94,7 @@ def common_domain(fs: Sequence["SmoothFn"]) -> Domain:
 class SmoothFn:
     """A function evaluable to a Jet of any order at interior points."""
 
-    __slots__ = ("descriptor", "domain", "is_zero", "_jet_fn", "_cache")
+    __slots__ = ("descriptor", "domain", "is_zero", "_jet_fn", "_grid_fn", "_cache")
 
     def __init__(
         self,
@@ -92,27 +102,55 @@ class SmoothFn:
         jet_fn: Callable[[float, int], Jet],
         domain: Domain = REAL_LINE,
         is_zero: bool = False,
+        grid_fn: Callable[[tuple, int], np.ndarray] | None = None,
     ):
         self.descriptor = descriptor
         self.domain = domain
         self.is_zero = is_zero
         self._jet_fn = jet_fn
-        self._cache: dict[tuple[float, int], Jet] = {}
+        self._grid_fn = grid_fn
+        self._cache: dict[tuple, Jet | np.ndarray] = {}
 
-    def eval_jet(self, x0: float, order: int) -> Jet:
+    def eval_jet(self, x0, order: int):
+        """The Jet of order `order` at the point x0 or, for a grid given as a
+        tuple of points, a read-only (P, order+1) array whose row p is
+        bitwise the jet at x0[p]. Memoized per (point or grid, order)."""
         key = (x0, order)
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        if self.domain is not REAL_LINE and not self.domain.contains(x0):
-            raise EvalDomainError(
-                f"{x0} is not interior to the domain {self.domain} of {self.descriptor}"
-            )
-        jet = self._jet_fn(x0, order)
+        if type(x0) is tuple:
+            out = self._eval_grid(x0, order)
+        else:
+            if self.domain is not REAL_LINE and not self.domain.contains(x0):
+                raise self._outside(x0)
+            out = self._jet_fn(x0, order)
         if len(self._cache) >= _CACHE_CAP:
             self._cache.clear()
-        self._cache[key] = jet
-        return jet
+        self._cache[key] = out
+        return out
+
+    def _outside(self, x0: float) -> EvalDomainError:
+        return EvalDomainError(
+            f"{x0} is not interior to the domain {self.domain} of {self.descriptor}"
+        )
+
+    def _eval_grid(self, grid: tuple, order: int) -> np.ndarray:
+        if self.domain is not REAL_LINE:
+            for x0 in grid:
+                if not self.domain.contains(x0):
+                    raise self._outside(x0)
+        with np.errstate(all="ignore"):
+            if self._grid_fn is not None:
+                out = self._grid_fn(grid, order)
+            else:
+                out = np.array(
+                    [self._jet_fn(x0, order).derivs for x0 in grid], dtype=float
+                ).reshape(len(grid), order + 1)
+        if not np.isfinite(out).all():
+            raise NumericRangeError(f"non-finite jet of {self.descriptor} on the grid")
+        out.flags.writeable = False
+        return out
 
     def value_at(self, x: float) -> float:
         return self.eval_jet(x, 0).value
@@ -124,11 +162,18 @@ class SmoothFn:
 def fn_constant(c: float, domain: Domain = REAL_LINE) -> SmoothFn:
     c = float(c)
     desc = exprs.format_number(c) if c >= 0 else "-" + exprs.format_number(-c)
+
+    def grid_fn(grid: tuple, order: int) -> np.ndarray:
+        out = np.zeros((len(grid), order + 1))
+        out[:, 0] = c
+        return out
+
     return SmoothFn(
         desc,
         lambda x0, order: jet_constant(x0, c, order),
         domain,
         is_zero=(c == 0.0),
+        grid_fn=grid_fn,
     )
 
 
@@ -165,8 +210,25 @@ def fn_from_jet(x0: float, v: Sequence[float], domain: Domain = REAL_LINE) -> Sm
             derivs.append(acc)
         return Jet(y, derivs)
 
+    def grid_fn(grid: tuple, order: int) -> np.ndarray:
+        # jet_fn with t a vector: the same operations in the same order
+        t = np.array(grid, dtype=float) - x0
+        out = np.empty((len(grid), order + 1))
+        for k in range(order + 1):
+            acc = 0.0
+            tp = 1.0
+            fact = 1.0
+            for l in range(k, len(coeffs)):
+                if l > k:
+                    tp = tp * t
+                    fact *= l - k
+                acc = acc + coeffs[l] * tp / fact
+            out[:, k] = acc
+        return out
+
     desc = f"jetpoly@{x0}{list(coeffs)}"
-    return SmoothFn(desc, jet_fn, domain, is_zero=all(c == 0.0 for c in coeffs))
+    zero = all(c == 0.0 for c in coeffs)
+    return SmoothFn(desc, jet_fn, domain, is_zero=zero, grid_fn=grid_fn)
 
 
 def fn_product(fs: Sequence[SmoothFn]) -> SmoothFn:
@@ -188,8 +250,18 @@ def fn_product(fs: Sequence[SmoothFn]) -> SmoothFn:
             acc = _conv(acc, d)
         return Jet(x0, acc)
 
+    def grid_fn(grid: tuple, order: int) -> np.ndarray:
+        # jet_fn's sorted fold at every point at once
+        jets = np.stack([f.eval_jet(grid, order) for f in factors])
+        ranked = np.take_along_axis(jets, sorted_jet_order(jets)[..., None], axis=0)
+        acc = ranked[0]
+        for d in ranked[1:]:
+            acc = conv_batch(acc, d)
+        return acc
+
     desc = "*".join(f"({f.descriptor})" for f in factors)
-    return SmoothFn(desc, jet_fn, dom, is_zero=any(f.is_zero for f in factors))
+    zero = any(f.is_zero for f in factors)
+    return SmoothFn(desc, jet_fn, dom, is_zero=zero, grid_fn=grid_fn)
 
 
 def fn_linear_combination(terms: Sequence[tuple[float, SmoothFn]]) -> SmoothFn:
@@ -217,6 +289,7 @@ def fn_exp_of(g: SmoothFn) -> SmoothFn:
         f"exp({g.descriptor})",
         lambda x0, order: jet_exp(g.eval_jet(x0, order)),
         g.domain,
+        grid_fn=lambda grid, order: exp_batch(g.eval_jet(grid, order)),
     )
 
 

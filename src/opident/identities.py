@@ -13,10 +13,12 @@ ratio of residual to bound, so it passes only if every sample does.
 
 A black-box D sees only opaque SmoothFn products, built per tuple and
 evaluated per point. A canonical D is checked over the whole grid at once:
-every subset product is one jet array built by DP over the tuple's
-canonical order, and the closed form is applied to all of them in one
-numpy pass. The batched path folds the same terms in the same order as the
-per-point one, so both give bitwise the same records.
+the tuple's functions and the operator's coefficients are each evaluated
+on the grid in one call (SmoothFn.eval_jet with a tuple of points), every
+subset product is one jet array built by DP over the tuple's canonical
+order, and the closed form is applied to all of them in one numpy pass.
+The batched path folds the same terms in the same order as the per-point
+one, so both give bitwise the same records.
 """
 
 from __future__ import annotations
@@ -37,8 +39,14 @@ from .functions import (
     fn_monomial,
     fn_product,
 )
-from .jets import binomial_row, conv_batch
-from .operators import CanonicalOp, Operator, apply, apply_canonical_batch
+from .jets import binomial_row, conv_batch, sorted_jet_order
+from .operators import (
+    CanonicalOp,
+    Operator,
+    apply,
+    apply_canonical_batch,
+    is_linear_form,
+)
 
 DEFAULT_TOL_ABS = 1e-9
 DEFAULT_TOL_REL = 1e-8
@@ -216,13 +224,19 @@ def _power_plan(f: SmoothFn, n: int):
     return [fn_product([f] * m) for m in range(1, n + 2)]
 
 
-def _power_terms(inner: Sequence[float], v: float, n: int):
+def _popcounts(size: int) -> list[int]:
+    """Member counts of the subset_masks(size), in their order."""
+    return [mask.bit_count() for mask in subset_masks(size)]
+
+
+def _power_terms(inner: Sequence[float], v: float, n: int, cards: Sequence[int]):
     """(diagonal terms, equal-entry subset terms) from v = f(x) and
     inner[i] = D(f^(n+1-i))(x), i = 0..n.
 
     The diagonal terms are (-1)^i C(n+1,i) v^i inner[i]; the subset identity
     on the tuple (f,)*(n+1) has, per mask with i members, (-1)^i v^i
-    inner[i], listed in ascending-bitmask order.
+    inner[i], one term per entry i of cards (_popcounts(n+1) lists them in
+    ascending-bitmask order; an empty cards gives none).
     """
     row = binomial_row(n + 1)
     pterms, by_card = [], []
@@ -233,11 +247,12 @@ def _power_terms(inner: Sequence[float], v: float, n: int):
         pterms.append(term if i % 2 == 0 else -term)
         by_card.append(signed if i % 2 == 0 else -signed)
         vpow *= v
-    return pterms, [by_card[mask.bit_count()] for mask in subset_masks(n + 1)]
+    return pterms, [by_card[i] for i in cards]
 
 
-def _power_terms_from_plan(op: Operator, powers, n: int, v: float, x: float):
-    return _power_terms([apply(op, powers[n - i], x) for i in range(n + 1)], v, n)
+def _power_terms_from_plan(op: Operator, powers, n: int, v: float, x: float, cards):
+    inner = [apply(op, powers[n - i], x) for i in range(n + 1)]
+    return _power_terms(inner, v, n, cards)
 
 
 def alternating_power_terms(
@@ -245,7 +260,7 @@ def alternating_power_terms(
 ) -> list[float]:
     """Signed terms of the diagonal (single-function) identity:
     (-1)^i C(n+1,i) f(x)^i D(f^{n+1-i})(x), i = 0..n."""
-    return _power_terms_from_plan(op, _power_plan(f, n), n, f.value_at(x), x)[0]
+    return _power_terms_from_plan(op, _power_plan(f, n), n, f.value_at(x), x, ())[0]
 
 
 def alternating_power_residual(op: Operator, f: SmoothFn, n: int, x: float) -> float:
@@ -259,35 +274,45 @@ def _points_per_point(op: Operator, fs: Sequence[SmoothFn], n: int, grid):
     batched canonical path."""
     plan = _subset_plan(fs)
     powers = _power_plan(fs[0], n)
+    cards = _popcounts(n + 1)
     for x in grid:
         values = [f.value_at(x) for f in fs]
         terms = _terms_from_plan(op, plan, values, x)
-        yield x, terms, _power_terms_from_plan(op, powers, n, values[0], x)
+        yield x, terms, _power_terms_from_plan(op, powers, n, values[0], x, cards)
 
 
 def _points_batched(op: CanonicalOp, fs: Sequence[SmoothFn], n: int, grid) -> list:
     """_points_per_point for a canonical D, computed for the whole grid at
     once, bitwise equal to it.
 
-    Per point the tuple is put in canonical order, a stable lexicographic
-    sort of its jets (fn_product's fold order), and every subset product is
-    built by DP over rank bitmasks, prod[R] = prod[R - top(R)] ⊛ jet[top(R)],
-    one batched convolution per popcount level. The outside value products
-    use the same DP and the powers of fs[0] the chain f^k = f^(k-1) ⊛ f.
+    The jets of the tuple come from one grid evaluation per function,
+    f.eval_jet(grid, op.n), and the coefficient rows c_i(x), d_i(x) from
+    one order-0 grid evaluation per coefficient; a list grid is taken as a
+    tuple. Per point the tuple is put in canonical order, a stable
+    lexicographic sort of its jets (fn_product's fold order), and every
+    subset product is built by DP over rank bitmasks,
+    prod[R] = prod[R - top(R)] ⊛ jet[top(R)], one batched convolution per
+    popcount level. The outside value products use the same DP and the
+    powers of fs[0] the chain f^k = f^(k-1) ⊛ f.
     Values are the order-0 entries of the jets: every jet recurrence is
     triangular, so they are bitwise those of order-0 jets.
     """
     _require_tuple(fs)
+    grid = tuple(grid)
     if not grid:
         return []
     m, order, points = len(fs), op.n, len(grid)
     size = 1 << m
     # jets[j, p]: the jet of fs[j] at grid[p]
-    jets = np.array([[f.eval_jet(x, order).derivs for f in fs] for x in grid])
-    jets = jets.transpose(1, 0, 2)
+    jets = np.stack([f.eval_jet(grid, order) for f in fs])
+    c_vals = np.array([fn.eval_jet(grid, 0)[:, 0] for fn in op.c])
+    if is_linear_form(op):
+        d_vals = np.empty((0, points))
+    else:
+        d_vals = np.array([fn.eval_jet(grid, 0)[:, 0] for fn in op.d])
     with np.errstate(all="ignore"):
         # by_rank[r, p]: index into fs of the rank-r function at grid[p]
-        by_rank = np.lexsort(jets[..., ::-1].transpose(2, 0, 1), axis=0)
+        by_rank = sorted_jet_order(jets)
         ranked = np.take_along_axis(jets, by_rank[..., None], axis=0)
         prods = np.zeros((size, points, order + 1))
         outside = np.ones((size, points))
@@ -302,9 +327,6 @@ def _points_batched(op: CanonicalOp, fs: Sequence[SmoothFn], n: int, grid) -> li
         for _ in range(n):
             powers.append(conv_batch(powers[-1], jets[0]))
         stacked = np.concatenate([prods, powers])
-        coefs = [op.coefficient_values(x) for x in grid]
-        c_vals = np.array([c for c, _ in coefs]).T
-        d_vals = np.array([d for _, d in coefs]).T
         applied = apply_canonical_batch(c_vals, d_vals, stacked)
         if not (np.isfinite(stacked).all() and np.isfinite(applied).all()):
             raise NumericRangeError(f"{op.descriptor}: non-finite product or value")
@@ -318,8 +340,9 @@ def _points_batched(op: CanonicalOp, fs: Sequence[SmoothFn], n: int, grid) -> li
         terms[odd] = -terms[odd]
     inner = applied[size:][::-1].T.tolist()
     values = jets[0, :, 0].tolist()
+    cards = _popcounts(n + 1)
     return [
-        (x, t, _power_terms(i, v, n))
+        (x, t, _power_terms(i, v, n, cards))
         for x, t, v, i in zip(grid, terms.T.tolist(), values, inner)
     ]
 
@@ -483,14 +506,14 @@ def run_check_suite_full(op: Operator, n: int, cfg: SamplingConfig) -> SuiteOutc
         if points is None:
             points = _points_per_point(op, fs, n, cfg.grid)
         for x, terms, (pterms, dterms) in points:
-            scale = max(abs(t) for t in terms)
+            scale = max(map(abs, terms))
             agg.add(sum(sorted(terms)), scale, x, descriptors)
 
-            pscale = max(abs(t) for t in pterms)
+            pscale = max(map(abs, pterms))
             agg.add(sum(pterms), pscale, x, (f0.descriptor,))
 
             if cfg.include_diagonal:
-                dscale = max(abs(t) for t in dterms)
+                dscale = max(map(abs, dterms))
                 gap = sum(pterms) - sum(sorted(dterms))
                 gap_agg.add(gap, max(pscale, dscale), x, (f0.descriptor,))
     report = agg.report("identity-suite", n, DEFAULT_TOL_ABS, DEFAULT_TOL_REL)

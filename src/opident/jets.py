@@ -176,6 +176,13 @@ def conv_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def sorted_jet_order(jets: np.ndarray) -> np.ndarray:
+    """Indices that sort an (m, P, K+1) stack of jets along its first axis,
+    per point: the stable lexicographic order in which Python sorts the
+    derivs tuples, so a fold in this order is a fold in sorted order."""
+    return np.lexsort(jets[..., ::-1].transpose(2, 0, 1), axis=0)
+
+
 def jet_product(j1: Jet, j2: Jet) -> Jet:
     """Jet of the pointwise product, by the higher-order product rule."""
     _require_aligned(j1, j2)
@@ -207,6 +214,26 @@ def jet_exp(j: Jet) -> Jet:
             s += row[i] * g[i + 1] * h[k - i]
         h[k + 1] = s
     return Jet(j.x0, h)
+
+
+def exp_batch(g: np.ndarray) -> np.ndarray:
+    """jet_exp over the rows of a (P, K+1) array of jets, bitwise: the
+    order-0 entries go through math.exp, as np.exp can differ in the last
+    ulp, and the recurrence adds the same terms in the same order."""
+    points, n = g.shape
+    h = np.empty((points, n))
+    try:
+        h[:, 0] = [math.exp(v) for v in g[:, 0].tolist()]
+    except OverflowError:
+        raise NumericRangeError("exp overflow on the grid") from None
+    rows = [binomial_row(k) for k in range(n - 1)]
+    for k in range(n - 1):
+        row = rows[k]
+        s = 0.0
+        for i in range(k + 1):
+            s = s + row[i] * g[:, i + 1] * h[:, k - i]
+        h[:, k + 1] = s
+    return h
 
 
 def jet_ln_abs(j: Jet) -> Jet:

@@ -1,10 +1,13 @@
 """Function-space constructors: products, prescribed jets, bumps."""
 
+import itertools
 import math
+import random
 
+import numpy as np
 import pytest
 
-from opident.errors import EvalDomainError, StructuralError
+from opident.errors import EvalDomainError, NumericRangeError, StructuralError
 from opident.functions import (
     Domain,
     fn_bump,
@@ -16,6 +19,7 @@ from opident.functions import (
     fn_product,
     fn_linear_combination,
 )
+from opident.identities import default_grid, random_function
 
 E = math.e
 
@@ -183,3 +187,120 @@ class TestCombinators:
     def test_determinism(self):
         f = fn_from_expr("exp(x)*sin(x)")
         assert f.eval_jet(0.9, 5) == f.eval_jet(0.9, 5)
+
+
+# covers both ramps of BUMP, its plateau and points outside its support
+GRID = default_grid(21) + (0.123456789, -0.7, 2.0, -3.5)
+BUMP = fn_bump((-0.9, 0.8), (-0.25, 0.35))
+
+
+def stacked(f, grid, order):
+    """The reference: the per-point jets as rows."""
+    return np.array([f.eval_jet(x, order).derivs for x in grid], dtype=float)
+
+
+def assert_grid_parity(f, grid=GRID, orders=range(7)):
+    for order in orders:
+        got = f.eval_jet(grid, order)
+        want = stacked(f, grid, order)
+        assert got.shape == want.shape == (len(grid), order + 1)
+        assert got.tobytes() == want.tobytes(), (f.descriptor, order)
+
+
+class TestGridEval:
+    """eval_jet on a grid is bitwise the per-point jets, stacked."""
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            fn_constant(2.5),
+            fn_constant(-1.0),
+            fn_constant(0.0),
+            fn_from_jet(0.3, [1.0, -2.0, 0.5]),  # degree 2 below orders 3..6
+            fn_from_jet(-0.7, [0.5, -1.0, 3.0, 2.0, -0.25, 1.5, -4.0, 0.125]),
+            fn_monomial(0),
+            fn_monomial(3),
+            fn_exp_of(fn_from_jet(0.0, [0.1, 1.5, -2.0, 0.7])),
+            fn_exp_of(fn_constant(0.0)),
+            fn_product([fn_from_jet(0.0, [1.0, 2.0]), fn_exp_of(fn_from_expr("x"))]),
+            fn_exp_of(fn_product([fn_monomial(2), fn_constant(-0.5)])),
+        ],
+        ids=lambda f: f.descriptor,
+    )
+    def test_batched_constructors(self, f):
+        assert_grid_parity(f)
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            fn_from_expr("sin(2*x)*exp(x)"),
+            fn_linear_combination([(2.0, fn_from_expr("x^2")), (-3.0, fn_monomial(1))]),
+            BUMP,
+            fn_product([BUMP, fn_from_expr("cos(x)")]),
+            fn_exp_of(fn_from_expr("1/(2+x)")),
+        ],
+        ids=lambda f: f.descriptor,
+    )
+    def test_defaulting_constructors(self, f):
+        assert_grid_parity(f)
+
+    def test_random_suite_functions(self):
+        rng = random.Random(5)
+        for _ in range(30):
+            assert_grid_parity(random_function(rng), orders=(0, 4))
+
+    @pytest.mark.parametrize("size", (3, 4))
+    def test_product_under_every_permutation_with_ties(self, size):
+        # at x=0 every value is 1 and some first derivatives tie too; the
+        # first factor enters twice, so whole jets tie as well. Inexact
+        # derivatives make the fold order show in the bits.
+        factors = [
+            fn_from_jet(0.0, [1.0, 0.1, 0.7, -0.3, 0.11, 0.9]),
+            fn_from_jet(0.0, [1.0, 0.1, -1 / 3, 0.6, 0.2]),
+            fn_from_jet(0.0, [1.0, 0.3, 0.123, 0.77]),
+            fn_constant(1.0),
+            fn_from_jet(0.0, [1.0, 0.1, 0.7, -0.3, 0.11, 0.9]),
+            fn_exp_of(fn_from_jet(0.0, [0.0, 0.37, -1.1])),
+        ]
+        grid = (0.0, 0.25, -0.5, 0.0, 1.0)
+        for chosen in itertools.combinations(factors, size):
+            for perm in itertools.permutations(chosen):
+                assert_grid_parity(fn_product(perm), grid, orders=(0, 1, 5))
+
+    def test_out_of_domain_point_is_the_per_point_error(self):
+        f = fn_product([fn_from_expr("x^2", Domain(((0.0, 1.0),))), fn_monomial(1)])
+        with pytest.raises(EvalDomainError) as per_point:
+            f.eval_jet(1.0, 2)
+        with pytest.raises(EvalDomainError) as grid:
+            f.eval_jet((0.5, 1.0, 0.25), 2)
+        assert str(grid.value) == str(per_point.value)
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            fn_exp_of(fn_from_jet(0.0, [700.0, 20.0])),  # math.exp overflows at 710
+            fn_exp_of(fn_from_jet(0.0, [0.0, 1e200])),  # a derivative overflows
+            fn_product([fn_constant(1e200), fn_constant(1e200)]),
+        ],
+        ids=lambda f: f.descriptor,
+    )
+    def test_overflow_is_a_range_error(self, f):
+        grid = (0.0, 1.0, 0.5)
+        with pytest.raises(NumericRangeError):
+            for x in grid:
+                f.eval_jet(x, 2)
+        with pytest.raises(NumericRangeError):
+            f.eval_jet(grid, 2)
+
+    def test_read_only_and_memoized(self):
+        f = fn_exp_of(fn_from_jet(0.0, [0.1, 1.5, -2.0]))
+        first = f.eval_jet(GRID, 3)
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0, 0] = 1.0
+        assert f.eval_jet(GRID, 3) is first
+        assert f.eval_jet(GRID, 2) is not first
+
+    def test_empty_grid(self):
+        for f in (fn_from_expr("x"), fn_monomial(2)):
+            assert f.eval_jet((), 3).shape == (0, 4)

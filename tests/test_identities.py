@@ -300,6 +300,15 @@ class TestBatchedCanonical:
             per_point = list(_points_per_point(op, fs, n, cfg.grid))
             assert repr(batched) == repr(per_point)
 
+    def test_list_grid_matches_tuple_grid(self):
+        op = _parity_ops(3)[0]
+        grid = default_grid(9)
+        outcomes = [
+            run_check_suite_full(op, 3, SamplingConfig(seed=5, tuples=2, grid=g))
+            for g in (grid, list(grid))
+        ]
+        assert outcomes[0] == outcomes[1]
+
     def test_planted_order_fails(self):
         op = _parity_ops(4)[2]
         assert not run_check_suite_full(op, 4, SamplingConfig(seed=1, tuples=2)).passed
