@@ -7,12 +7,13 @@ polynomials with a prescribed jet, compact-support bumps, and
 expression-backed functions.
 
 Evaluation is pure. eval_jet takes a point, giving a Jet, or a grid (a
-tuple of points), giving a read-only (P, K+1) array whose rows are bitwise
-the per-point jets. Each SmoothFn memoizes per (point or grid, order), which
-makes the subset-product sweeps of the identity engine cheap without giving
-operators any structural access to their inputs. Products, exp-composites,
-constants and prescribed-jet polynomials evaluate a grid with numpy in the
-scalar code's operation order; the other constructors stack their
+tuple of points), giving a read-only derivative-major (K+1, P) array whose
+column p is bitwise the jet at point p. Each SmoothFn memoizes per (point
+or grid, order), which makes the subset-product sweeps of the identity
+engine cheap without giving operators any structural access to their
+inputs. Products, exp-composites, constants and prescribed-jet polynomials
+run their scalar derivative code on numpy rows, so a grid takes the same
+operations in the same order; the other constructors stack their
 per-point jets.
 """
 
@@ -29,8 +30,7 @@ from .errors import EvalDomainError, NumericRangeError, StructuralError
 from .jets import (
     Jet,
     _conv,
-    conv_batch,
-    exp_batch,
+    _exp_derivs,
     jet_constant,
     jet_exp,
     jet_product,
@@ -102,7 +102,7 @@ class SmoothFn:
         jet_fn: Callable[[float, int], Jet],
         domain: Domain = REAL_LINE,
         is_zero: bool = False,
-        grid_fn: Callable[[tuple, int], np.ndarray] | None = None,
+        grid_fn: Callable[[tuple, int], Sequence] | None = None,
     ):
         self.descriptor = descriptor
         self.domain = domain
@@ -113,7 +113,7 @@ class SmoothFn:
 
     def eval_jet(self, x0, order: int):
         """The Jet of order `order` at the point x0 or, for a grid given as a
-        tuple of points, a read-only (P, order+1) array whose row p is
+        tuple of points, a read-only (order+1, P) array whose column p is
         bitwise the jet at x0[p]. Memoized per (point or grid, order)."""
         key = (x0, order)
         cached = self._cache.get(key)
@@ -142,11 +142,15 @@ class SmoothFn:
                     raise self._outside(x0)
         with np.errstate(all="ignore"):
             if self._grid_fn is not None:
-                out = self._grid_fn(grid, order)
+                derivs = self._grid_fn(grid, order)
             else:
-                out = np.array(
+                derivs = np.array(
                     [self._jet_fn(x0, order).derivs for x0 in grid], dtype=float
-                ).reshape(len(grid), order + 1)
+                ).reshape(len(grid), order + 1).T
+        # entries may be rows or, for a derivative constant on the grid, floats
+        out = np.empty((order + 1, len(grid)))
+        for k, row in enumerate(derivs):
+            out[k] = row
         if not np.isfinite(out).all():
             raise NumericRangeError(f"non-finite jet of {self.descriptor} on the grid")
         out.flags.writeable = False
@@ -162,18 +166,12 @@ class SmoothFn:
 def fn_constant(c: float, domain: Domain = REAL_LINE) -> SmoothFn:
     c = float(c)
     desc = exprs.format_number(c) if c >= 0 else "-" + exprs.format_number(-c)
-
-    def grid_fn(grid: tuple, order: int) -> np.ndarray:
-        out = np.zeros((len(grid), order + 1))
-        out[:, 0] = c
-        return out
-
     return SmoothFn(
         desc,
         lambda x0, order: jet_constant(x0, c, order),
         domain,
         is_zero=(c == 0.0),
-        grid_fn=grid_fn,
+        grid_fn=lambda grid, order: (c,) + (0.0,) * order,
     )
 
 
@@ -194,26 +192,10 @@ def fn_from_jet(x0: float, v: Sequence[float], domain: Domain = REAL_LINE) -> Sm
     x0 = float(x0)
     coeffs = tuple(float(c) for c in v)
 
-    def jet_fn(y: float, order: int) -> Jet:
-        # p^(k)(y) = sum_{l>=k} v[l]·t^(l-k)/(l-k)!
-        t = y - x0
-        derivs = []
-        for k in range(order + 1):
-            acc = 0.0
-            tp = 1.0
-            fact = 1.0
-            for l in range(k, len(coeffs)):
-                if l > k:
-                    tp *= t
-                    fact *= l - k
-                acc += coeffs[l] * tp / fact
-            derivs.append(acc)
-        return Jet(y, derivs)
-
-    def grid_fn(grid: tuple, order: int) -> np.ndarray:
-        # jet_fn with t a vector: the same operations in the same order
-        t = np.array(grid, dtype=float) - x0
-        out = np.empty((len(grid), order + 1))
+    def derivs(t, order: int) -> list:
+        # p^(k)(y) = sum_{l>=k} v[l]·t^(l-k)/(l-k)! with t = y - x0, a float
+        # or, on a grid, an array
+        out = []
         for k in range(order + 1):
             acc = 0.0
             tp = 1.0
@@ -223,12 +205,18 @@ def fn_from_jet(x0: float, v: Sequence[float], domain: Domain = REAL_LINE) -> Sm
                     tp = tp * t
                     fact *= l - k
                 acc = acc + coeffs[l] * tp / fact
-            out[:, k] = acc
+            out.append(acc)
         return out
 
     desc = f"jetpoly@{x0}{list(coeffs)}"
     zero = all(c == 0.0 for c in coeffs)
-    return SmoothFn(desc, jet_fn, domain, is_zero=zero, grid_fn=grid_fn)
+    return SmoothFn(
+        desc,
+        lambda y, order: Jet(y, derivs(y - x0, order)),
+        domain,
+        is_zero=zero,
+        grid_fn=lambda grid, order: derivs(np.array(grid, dtype=float) - x0, order),
+    )
 
 
 def fn_product(fs: Sequence[SmoothFn]) -> SmoothFn:
@@ -250,13 +238,13 @@ def fn_product(fs: Sequence[SmoothFn]) -> SmoothFn:
             acc = _conv(acc, d)
         return Jet(x0, acc)
 
-    def grid_fn(grid: tuple, order: int) -> np.ndarray:
+    def grid_fn(grid: tuple, order: int) -> list:
         # jet_fn's sorted fold at every point at once
-        jets = np.stack([f.eval_jet(grid, order) for f in factors])
-        ranked = np.take_along_axis(jets, sorted_jet_order(jets)[..., None], axis=0)
-        acc = ranked[0]
-        for d in ranked[1:]:
-            acc = conv_batch(acc, d)
+        jets = np.stack([f.eval_jet(grid, order) for f in factors], axis=1)
+        ranked = np.take_along_axis(jets, sorted_jet_order(jets)[None], axis=1)
+        acc = ranked[:, 0]
+        for i in range(1, len(factors)):
+            acc = _conv(acc, ranked[:, i])
         return acc
 
     desc = "*".join(f"({f.descriptor})" for f in factors)
@@ -289,7 +277,7 @@ def fn_exp_of(g: SmoothFn) -> SmoothFn:
         f"exp({g.descriptor})",
         lambda x0, order: jet_exp(g.eval_jet(x0, order)),
         g.domain,
-        grid_fn=lambda grid, order: exp_batch(g.eval_jet(grid, order)),
+        grid_fn=lambda grid, order: _exp_derivs(g.eval_jet(grid, order)),
     )
 
 
@@ -332,11 +320,15 @@ def fn_bump(
             return jet_constant(x0, 1.0, order)
         if x0 < p:  # rising ramp on (a, p)
             scale = 1.0 / (p - a)
-            t = Jet(x0, ((x0 - a) * scale, scale) + (0.0,) * max(0, order - 1))
-            return _smoothstep_jet(t.truncate(order))
-        # falling ramp on (q, b)
-        scale = -1.0 / (b - q)
-        t = Jet(x0, ((b - x0) * -scale, scale) + (0.0,) * max(0, order - 1))
+            value = (x0 - a) * scale
+        else:  # falling ramp on (q, b)
+            scale = -1.0 / (b - q)
+            value = (b - x0) * -scale
+        if value >= 1.0:
+            # next to the plateau the ramp rounds to its end, where the
+            # smoothstep's flat limit is the constant 1
+            return jet_constant(x0, 1.0, order)
+        t = Jet(x0, (value, scale) + (0.0,) * max(0, order - 1))
         return _smoothstep_jet(t.truncate(order))
 
     return SmoothFn(f"bump({a},{b};[{p},{q}])", jet_fn, domain)

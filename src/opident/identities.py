@@ -30,7 +30,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import EvalDomainError, NumericRangeError, StructuralError
+from .errors import NumericRangeError, StructuralError
 from .functions import (
     SmoothFn,
     fn_constant,
@@ -39,7 +39,7 @@ from .functions import (
     fn_monomial,
     fn_product,
 )
-from .jets import binomial_row, conv_batch, sorted_jet_order
+from .jets import _conv, binomial_row, sorted_jet_order
 from .operators import (
     CanonicalOp,
     Operator,
@@ -288,14 +288,18 @@ def _points_batched(op: CanonicalOp, fs: Sequence[SmoothFn], n: int, grid) -> li
     The jets of the tuple come from one grid evaluation per function,
     f.eval_jet(grid, op.n), and the coefficient rows c_i(x), d_i(x) from
     one order-0 grid evaluation per coefficient; a list grid is taken as a
-    tuple. Per point the tuple is put in canonical order, a stable
-    lexicographic sort of its jets (fn_product's fold order), and every
-    subset product is built by DP over rank bitmasks,
-    prod[R] = prod[R - top(R)] ⊛ jet[top(R)], one batched convolution per
-    popcount level. The outside value products use the same DP and the
-    powers of fs[0] the chain f^k = f^(k-1) ⊛ f.
+    tuple. All jet stacks are derivative-major, (op.n+1, ..., P), so the
+    scalar _conv runs on them unchanged. Per point the tuple is put in
+    canonical order, a stable lexicographic sort of its jets (fn_product's
+    fold order), and every subset product is built by DP over rank
+    bitmasks, prod[R] = prod[R - top(R)] ⊛ jet[top(R)], one convolution of
+    (op.n+1, masks, P) stacks per popcount level. The outside value
+    products use the same DP and the powers of fs[0] the chain
+    f^k = f^(k-1) ⊛ f.
     Values are the order-0 entries of the jets: every jet recurrence is
-    triangular, so they are bitwise those of order-0 jets.
+    triangular, so they are bitwise those of order-0 jets. A non-finite
+    product or value raises NumericRangeError naming the first grid point
+    that has one.
     """
     _require_tuple(fs)
     grid = tuple(grid)
@@ -303,33 +307,35 @@ def _points_batched(op: CanonicalOp, fs: Sequence[SmoothFn], n: int, grid) -> li
         return []
     m, order, points = len(fs), op.n, len(grid)
     size = 1 << m
-    # jets[j, p]: the jet of fs[j] at grid[p]
-    jets = np.stack([f.eval_jet(grid, order) for f in fs])
-    c_vals = np.array([fn.eval_jet(grid, 0)[:, 0] for fn in op.c])
+    # jets[k, j, p]: the k-th derivative of fs[j] at grid[p]
+    jets = np.stack([f.eval_jet(grid, order) for f in fs], axis=1)
+    c_vals = np.array([fn.eval_jet(grid, 0)[0] for fn in op.c])
     if is_linear_form(op):
         d_vals = np.empty((0, points))
     else:
-        d_vals = np.array([fn.eval_jet(grid, 0)[:, 0] for fn in op.d])
+        d_vals = np.array([fn.eval_jet(grid, 0)[0] for fn in op.d])
     with np.errstate(all="ignore"):
         # by_rank[r, p]: index into fs of the rank-r function at grid[p]
         by_rank = sorted_jet_order(jets)
-        ranked = np.take_along_axis(jets, by_rank[..., None], axis=0)
-        prods = np.zeros((size, points, order + 1))
+        ranked = np.take_along_axis(jets, by_rank[None], axis=1)
+        prods = np.zeros((order + 1, size, points))
         outside = np.ones((size, points))
         for level in range(1, m + 1):
             masks = [r for r in range(1, size) if r.bit_count() == level]
             tops = [r.bit_length() - 1 for r in masks]
             rests = [r ^ (1 << t) for r, t in zip(masks, tops)]
-            outside[masks] = outside[rests] * ranked[tops, :, 0]
-            top_jets = ranked[tops]
-            prods[masks] = top_jets if level == 1 else conv_batch(prods[rests], top_jets)
-        powers = [jets[0]]
+            outside[masks] = outside[rests] * ranked[0, tops]
+            top_jets = ranked[:, tops]
+            prods[:, masks] = top_jets if level == 1 else _conv(prods[:, rests], top_jets)
+        powers = [jets[:, 0]]
         for _ in range(n):
-            powers.append(conv_batch(powers[-1], jets[0]))
-        stacked = np.concatenate([prods, powers])
+            powers.append(_conv(powers[-1], jets[:, 0]))
+        stacked = np.concatenate([prods, np.stack(powers, axis=1)], axis=1)
         applied = apply_canonical_batch(c_vals, d_vals, stacked)
-        if not (np.isfinite(stacked).all() and np.isfinite(applied).all()):
-            raise NumericRangeError(f"{op.descriptor}: non-finite product or value")
+        finite = np.isfinite(stacked).all(axis=(0, 1)) & np.isfinite(applied).all(axis=0)
+        if not finite.all():
+            x = grid[int(np.argmin(finite))]
+            raise NumericRangeError(f"{op.descriptor} produced a non-finite value at x={x}")
         # bits[j, p]: the rank bit of fs[j] at grid[p]
         bits = 1 << np.argsort(by_rank, axis=0)
         member = np.array([[mask >> j & 1 for j in range(m)] for mask in subset_masks(m)])
@@ -339,7 +345,7 @@ def _points_batched(op: CanonicalOp, fs: Sequence[SmoothFn], n: int, grid) -> li
         odd = member.sum(axis=1) % 2 == 1
         terms[odd] = -terms[odd]
     inner = applied[size:][::-1].T.tolist()
-    values = jets[0, :, 0].tolist()
+    values = jets[0, 0].tolist()
     cards = _popcounts(n + 1)
     return [
         (x, t, _power_terms(i, v, n, cards))
@@ -456,7 +462,6 @@ class SamplingConfig:
     seed: int = 42
     tuples: int = 10
     grid: tuple[float, ...] = field(default_factory=default_grid)
-    include_diagonal: bool = True
 
 
 @dataclass(frozen=True)
@@ -464,31 +469,25 @@ class SuiteOutcome:
     """Aggregate identity report plus the diagonal-consistency gap."""
 
     report: ResidualReport
-    diagonal_gap: ResidualReport | None
+    diagonal_gap: ResidualReport
 
     @property
     def passed(self) -> bool:
-        ok = self.report.passed
-        if self.diagonal_gap is not None:
-            ok = ok and self.diagonal_gap.passed
-        return ok
+        return self.report.passed and self.diagonal_gap.passed
 
 
 def run_check_suite_full(op: Operator, n: int, cfg: SamplingConfig) -> SuiteOutcome:
     """Drive both identities over random tuples; deterministic given seed.
 
     Per sampled tuple and grid point this evaluates the subset identity on
-    the tuple and the diagonal identity on the tuple's first function; when
-    cfg.include_diagonal is set it also reports |diagonal - subset| for the
-    equal-entry tuple against the shared term scale (they agree up to
-    roundoff by construction). Both sides of that gap come from the same
-    n+1 applications D(f^k)(x).
+    the tuple and the diagonal identity on the tuple's first function; it
+    also reports |diagonal - subset| for the equal-entry tuple against the
+    shared term scale (they agree up to roundoff by construction). Both
+    sides of that gap come from the same n+1 applications D(f^k)(x).
 
     A canonical D is evaluated for the whole grid per tuple by
     _points_batched; a black-box D per point through opaque products.
-    Both give bitwise the same samples, added in the same order. When the
-    batched path meets a domain or range error, the tuple is rerun per
-    point, so the error raised is the one the per-point path raises first.
+    Both give bitwise the same samples, added in the same order.
     """
     rng = random.Random(cfg.seed)
     agg = _Aggregator()
@@ -497,13 +496,9 @@ def run_check_suite_full(op: Operator, n: int, cfg: SamplingConfig) -> SuiteOutc
         fs = tuple(random_function(rng) for _ in range(n + 1))
         descriptors = tuple(f.descriptor for f in fs)
         f0 = fs[0]
-        points = None
         if isinstance(op, CanonicalOp):
-            try:
-                points = _points_batched(op, fs, n, cfg.grid)
-            except (EvalDomainError, NumericRangeError):
-                pass  # the per-point rerun raises the reference error
-        if points is None:
+            points = _points_batched(op, fs, n, cfg.grid)
+        else:
             points = _points_per_point(op, fs, n, cfg.grid)
         for x, terms, (pterms, dterms) in points:
             scale = max(map(abs, terms))
@@ -512,14 +507,10 @@ def run_check_suite_full(op: Operator, n: int, cfg: SamplingConfig) -> SuiteOutc
             pscale = max(map(abs, pterms))
             agg.add(sum(pterms), pscale, x, (f0.descriptor,))
 
-            if cfg.include_diagonal:
-                dscale = max(map(abs, dterms))
-                gap = sum(pterms) - sum(sorted(dterms))
-                gap_agg.add(gap, max(pscale, dscale), x, (f0.descriptor,))
-    report = agg.report("identity-suite", n, DEFAULT_TOL_ABS, DEFAULT_TOL_REL)
-    gap_report = (
-        gap_agg.report("diagonal-consistency", n, 0.0, 1e-12)
-        if cfg.include_diagonal
-        else None
+            dscale = max(map(abs, dterms))
+            gap = sum(pterms) - sum(sorted(dterms))
+            gap_agg.add(gap, max(pscale, dscale), x, (f0.descriptor,))
+    return SuiteOutcome(
+        agg.report("identity-suite", n, DEFAULT_TOL_ABS, DEFAULT_TOL_REL),
+        gap_agg.report("diagonal-consistency", n, 0.0, 1e-12),
     )
-    return SuiteOutcome(report, gap_report)

@@ -1,4 +1,4 @@
-"""Truncated Taylor-jet arithmetic at a point.
+"""Truncated Taylor-jet arithmetic.
 
 A jet stores the raw derivatives f(x0), f'(x0), ..., f^(K)(x0) of a real
 function at a base point. Products follow the binomial convolution of the
@@ -9,6 +9,12 @@ below order K).
 
 Raw derivatives, not Taylor coefficients f^(i)/i!, are stored: the product
 rule then reads off the binomial table verbatim.
+
+A grid of jets is stored derivative-major: a (K+1, ..., P) array whose
+entry k holds the k-th derivatives at every point, just as entry k of a
+Jet's derivs is its k-th derivative. _conv and the exp recurrence index
+entries only, so they run unchanged on such arrays, with the same
+operations in the same order and hence bitwise the per-point results.
 """
 
 from __future__ import annotations
@@ -131,8 +137,9 @@ def jet_linear_combine(a: float, j1: Jet, b: float, j2: Jet) -> Jet:
     return Jet(j1.x0, tuple(a * d1[i] + b * d2[i] for i in range(len(d1))))
 
 
-def _conv(a: Sequence[float], b: Sequence[float]) -> list[float]:
-    """Binomial convolution: (a*b)[k] = sum_j C(k,j) a[j] b[k-j].
+def _conv(a: Sequence, b: Sequence) -> list:
+    """Binomial convolution: (a*b)[k] = sum_j C(k,j) a[j] b[k-j], of two
+    derivs sequences or two broadcastable derivative-major grid arrays.
 
     Terms are grouped in (j, k-j) pairs so the result is bitwise identical
     under swapping a and b (commutativity of the product is exact).
@@ -154,33 +161,12 @@ def _conv(a: Sequence[float], b: Sequence[float]) -> list[float]:
     return out
 
 
-def conv_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """_conv along the last axis of two broadcastable (..., K+1) arrays.
-
-    Same terms in the same grouping and order as _conv, so every entry is
-    bitwise the scalar result.
-    """
-    n = a.shape[-1]
-    rows = [binomial_row(k) for k in range(n)]
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
-    for k in range(n):
-        row = rows[k]
-        s = 0.0
-        j = 0
-        while j < k - j:
-            s = s + row[j] * (a[..., j] * b[..., k - j] + a[..., k - j] * b[..., j])
-            j += 1
-        if j == k - j:
-            s = s + row[j] * (a[..., j] * b[..., j])
-        out[..., k] = s
-    return out
-
-
 def sorted_jet_order(jets: np.ndarray) -> np.ndarray:
-    """Indices that sort an (m, P, K+1) stack of jets along its first axis,
-    per point: the stable lexicographic order in which Python sorts the
-    derivs tuples, so a fold in this order is a fold in sorted order."""
-    return np.lexsort(jets[..., ::-1].transpose(2, 0, 1), axis=0)
+    """Indices that sort a (K+1, m, P) stack of m grid jets along its
+    middle axis, per point: the stable lexicographic order in which Python
+    sorts the derivs tuples, so a fold in this order is a fold in sorted
+    order."""
+    return np.lexsort(jets[::-1], axis=0)
 
 
 def jet_product(j1: Jet, j2: Jet) -> Jet:
@@ -190,21 +176,28 @@ def jet_product(j1: Jet, j2: Jet) -> Jet:
 
 
 def jet_exp(j: Jet) -> Jet:
-    """Jet of exp∘g from the jet of g.
+    """Jet of exp∘g from the jet of g."""
+    return Jet(j.x0, _exp_derivs(j.derivs))
+
+
+def _exp_derivs(g):
+    """Derivatives of exp∘g from those of g: a derivs sequence or a (K+1, P)
+    grid array.
 
     Uses the recurrence h = exp(g), h^(k+1) = sum_j C(k,j) g^(j+1) h^(k-j),
-    which is the product rule applied to h' = g'·h.
+    which is the product rule applied to h' = g'·h. Order-0 entries go
+    through math.exp, also on a grid, as np.exp can differ in the last ulp.
     """
-    g = j.derivs
-    n = len(g)
+    g0 = g[0]
     try:
-        h0 = math.exp(g[0])
+        if isinstance(g0, np.ndarray):
+            h0 = np.array([math.exp(v) for v in g0.tolist()])
+        else:
+            h0 = math.exp(g0)
     except OverflowError:
-        raise NumericRangeError(f"exp overflow at value {g[0]}") from None
-    if not math.isfinite(h0):
-        raise NumericRangeError(f"exp overflow at value {g[0]}")
-    h = [0.0] * n
-    h[0] = h0
+        raise NumericRangeError(f"exp overflow at value {g0}") from None
+    n = len(g)
+    h = [h0] + [0.0] * (n - 1)
     binomial_row(n - 1)
     rows = _BINOM
     for k in range(n - 1):
@@ -213,26 +206,6 @@ def jet_exp(j: Jet) -> Jet:
         for i in range(k + 1):
             s += row[i] * g[i + 1] * h[k - i]
         h[k + 1] = s
-    return Jet(j.x0, h)
-
-
-def exp_batch(g: np.ndarray) -> np.ndarray:
-    """jet_exp over the rows of a (P, K+1) array of jets, bitwise: the
-    order-0 entries go through math.exp, as np.exp can differ in the last
-    ulp, and the recurrence adds the same terms in the same order."""
-    points, n = g.shape
-    h = np.empty((points, n))
-    try:
-        h[:, 0] = [math.exp(v) for v in g[:, 0].tolist()]
-    except OverflowError:
-        raise NumericRangeError("exp overflow on the grid") from None
-    rows = [binomial_row(k) for k in range(n - 1)]
-    for k in range(n - 1):
-        row = rows[k]
-        s = 0.0
-        for i in range(k + 1):
-            s = s + row[i] * g[:, i + 1] * h[:, k - i]
-        h[:, k + 1] = s
     return h
 
 

@@ -108,14 +108,15 @@ def apply_canonical_batch(
     c_vals: np.ndarray, d_vals: np.ndarray, derivs: np.ndarray
 ) -> np.ndarray:
     """apply_canonical_values over a batch of jets, bitwise: derivs is
-    (..., P, n+1), c_vals and d_vals are (n, P) coefficient rows at P points
-    (a d_vals with no rows skips the log terms). Terms are added in the same
-    order; logs go through math.log, as np.log can differ in the last ulp."""
+    derivative-major, (n+1, ..., P), c_vals and d_vals are (n, P)
+    coefficient rows at P points (a d_vals with no rows skips the log
+    terms). Terms are added in the same order; logs go through math.log,
+    as np.log can differ in the last ulp."""
     total = 0.0
     for i, cv in enumerate(c_vals, 1):
-        total = total + cv * derivs[..., i]
+        total = total + cv * derivs[i]
     if len(d_vals):
-        v = derivs[..., 0]
+        v = derivs[0]
         nonzero = v != 0.0
         log_v = np.array(
             [math.log(abs(a)) if a != 0.0 else 0.0 for a in v.ravel().tolist()]

@@ -144,9 +144,7 @@ def counterexample_battery(seed: int = 42) -> list[ResidualReport]:
     pinned = _Aggregator()
     value = alternating_subset_residual(sq, [x_fn, x_fn], 1.0)
     pinned.add(value - (-1.0), 1.0, 1.0, (x_fn.descriptor,) * 2)
-    suite = run_check_suite_full(
-        sq, 1, SamplingConfig(seed=seed, tuples=10, include_diagonal=False)
-    )
+    suite = run_check_suite_full(sq, 1, SamplingConfig(seed=seed, tuples=10))
     return [
         pinned.report("counterexample-square-value", 1, 1e-12, 0.0),
         detection_record("counterexample-square-detected", not suite.report.passed, 1),

@@ -121,6 +121,14 @@ class TestBump:
             v = f.eval_jet(x, 0).value
             assert 0.0 <= v <= 1.0
 
+    def test_flat_next_to_the_plateau(self):
+        # the ramp parameter rounds to 1 at the first float past each
+        # plateau end, where the smoothstep used to divide by zero
+        f = fn_bump((-0.9, 0.8), (-0.2, 0.3))
+        for x in (math.nextafter(-0.2, -1.0), math.nextafter(0.3, 1.0)):
+            for order in range(5):
+                assert f.eval_jet(x, order).derivs == (1.0,) + (0.0,) * order
+
     def test_bad_plateau(self):
         with pytest.raises(StructuralError):
             fn_bump((0.0, 1.0), (0.0, 0.5))
@@ -195,15 +203,15 @@ BUMP = fn_bump((-0.9, 0.8), (-0.25, 0.35))
 
 
 def stacked(f, grid, order):
-    """The reference: the per-point jets as rows."""
-    return np.array([f.eval_jet(x, order).derivs for x in grid], dtype=float)
+    """The reference: the per-point jets as columns."""
+    return np.array([f.eval_jet(x, order).derivs for x in grid], dtype=float).T
 
 
 def assert_grid_parity(f, grid=GRID, orders=range(7)):
     for order in orders:
         got = f.eval_jet(grid, order)
         want = stacked(f, grid, order)
-        assert got.shape == want.shape == (len(grid), order + 1)
+        assert got.shape == want.shape == (order + 1, len(grid))
         assert got.tobytes() == want.tobytes(), (f.descriptor, order)
 
 
@@ -303,4 +311,4 @@ class TestGridEval:
 
     def test_empty_grid(self):
         for f in (fn_from_expr("x"), fn_monomial(2)):
-            assert f.eval_jet((), 3).shape == (0, 4)
+            assert f.eval_jet((), 3).shape == (4, 0)

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -339,11 +340,24 @@ class TestBatchedCanonical:
         [("1/x", EvalDomainError), ("1e308", NumericRangeError)],
     )
     def test_errors_match_per_point_path(self, coefficient, error):
-        # 1/x is undefined at the grid point 0; 1e308·f' overflows
+        # 1/x is undefined at the grid point 0; 1e308·f' overflows already
+        # at the first grid point, -1. Both paths pass the grid up to that
+        # point and raise the same error type once it is included.
+        x = {"1/x": 0.0, "1e308": -1.0}[coefficient]
         op = linear_op([fn_from_expr(coefficient)])
-        cfg = SamplingConfig(seed=3, tuples=2)
-        with pytest.raises(error) as batched:
-            run_check_suite_full(op, 1, cfg)
-        with pytest.raises(error) as per_point:
-            run_check_suite_full(_wrapped(op), 1, cfg)
-        assert str(batched.value) == str(per_point.value)
+        grid = default_grid()
+        stop = grid.index(x)
+        for path in (op, _wrapped(op)):
+            before = SamplingConfig(seed=3, tuples=2, grid=grid[:stop])
+            run_check_suite_full(path, 1, before)
+            with pytest.raises(error):
+                run_check_suite_full(path, 1, replace(before, grid=grid[: stop + 1]))
+
+    def test_range_error_names_the_first_bad_point(self):
+        # on this grid 1e308·x·f' first overflows at 0.375 for the seed-3
+        # tuples, after three finite points
+        op = linear_op([fn_from_expr("1e308*x")])
+        cfg = SamplingConfig(seed=3, tuples=2, grid=default_grid(9, 0.0, 1.0))
+        for path in (op, _wrapped(op)):
+            with pytest.raises(NumericRangeError, match=r" at x=0\.375$"):
+                run_check_suite_full(path, 1, cfg)

@@ -94,7 +94,7 @@ class TestApply:
             c_rows.append([rng.uniform(-2, 2) for _ in range(n)])
             d_rows.append([rng.uniform(-2, 2) for _ in range(n)] if log_terms else [])
         batch = apply_canonical_batch(
-            np.array(c_rows).T, np.array(d_rows).T, np.array(jets)
+            np.array(c_rows).T, np.array(d_rows).T, np.array(jets).T
         )
         scalar = [
             apply_canonical_values(c, d, fn_from_jet(0.0, jet), 0.0)
