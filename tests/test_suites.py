@@ -1,9 +1,9 @@
-"""The record-merging rule and the bound ratio."""
+"""Standard batteries and the record-merging rule."""
 
 import math
 
 from opident.identities import ResidualReport, _Aggregator, bound_ratio
-from opident.suites import merge_reports
+from opident.suites import merge_reports, selftest
 
 # (residual, scale, x): at tolerances 1e-9 / 1e-8 the ratios are about 3,
 # 0.5, 2 and 3, so the first sample is the worst and the last one ties it
@@ -50,3 +50,9 @@ def test_non_finite_sample_is_the_worst():
     assert merged.max_scale == math.inf and not merged.passed
     # an infinite scale must not pass an infinite residual under an inf bound
     assert not ResidualReport("r", 0, 1, math.inf, math.inf, None, 1e-9, 1e-8).passed
+
+
+def test_selftest_fast_all_pass():
+    records = selftest(fast=True)
+    assert len(records) == 23
+    assert [r.summary() for r in records if not r.passed] == []
