@@ -253,8 +253,9 @@ def fn_product(fs: Sequence[SmoothFn]) -> SmoothFn:
 
 
 def fn_linear_combination(terms: Sequence[tuple[float, SmoothFn]]) -> SmoothFn:
-    """Σ c_i·f_i from (c_i, f_i) pairs; jets combined componentwise. A lone
-    term with coefficient 1 is returned as is."""
+    """Σ c_i·f_i from (c_i, f_i) pairs; jets combined componentwise, each
+    entry summed by math.fsum. A lone term with coefficient 1 is returned
+    as is."""
     pairs = tuple((float(c), f) for c, f in terms)
     if not pairs:
         raise StructuralError("fn_linear_combination needs at least one term")
@@ -264,7 +265,7 @@ def fn_linear_combination(terms: Sequence[tuple[float, SmoothFn]]) -> SmoothFn:
 
     def jet_fn(x0: float, order: int) -> Jet:
         jets = [(c, f.eval_jet(x0, order).derivs) for c, f in pairs]
-        return Jet(x0, [sum(c * d[k] for c, d in jets) for k in range(order + 1)])
+        return Jet(x0, [math.fsum(c * d[k] for c, d in jets) for k in range(order + 1)])
 
     desc = "+".join(f"{c}*({f.descriptor})" for c, f in pairs)
     zero = all(c == 0.0 or f.is_zero for c, f in pairs)
@@ -328,6 +329,10 @@ def fn_bump(
             # next to the plateau the ramp rounds to its end, where the
             # smoothstep's flat limit is the constant 1
             return jet_constant(x0, 1.0, order)
+        if value == 0.0 or math.exp(-1.0 / value) == 0.0:
+            # next to the support end exp(-1/t) underflows, and the jet of
+            # -1/t would overflow first: the flat limit there is 0
+            return jet_constant(x0, 0.0, order)
         t = Jet(x0, (value, scale) + (0.0,) * max(0, order - 1))
         return _smoothstep_jet(t.truncate(order))
 

@@ -8,7 +8,9 @@ which vanishes identically when D is a differential operator of order at
 most n (and, with log terms, for the full canonical family). Each sample's
 residual is judged against its own bound tol_abs + tol_rel·scale, the scale
 being the largest single term magnitude, because the sum cancels
-catastrophically by design. A report carries the sample with the worst
+catastrophically by design. Every residual is the math.fsum of its terms,
+rounded once from the exact sum, so it depends neither on the order of the
+terms nor on the interpreter. A report carries the sample with the worst
 ratio of residual to bound, so it passes only if every sample does.
 
 A black-box D sees only opaque SmoothFn products, built per tuple and
@@ -80,7 +82,10 @@ class ResidualReport:
     worst_case: WorstCase | None
     tol_abs: float
     tol_rel: float
-    vacuous: bool = False
+
+    @property
+    def vacuous(self) -> bool:
+        return self.samples == 0
 
     @property
     def passed(self) -> bool:
@@ -136,7 +141,7 @@ class _Aggregator:
         self, name: str, n: int, tol_abs: float, tol_rel: float
     ) -> ResidualReport:
         if not self._samples:
-            return ResidualReport(name, n, 0, 0.0, 0.0, None, tol_abs, tol_rel, True)
+            return ResidualReport(name, n, 0, 0.0, 0.0, None, tol_abs, tol_rel)
         residual, scale, x, descriptors = max(
             self._samples, key=lambda s: bound_ratio(s[0], s[1], tol_abs, tol_rel)
         )
@@ -160,13 +165,6 @@ def subset_masks(size: int) -> Iterator[int]:
         yield mask
 
 
-def _sorted_product(values: list[float]) -> float:
-    acc = 1.0
-    for v in sorted(values):
-        acc *= v
-    return acc
-
-
 def _require_tuple(fs: Sequence[SmoothFn]) -> None:
     if len(fs) < 2:
         raise StructuralError("the subset identity needs at least 2 functions")
@@ -188,7 +186,7 @@ def _subset_plan(fs: Sequence[SmoothFn]):
 def _terms_from_plan(op: Operator, plan, values, x: float) -> list[float]:
     terms = []
     for inside, prod, odd in plan:
-        outside = _sorted_product([values[j] for j in inside])
+        outside = math.prod(sorted(values[j] for j in inside))
         signed = outside * apply(op, prod, x)
         terms.append(-signed if odd else signed)
     return terms
@@ -211,17 +209,10 @@ def alternating_subset_residual(
 ) -> float:
     """Residual of the subset identity for the (n+1)-tuple fs at x.
 
-    Terms are summed in sorted order, so permuting fs changes nothing, not
-    even the final rounding.
+    The terms are summed by math.fsum, which rounds the exact sum once, so
+    permuting fs changes nothing, not even the final rounding.
     """
-    return sum(sorted(alternating_subset_terms(op, fs, x)))
-
-
-def _power_plan(f: SmoothFn, n: int):
-    """powers[m-1] = f^m as opaque products, m = 1..n+1."""
-    if n < 1:
-        raise StructuralError("identity order must be positive")
-    return [fn_product([f] * m) for m in range(1, n + 2)]
+    return math.fsum(alternating_subset_terms(op, fs, x))
 
 
 def _popcounts(size: int) -> list[int]:
@@ -236,7 +227,7 @@ def _power_terms(inner: Sequence[float], v: float, n: int, cards: Sequence[int])
     The diagonal terms are (-1)^i C(n+1,i) v^i inner[i]; the subset identity
     on the tuple (f,)*(n+1) has, per mask with i members, (-1)^i v^i
     inner[i], one term per entry i of cards (_popcounts(n+1) lists them in
-    ascending-bitmask order; an empty cards gives none).
+    ascending-bitmask order).
     """
     row = binomial_row(n + 1)
     pterms, by_card = [], []
@@ -255,25 +246,12 @@ def _power_terms_from_plan(op: Operator, powers, n: int, v: float, x: float, car
     return _power_terms(inner, v, n, cards)
 
 
-def alternating_power_terms(
-    op: Operator, f: SmoothFn, n: int, x: float
-) -> list[float]:
-    """Signed terms of the diagonal (single-function) identity:
-    (-1)^i C(n+1,i) f(x)^i D(f^{n+1-i})(x), i = 0..n."""
-    return _power_terms_from_plan(op, _power_plan(f, n), n, f.value_at(x), x, ())[0]
-
-
-def alternating_power_residual(op: Operator, f: SmoothFn, n: int, x: float) -> float:
-    """Residual of the diagonal identity at x."""
-    return sum(alternating_power_terms(op, f, n, x))
-
-
 def _points_per_point(op: Operator, fs: Sequence[SmoothFn], n: int, grid):
     """Per grid point (x, subset terms, power terms) through opaque product
     functions: the path a black-box D needs, and the reference for the
     batched canonical path."""
     plan = _subset_plan(fs)
-    powers = _power_plan(fs[0], n)
+    powers = [fn_product([fs[0]] * k) for k in range(1, n + 2)]
     cards = _popcounts(n + 1)
     for x in grid:
         values = [f.value_at(x) for f in fs]
@@ -351,22 +329,6 @@ def _points_batched(op: CanonicalOp, fs: Sequence[SmoothFn], n: int, grid) -> li
         (x, t, _power_terms(i, v, n, cards))
         for x, t, v, i in zip(grid, terms.T.tolist(), values, inner)
     ]
-
-
-def graded_leibniz_residual(
-    ops: Sequence[Operator], f: SmoothFn, g: SmoothFn, x: float
-) -> float:
-    """T_n(f·g)(x) - sum_k C(n,k)·T_k(f)(x)·T_{n-k}(g)(x) for a sequence
-    T_0..T_n of operators."""
-    n = len(ops) - 1
-    if n < 0:
-        raise StructuralError("need at least one operator")
-    row = binomial_row(n)
-    lhs = apply(ops[n], fn_product([f, g]), x)
-    rhs = 0.0
-    for k in range(n + 1):
-        rhs += row[k] * apply(ops[k], f, x) * apply(ops[n - k], g, x)
-    return lhs - rhs
 
 
 def check_units(op: Operator, grid: Sequence[float]) -> ResidualReport:
@@ -502,13 +464,14 @@ def run_check_suite_full(op: Operator, n: int, cfg: SamplingConfig) -> SuiteOutc
             points = _points_per_point(op, fs, n, cfg.grid)
         for x, terms, (pterms, dterms) in points:
             scale = max(map(abs, terms))
-            agg.add(sum(sorted(terms)), scale, x, descriptors)
+            agg.add(math.fsum(terms), scale, x, descriptors)
 
+            presidual = math.fsum(pterms)
             pscale = max(map(abs, pterms))
-            agg.add(sum(pterms), pscale, x, (f0.descriptor,))
+            agg.add(presidual, pscale, x, (f0.descriptor,))
 
             dscale = max(map(abs, dterms))
-            gap = sum(pterms) - sum(sorted(dterms))
+            gap = presidual - math.fsum(dterms)
             gap_agg.add(gap, max(pscale, dscale), x, (f0.descriptor,))
     return SuiteOutcome(
         agg.report("identity-suite", n, DEFAULT_TOL_ABS, DEFAULT_TOL_REL),

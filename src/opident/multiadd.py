@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .functions import SmoothFn, fn_exp_of, fn_from_jet, fn_linear_combination
+from .functions import SmoothFn, fn_exp_of, fn_linear_combination
 from .operators import BlackBoxOp, Operator, apply
 
 
@@ -59,12 +59,6 @@ def iterated_difference(op: Operator, hs: Sequence[SmoothFn]) -> Operator:
     names = ",".join(h.descriptor for h in increments)
 
     def differenced(f: SmoothFn, x: float) -> float:
-        return sum(difference_terms(op, f, increments, x))
+        return math.fsum(difference_terms(op, f, increments, x))
 
     return BlackBoxOp(differenced, f"diff[{names}]({op.descriptor})")
-
-
-def jet_response(op: Operator, x: float, v: Sequence[float]) -> float:
-    """Probe op with the polynomial whose jet at x is exactly v and read the
-    value at x: the operator's pointwise response in jet coordinates."""
-    return apply(op, fn_from_jet(x, v), x)

@@ -114,33 +114,6 @@ class CoefficientProfile:
     d_rows: tuple[tuple[float, ...] | None, ...]
     failures: tuple[tuple[int, str], ...]  # (grid index, message)
 
-    def max_adjacent_jump(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """Continuity diagnostic: largest |row[k+1] - row[k]| per coefficient."""
-        jump_c = [0.0] * self.n
-        jump_d = [0.0] * self.n
-        for prev, cur in zip(range(len(self.grid) - 1), range(1, len(self.grid))):
-            if self.c_rows[prev] is None or self.c_rows[cur] is None:
-                continue
-            for i in range(self.n):
-                jump_c[i] = max(
-                    jump_c[i], abs(self.c_rows[cur][i] - self.c_rows[prev][i])
-                )
-                jump_d[i] = max(
-                    jump_d[i], abs(self.d_rows[cur][i] - self.d_rows[prev][i])
-                )
-        return tuple(jump_c), tuple(jump_d)
-
-    def to_json(self) -> dict:
-        jump_c, jump_d = self.max_adjacent_jump()
-        return {
-            "n": self.n,
-            "grid": list(self.grid),
-            "c": [list(r) if r is not None else None for r in self.c_rows],
-            "d": [list(r) if r is not None else None for r in self.d_rows],
-            "failures": [{"index": i, "message": m} for i, m in self.failures],
-            "max_adjacent_jump": {"c": list(jump_c), "d": list(jump_d)},
-        }
-
 
 def recover_profile(
     op: Operator,

@@ -72,7 +72,7 @@ def merge_reports(
     every component pair is within that bound."""
     samples = sum(r.samples for r in reports)
     if not reports or samples == 0:
-        return ResidualReport(name, n, samples, 0.0, 0.0, None, tol_abs, tol_rel, True)
+        return ResidualReport(name, n, samples, 0.0, 0.0, None, tol_abs, tol_rel)
     worst = max(
         reports,
         key=lambda r: bound_ratio(r.max_abs_residual, r.max_scale, tol_abs, tol_rel),
@@ -97,20 +97,16 @@ def detection_record(name: str, detected: bool, n: int = 0) -> ResidualReport:
 
 
 def converse_battery(
-    seed: int = 42,
-    n_values: Sequence[int] = (1, 2, 3, 4),
-    ops_per_n: int = 100,
-    tuples_per_op: int = 10,
-    grid_points: int = 21,
+    seed: int = 42, ops_per_n: int = 100, tuples_per_op: int = 10
 ) -> list[ResidualReport]:
-    """Random canonical operators must satisfy the subset identity: per n,
-    ops_per_n operators × tuples_per_op random tuples × a grid. Emits one
-    merged identity record and one merged diagonal-consistency record per
-    n."""
+    """Random canonical operators must satisfy the subset identity: per
+    n = 1..4, ops_per_n operators × tuples_per_op random tuples × the
+    21-point default grid. Emits one merged identity record and one merged
+    diagonal-consistency record per n."""
     rng = random.Random(seed)
     records = []
-    grid = default_grid(grid_points)
-    for n in n_values:
+    grid = default_grid(21)
+    for n in (1, 2, 3, 4):
         identity_reports = []
         gap_reports = []
         for _ in range(ops_per_n):
@@ -151,15 +147,14 @@ def counterexample_battery(seed: int = 42) -> list[ResidualReport]:
     ]
 
 
-def logderiv_battery(
-    seed: int = 42, trials: int = 100, max_k: int = 8
-) -> list[ResidualReport]:
-    """Partition-sum log derivatives against the jet recurrence, plus the
-    partition counts against a brute-force enumeration."""
+def logderiv_battery(seed: int = 42, trials: int = 100) -> list[ResidualReport]:
+    """Partition-sum log derivatives of orders 1..8 against the jet
+    recurrence, plus the partition counts against a brute-force
+    enumeration."""
     rng = random.Random(seed)
     agg = _Aggregator()
     for _ in range(trials):
-        k = rng.randint(1, max_k)
+        k = rng.randint(1, 8)
         value = rng.uniform(0.1, 3.0) * rng.choice((-1.0, 1.0))
         fjet = Jet(0.0, [value] + [rng.uniform(-3.0, 3.0) for _ in range(k)])
         want = jet_ln_abs(fjet).derivs[k]
@@ -219,18 +214,17 @@ def units_battery(seed: int = 42, ops: int = 20) -> list[ResidualReport]:
     return records
 
 
-def recovery_battery(
-    seed: int = 42, ops: int = 50, grid_points: int = 5
-) -> list[ResidualReport]:
-    """Round-trip recovery on random canonical operators, holdout
-    validation, and misfit detection for the square black box."""
+def recovery_battery(seed: int = 42, ops: int = 50) -> list[ResidualReport]:
+    """Round-trip recovery on random canonical operators over 5 points of
+    [-0.8, 0.8], holdout validation, and misfit detection for the square
+    black box."""
     rng = random.Random(seed)
     holdout = [
         fn_from_expr("sin(x)"),
         fn_from_expr("x^3"),
         fn_from_expr("x*exp(x)"),
     ]
-    grid = default_grid(grid_points, -0.8, 0.8)
+    grid = default_grid(5, -0.8, 0.8)
     coeff_agg = _Aggregator()
     validation_reports = []
     for _ in range(ops):
@@ -272,7 +266,7 @@ def frechet_battery(seed: int = 42, ops: int = 15) -> list[ResidualReport]:
         for x in (-0.5, 0.0, 0.5):
             terms = difference_terms(P, g, hs, x)
             scale = max(abs(t) for t in terms)
-            agg.add(sum(terms), scale, x, (op.descriptor,))
+            agg.add(math.fsum(terms), scale, x, (op.descriptor,))
     records = [agg.report("frechet-degree", 0, 0.0, 1e-6)]
 
     probe = BlackBoxOp(lambda g, x: math.exp(g.value_at(x)), "g -> exp(g(x))")

@@ -129,6 +129,16 @@ class TestBump:
             for order in range(5):
                 assert f.eval_jet(x, order).derivs == (1.0,) + (0.0,) * order
 
+    def test_flat_next_to_the_support_end(self):
+        # next to a support end exp(-1/t) underflows to 0 while the jet of
+        # -1/t overflows; the bump is flat there
+        f = fn_bump((0.0, 3.0), (1.0, 2.0))
+        for x, order in ((1e-62, 4), (1e-103, 2), (1e-155, 1), (1e-309, 0), (1e-20, 4)):
+            assert f.eval_jet(x, order).derivs == (0.0,) * (order + 1)
+        # the ramp parameter itself rounds to 0, where 1/t is undefined
+        wide = fn_bump((0.0, 3e300), (1e300, 2e300))
+        assert wide.eval_jet(1e-30, 2).derivs == (0.0,) * 3
+
     def test_bad_plateau(self):
         with pytest.raises(StructuralError):
             fn_bump((0.0, 1.0), (0.0, 0.5))

@@ -7,10 +7,10 @@ import random
 from opident.functions import (
     fn_constant,
     fn_from_expr,
+    fn_from_jet,
 )
 from opident.functions import fn_linear_combination
 from opident.identities import (
-    alternating_power_residual,
     alternating_subset_residual,
     alternating_subset_terms,
     random_function,
@@ -20,7 +20,6 @@ from opident.multiadd import (
     conjugate_exp,
     difference_terms,
     iterated_difference,
-    jet_response,
 )
 from opident.operators import (
     BlackBoxOp,
@@ -118,15 +117,6 @@ class TestMultiadditiveForm:
             )
             assert abs(joint - split) <= 1e-10 * max(1.0, scale)
 
-    def test_diagonal_equals_power_residual(self):
-        rng = random.Random(63)
-        op = random_canonical_op(rng, 2)
-        f = random_function(rng)
-        x = 0.1
-        diag = alternating_subset_residual(op, (f, f, f), x)
-        single = alternating_power_residual(op, f, 2, x)
-        assert math.isclose(diag, single, rel_tol=1e-10, abs_tol=1e-10)
-
     def test_polarization_shadow(self):
         # linear-form ops kill the diagonal identity on probes, and the full
         # form then vanishes on tuples of distinct functions too
@@ -137,8 +127,8 @@ class TestMultiadditiveForm:
             x = rng.uniform(-1, 1)
             for _ in range(3):
                 probe = random_function(rng)
-                terms = alternating_power_residual(op, probe, n, x)
-                assert abs(terms) <= 1e-8 * max(1.0, abs(apply(op, probe, x)))
+                diagonal = alternating_subset_residual(op, (probe,) * (n + 1), x)
+                assert abs(diagonal) <= 1e-8 * max(1.0, abs(apply(op, probe, x)))
             fs = [random_function(rng) for _ in range(n + 1)]
             value = alternating_subset_residual(op, fs, x)
             scale = max(abs(t) for t in alternating_subset_terms(op, fs, x))
@@ -205,13 +195,13 @@ class TestJetResponse:
         P = conjugate_exp(derivative_op(1))
         for a in (-1.0, 0.0, 2.0):
             assert math.isclose(
-                jet_response(P, 0.5, [a, 3.0]), 3.0, rel_tol=1e-12
+                apply(P, fn_from_jet(0.5, [a, 3.0]), 0.5), 3.0, rel_tol=1e-12
             )
 
     def test_quadratic_response(self):
         P = conjugate_exp(derivative_op(2))
         a, b, c = 0.7, -1.2, 0.4
-        got = jet_response(P, 0.0, [a, b, c])
+        got = apply(P, fn_from_jet(0.0, [a, b, c]), 0.0)
         assert math.isclose(got, c + b * b, rel_tol=1e-10, abs_tol=1e-12)
 
     def test_vspace_differences_vanish_for_canonical(self):
@@ -235,7 +225,7 @@ class TestJetResponse:
             for i in range(n + 1):
                 if mask >> i & 1:
                     v = [a + b for a, b in zip(v, steps[i])]
-            term = jet_response(P, x, v)
+            term = apply(P, fn_from_jet(x, v), x)
             sign = (-1) ** ((n + 1) - mask.bit_count())
             total += sign * term
             scale = max(scale, abs(term))

@@ -102,13 +102,6 @@ class TestRecoverProfile:
         assert len(profile.grid) == 1
         assert len(profile.c_rows) == 1
 
-    def test_continuity_diagnostic(self):
-        op = CanonicalOp(1, [fn_from_expr("x")], [fn_constant(0.0)])
-        profile = recover_profile(op, 1, [0.0, 0.1, 0.2])
-        jump_c, jump_d = profile.max_adjacent_jump()
-        assert abs(jump_c[0] - 0.1) < 1e-8
-        assert jump_d[0] < 1e-9
-
     def test_failures_recorded_not_fatal(self):
         # operator whose evaluation leaves its domain at one grid point
         def fragile(f, x):
