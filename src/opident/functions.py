@@ -35,6 +35,7 @@ from .jets import (
     jet_exp,
     jet_product,
     jet_reciprocal,
+    signed_sum,
     sorted_jet_order,
 )
 
@@ -254,7 +255,7 @@ def fn_product(fs: Sequence[SmoothFn]) -> SmoothFn:
 
 def fn_linear_combination(terms: Sequence[tuple[float, SmoothFn]]) -> SmoothFn:
     """Σ c_i·f_i from (c_i, f_i) pairs; jets combined componentwise, each
-    entry summed by math.fsum. A lone term with coefficient 1 is returned
+    entry summed by signed_sum. A lone term with coefficient 1 is returned
     as is."""
     pairs = tuple((float(c), f) for c, f in terms)
     if not pairs:
@@ -265,7 +266,7 @@ def fn_linear_combination(terms: Sequence[tuple[float, SmoothFn]]) -> SmoothFn:
 
     def jet_fn(x0: float, order: int) -> Jet:
         jets = [(c, f.eval_jet(x0, order).derivs) for c, f in pairs]
-        return Jet(x0, [math.fsum(c * d[k] for c, d in jets) for k in range(order + 1)])
+        return Jet(x0, [signed_sum([c * d[k] for c, d in jets]) for k in range(order + 1)])
 
     desc = "+".join(f"{c}*({f.descriptor})" for c, f in pairs)
     zero = all(c == 0.0 or f.is_zero for c, f in pairs)

@@ -8,10 +8,10 @@ which vanishes identically when D is a differential operator of order at
 most n (and, with log terms, for the full canonical family). Each sample's
 residual is judged against its own bound tol_abs + tol_rel·scale, the scale
 being the largest single term magnitude, because the sum cancels
-catastrophically by design. Every residual is the math.fsum of its terms,
-rounded once from the exact sum, so it depends neither on the order of the
-terms nor on the interpreter. A report carries the sample with the worst
-ratio of residual to bound, so it passes only if every sample does.
+catastrophically by design. Every residual is the signed_sum (math.fsum) of
+its terms, rounded once from the exact sum, so it depends neither on the
+order of the terms nor on the interpreter. A report carries the sample with
+the worst ratio of residual to bound, so it passes only if every sample does.
 
 A black-box D sees only opaque SmoothFn products, built per tuple and
 evaluated per point. A canonical D is checked over the whole grid at once:
@@ -41,7 +41,7 @@ from .functions import (
     fn_monomial,
     fn_product,
 )
-from .jets import _conv, binomial_row, sorted_jet_order
+from .jets import _conv, binomial_row, signed_sum, sorted_jet_order
 from .operators import (
     CanonicalOp,
     Operator,
@@ -209,10 +209,10 @@ def alternating_subset_residual(
 ) -> float:
     """Residual of the subset identity for the (n+1)-tuple fs at x.
 
-    The terms are summed by math.fsum, which rounds the exact sum once, so
+    The terms are summed by signed_sum, which rounds the exact sum once, so
     permuting fs changes nothing, not even the final rounding.
     """
-    return math.fsum(alternating_subset_terms(op, fs, x))
+    return signed_sum(alternating_subset_terms(op, fs, x))
 
 
 def _popcounts(size: int) -> list[int]:
@@ -464,14 +464,14 @@ def run_check_suite_full(op: Operator, n: int, cfg: SamplingConfig) -> SuiteOutc
             points = _points_per_point(op, fs, n, cfg.grid)
         for x, terms, (pterms, dterms) in points:
             scale = max(map(abs, terms))
-            agg.add(math.fsum(terms), scale, x, descriptors)
+            agg.add(signed_sum(terms), scale, x, descriptors)
 
-            presidual = math.fsum(pterms)
+            presidual = signed_sum(pterms)
             pscale = max(map(abs, pterms))
             agg.add(presidual, pscale, x, (f0.descriptor,))
 
             dscale = max(map(abs, dterms))
-            gap = presidual - math.fsum(dterms)
+            gap = presidual - signed_sum(dterms)
             gap_agg.add(gap, max(pscale, dscale), x, (f0.descriptor,))
     return SuiteOutcome(
         agg.report("identity-suite", n, DEFAULT_TOL_ABS, DEFAULT_TOL_REL),

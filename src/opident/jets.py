@@ -38,6 +38,16 @@ def binomial_row(k: int) -> tuple[float, ...]:
     return _BINOM[k]
 
 
+def signed_sum(terms: Sequence[float]) -> float:
+    """math.fsum of terms: their exact sum rounded once, in any order. Where
+    fsum has no value (+inf beside -inf, or a partial sum past the float
+    range) it is nan, so the sample fails its bound and a Jet rejects it."""
+    try:
+        return math.fsum(terms)
+    except (ValueError, OverflowError):
+        return math.nan
+
+
 def _check_finite(values: Sequence[float]) -> None:
     for v in values:
         if not math.isfinite(v):

@@ -17,6 +17,7 @@ import math
 from typing import Sequence
 
 from .functions import SmoothFn, fn_exp_of, fn_linear_combination
+from .jets import signed_sum
 from .operators import BlackBoxOp, Operator, apply
 
 
@@ -59,6 +60,6 @@ def iterated_difference(op: Operator, hs: Sequence[SmoothFn]) -> Operator:
     names = ",".join(h.descriptor for h in increments)
 
     def differenced(f: SmoothFn, x: float) -> float:
-        return math.fsum(difference_terms(op, f, increments, x))
+        return signed_sum(difference_terms(op, f, increments, x))
 
     return BlackBoxOp(differenced, f"diff[{names}]({op.descriptor})")

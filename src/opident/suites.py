@@ -37,7 +37,7 @@ from .identities import (
     random_polynomial,
     run_check_suite_full,
 )
-from .jets import Jet, jet_ln_abs
+from .jets import Jet, jet_ln_abs, signed_sum
 from .logderiv import enumerate_partition_multisets, log_deriv_via_partitions
 from .multiadd import conjugate_exp, difference_terms, iterated_difference
 from .operators import (
@@ -266,7 +266,7 @@ def frechet_battery(seed: int = 42, ops: int = 15) -> list[ResidualReport]:
         for x in (-0.5, 0.0, 0.5):
             terms = difference_terms(P, g, hs, x)
             scale = max(abs(t) for t in terms)
-            agg.add(math.fsum(terms), scale, x, (op.descriptor,))
+            agg.add(signed_sum(terms), scale, x, (op.descriptor,))
     records = [agg.report("frechet-degree", 0, 0.0, 1e-6)]
 
     probe = BlackBoxOp(lambda g, x: math.exp(g.value_at(x)), "g -> exp(g(x))")

@@ -185,6 +185,12 @@ class TestCombinators:
         z = fn_linear_combination([(0.0, fn_from_expr("x")), (1.0, fn_constant(0.0))])
         assert z.is_zero
 
+    def test_overflowing_sum_is_a_range_error(self):
+        big = fn_constant(1.7e308)
+        f = fn_linear_combination([(1.0, big), (1.0, big), (-1.0, big)])
+        with pytest.raises(NumericRangeError):
+            f.eval_jet(0.0, 1)
+
     def test_sum(self):
         fs = [fn_from_expr("x"), fn_from_expr("x^2"), fn_constant(1.0)]
         f = fn_linear_combination([(1.0, g) for g in fs])

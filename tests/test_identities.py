@@ -31,6 +31,7 @@ from opident.identities import (
     run_check_suite_full,
     subset_masks,
 )
+from opident.jets import signed_sum
 from opident.operators import (
     BlackBoxOp,
     apply,
@@ -79,16 +80,21 @@ class TestSubsetResidual:
             alternating_subset_residual(derivative_op(1), [X], 0.0)
 
 
+def _diagonal_residual(op, f, n, x):
+    """The suite's diagonal residual Σ (-1)^i C(n+1,i) f(x)^i D(f^(n+1-i))(x)."""
+    ((_, _, (pterms, _)),) = _points_per_point(op, (f,) * (n + 1), n, [x])
+    return signed_sum(pterms)
+
+
 class TestPowerResidual:
-    # the diagonal identity is the subset identity on the tuple (f,)*(n+1)
     def test_first_order(self):
         op = derivative_op(1)
         for x in (0.3, 1.0, -2.0):
-            assert abs(alternating_subset_residual(op, (X2,) * 2, x)) < 1e-10
+            assert abs(_diagonal_residual(op, X2, 1, x)) < 1e-10
 
     def test_square_blackbox_n2(self):
         op = builtin_blackbox("square")
-        assert alternating_subset_residual(op, (X,) * 3, 1.0) == 1.0
+        assert _diagonal_residual(op, X, 2, 1.0) == 1.0
 
 
 class TestStructuralSanity:
@@ -207,11 +213,21 @@ class TestSuite:
         agg = _Aggregator()
         for x in default_grid(5):
             terms = alternating_subset_terms(spike, fs, x)
-            agg.add(sum(sorted(terms)), max(abs(t) for t in terms), x, ())
+            residual = alternating_subset_residual(spike, fs, x)
+            agg.add(residual, max(abs(t) for t in terms), x, ())
         report = agg.report("spike", 2, DEFAULT_TOL_ABS, DEFAULT_TOL_REL)
         assert math.isnan(report.max_abs_residual)
         assert report.worst_case.x == 0.5
         assert not report.passed
+
+    def test_nan_sample_fails_the_suite(self):
+        spike = BlackBoxOp(lambda f, x: 1e308 if x == 0.5 else 0.0, "spike@0.5")
+        cfg = SamplingConfig(seed=5, tuples=2, grid=(0.0, 0.5))
+        outcome = run_check_suite_full(spike, 2, cfg)
+        for report in (outcome.report, outcome.diagonal_gap):
+            assert math.isnan(report.max_abs_residual)
+            assert report.worst_case.x == 0.5
+            assert not report.passed
 
     def test_vacuous(self):
         report = run_check_suite_full(

@@ -20,6 +20,7 @@ from opident.jets import (
     jet_reciprocal,
     jet_sin_cos,
     jet_variable,
+    signed_sum,
 )
 
 E = math.e
@@ -58,6 +59,14 @@ def poly_jet(coeffs, x0, order):
 
 def rel_close(a, b, tol):
     return math.isclose(a, b, rel_tol=tol, abs_tol=tol)
+
+
+class TestSignedSum:
+    def test_nan_where_fsum_has_no_value(self):
+        # math.fsum raises on the last two; a plain sum gives nan or inf
+        assert signed_sum([math.inf, 1.0, -2.0]) == math.inf
+        assert math.isnan(signed_sum([math.inf, 1.0, -math.inf]))
+        assert math.isnan(signed_sum([1.7e308, 1.7e308, -1.7e308]))
 
 
 class TestLinearCombine:

@@ -4,6 +4,9 @@ import itertools
 import math
 import random
 
+import pytest
+
+from opident.errors import NumericRangeError
 from opident.functions import (
     fn_constant,
     fn_from_expr,
@@ -11,6 +14,7 @@ from opident.functions import (
 )
 from opident.functions import fn_linear_combination
 from opident.identities import (
+    _points_per_point,
     alternating_subset_residual,
     alternating_subset_terms,
     random_function,
@@ -21,6 +25,7 @@ from opident.multiadd import (
     difference_terms,
     iterated_difference,
 )
+from opident.jets import signed_sum
 from opident.operators import (
     BlackBoxOp,
     CanonicalOp,
@@ -83,6 +88,14 @@ class TestIteratedDifference:
                 want = 2.0 * h.value_at(x) ** 2
                 assert math.isclose(apply(diff, f, x), want, rel_tol=1e-12)
 
+    def test_overflowing_difference_is_a_range_error(self):
+        # every term is +1.7e308: the exact sum is past the float range
+        table = {1.0: 1.7e308, 2.0: -1.7e308, 3.0: 1.7e308}
+        op = BlackBoxOp(lambda g, x: table[g.value_at(x)], "table")
+        diff = iterated_difference(op, [fn_constant(1.0)] * 2)
+        with pytest.raises(NumericRangeError):
+            apply(diff, fn_constant(1.0), 0.0)
+
     def test_terms_count(self):
         op = derivative_op(1)
         hs = [fn_constant(1.0)] * 3
@@ -127,8 +140,8 @@ class TestMultiadditiveForm:
             x = rng.uniform(-1, 1)
             for _ in range(3):
                 probe = random_function(rng)
-                diagonal = alternating_subset_residual(op, (probe,) * (n + 1), x)
-                assert abs(diagonal) <= 1e-8 * max(1.0, abs(apply(op, probe, x)))
+                ((_, _, (pterms, _)),) = _points_per_point(op, (probe,) * (n + 1), n, [x])
+                assert abs(signed_sum(pterms)) <= 1e-8 * max(1.0, abs(apply(op, probe, x)))
             fs = [random_function(rng) for _ in range(n + 1)]
             value = alternating_subset_residual(op, fs, x)
             scale = max(abs(t) for t in alternating_subset_terms(op, fs, x))
