@@ -1,10 +1,12 @@
 """Recover canonical coefficients of a black-box operator from probes.
 
-At a point x0, exponential probes f_λ(x) = exp(λ(x-x0)) have value 1 and
-log 0 there, so D(f_λ)(x0) = sum_i c_i(x0)·λ^i — a Vandermonde-type system
-in the λ powers with no constant column. Constant probes g_μ ≡ e^μ have all
-derivatives zero and log μ, so D(g_μ)(x0)/e^μ = sum_i d_i(x0)·μ^i isolates
-the log-term coefficients the same way.
+With the probes p_j of `default_probes(n)`, exponential probes
+exp(p_j·(x-x0)) have value 1 and log 0 at x0, so D of one at x0 is
+sum_i c_i(x0)·p_j^i; constant probes e^p_j have all derivatives zero and log
+p_j, so D of one at x0, over e^p_j, is sum_i d_i(x0)·p_j^i. Both families
+thus share one probe matrix M[j, i] = p_j^(i+1), Vandermonde-type with no
+constant column, and it does not depend on x0: a recovery checks its
+condition once and solves all its response columns in one call.
 
 A holdout validation guards against operators outside the canonical class:
 recovery always produces numbers, but only operators of the canonical form
@@ -20,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EvalDomainError, NumericRangeError, RecoveryError
+from .errors import EvalDomainError, NumericRangeError, RecoveryError, StructuralError
 from .functions import SmoothFn, fn_constant, fn_exp_of, fn_from_jet
 from .identities import ResidualReport, _Aggregator
 from .operators import Operator, apply, apply_canonical_values
@@ -40,36 +42,30 @@ def default_probes(n: int) -> tuple[float, ...]:
     return tuple(out)
 
 
-def _check_probes(values: Sequence[float], what: str) -> tuple[float, ...]:
-    vals = tuple(float(v) for v in values)
-    if any(v == 0.0 for v in vals):
-        raise RecoveryError(f"{what} probes must be nonzero, got {vals}")
-    if len(set(vals)) != len(vals):
-        raise RecoveryError(f"{what} probes must be pairwise distinct, got {vals}")
-    return vals
+def _probe_matrix(n: int) -> np.ndarray:
+    """M[j, i] = p_j^(i+1) over the probes p_j of `default_probes(n)`."""
+    if n < 1:
+        raise StructuralError(f"recovery needs order n >= 1, got n={n}")
+    return np.array([[p ** (i + 1) for i in range(n)] for p in default_probes(n)])
 
 
-def _power_matrix(probes: Sequence[float], n: int) -> np.ndarray:
-    return np.array([[p ** (i + 1) for i in range(n)] for p in probes])
-
-
-def _solve(matrix: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
+def _solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve for every column of rhs after one condition check: cond > 1e14
+    raises RecoveryError, and cond > COND_WARN_THRESHOLD warns once, at the
+    caller of the recover_* function that called this."""
     cond = np.linalg.cond(matrix)
     if not np.isfinite(cond) or cond > 1e14:
         raise RecoveryError(
-            f"{what} probe system is singular or near-singular "
+            "probe system is singular or near-singular "
             f"(condition estimate {cond:.3e})"
         )
     if cond > COND_WARN_THRESHOLD:
         warnings.warn(
-            f"{what} probe system is poorly conditioned (cond={cond:.3e}); "
+            f"probe system is poorly conditioned (cond={cond:.3e}); "
             "recovered coefficients may lose precision",
             stacklevel=3,
         )
-    if matrix.shape[0] == matrix.shape[1]:
-        return np.linalg.solve(matrix, rhs)
-    out, *_ = np.linalg.lstsq(matrix, rhs, rcond=None)
-    return out
+    return np.linalg.solve(matrix, rhs)
 
 
 def exp_probe(x0: float, rate: float) -> SmoothFn:
@@ -79,29 +75,25 @@ def exp_probe(x0: float, rate: float) -> SmoothFn:
     return fn
 
 
+def _responses(op: Operator, n: int, x0: float) -> list[list[float]]:
+    """The two right-hand-side columns at x0: D at the exponential probes,
+    and D at the constant probes divided by their value."""
+    probes = default_probes(n)
+    return [
+        [apply(op, exp_probe(x0, p), x0) for p in probes],
+        [apply(op, fn_constant(math.exp(p)), x0) / math.exp(p) for p in probes],
+    ]
+
+
 def recover_at_point(
-    op: Operator,
-    n: int,
-    x0: float,
-    lambdas: Sequence[float] | None = None,
-    mus: Sequence[float] | None = None,
+    op: Operator, n: int, x0: float
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Recover (c_1..c_n, d_1..d_n) at x0 from exponential and constant
-    probes. Probe lists default to ±1, ±2, ...; more than n probes switches
-    to a least-squares fit."""
-    lams = _check_probes(lambdas if lambdas is not None else default_probes(n), "λ")
-    mus_ = _check_probes(mus if mus is not None else default_probes(n), "μ")
-    if len(lams) < n or len(mus_) < n:
-        raise RecoveryError(f"need at least n={n} probes in each family")
-
-    rhs_c = np.array([apply(op, exp_probe(x0, lam), x0) for lam in lams])
-    c = _solve(_power_matrix(lams, n), rhs_c, "exponential")
-
-    rhs_d = np.array(
-        [apply(op, fn_constant(math.exp(mu)), x0) / math.exp(mu) for mu in mus_]
-    )
-    d = _solve(_power_matrix(mus_, n), rhs_d, "constant")
-    return tuple(float(v) for v in c), tuple(float(v) for v in d)
+    """Recover (c_1..c_n, d_1..d_n) at x0: `recover_profile` on one point,
+    except that a probe leaving the operator's domain or the finite range
+    raises instead of being recorded."""
+    matrix = _probe_matrix(n)
+    c, d = _solve(matrix, np.array(_responses(op, n, x0)).T).T.tolist()
+    return tuple(c), tuple(d)
 
 
 @dataclass(frozen=True)
@@ -120,26 +112,26 @@ def recover_profile(
     n: int,
     grid: Sequence[float],
 ) -> CoefficientProfile:
-    """Pointwise recovery over a grid. A point whose probe system is singular
-    or whose probes leave the operator's domain or the finite range is
-    recorded as a failure; any other exception propagates."""
-    c_rows: list = []
-    d_rows: list = []
+    """The probe responses at every grid point, then one solve against the
+    shared probe matrix. A point whose probes leave the operator's domain or
+    the finite range is recorded as a failure. n < 1 raises StructuralError
+    before any probe is applied, a near-singular probe system (n >= 16)
+    raises RecoveryError once, and any other exception propagates."""
+    matrix = _probe_matrix(n)
+    columns: list[list[float]] = []
     failures: list[tuple[int, str]] = []
     for idx, x in enumerate(grid):
         try:
-            c, d = recover_at_point(op, n, x)
-            c_rows.append(c)
-            d_rows.append(d)
-        except (
-            RecoveryError,
-            EvalDomainError,
-            NumericRangeError,
-            np.linalg.LinAlgError,
-        ) as exc:
-            c_rows.append(None)
-            d_rows.append(None)
+            columns += _responses(op, n, x)
+        except (EvalDomainError, NumericRangeError) as exc:
             failures.append((idx, str(exc)))
+    solved = iter(_solve(matrix, np.array(columns).reshape(-1, n).T).T.tolist())
+    failed = {idx for idx, _ in failures}
+    c_rows: list = []
+    d_rows: list = []
+    for idx in range(len(grid)):
+        c_rows.append(None if idx in failed else tuple(next(solved)))
+        d_rows.append(None if idx in failed else tuple(next(solved)))
     return CoefficientProfile(
         n, tuple(float(x) for x in grid), tuple(c_rows), tuple(d_rows), tuple(failures)
     )

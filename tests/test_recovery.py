@@ -2,11 +2,14 @@
 
 import math
 import random
+import warnings
 
+import numpy as np
 import pytest
 
-from opident.errors import EvalDomainError, RecoveryError
+from opident.errors import EvalDomainError, RecoveryError, StructuralError
 from opident.functions import fn_constant, fn_from_expr
+from opident.identities import default_grid
 from opident.operators import (
     BlackBoxOp,
     CanonicalOp,
@@ -17,6 +20,7 @@ from opident.operators import (
     entropy_op,
 )
 from opident.recovery import (
+    _probe_matrix,
     default_probes,
     recover_at_point,
     recover_profile,
@@ -45,7 +49,7 @@ class TestRecoverAtPoint:
             [fn_constant(1.0), fn_from_expr("x")],
             [fn_constant(0.0), fn_constant(2.0)],
         )
-        c, d = recover_at_point(op, 2, 0.5, lambdas=(1.0, -1.0), mus=(1.0, -1.0))
+        c, d = recover_at_point(op, 2, 0.5)
         assert math.isclose(c[0], 1.0, abs_tol=1e-8)
         assert math.isclose(c[1], 0.5, abs_tol=1e-8)
         assert math.isclose(d[0], 0.0, abs_tol=1e-8)
@@ -55,37 +59,20 @@ class TestRecoverAtPoint:
         assert default_probes(4) == (1.0, -1.0, 2.0, -2.0)
         assert default_probes(3) == (1.0, -1.0, 2.0)
 
-    def test_duplicate_probes_rejected(self):
-        with pytest.raises(RecoveryError):
-            recover_at_point(derivative_op(1), 2, 0.0, lambdas=(1.0, 1.0))
+    def test_order_below_one_rejected_before_any_probe(self):
+        applied = []
 
-    def test_zero_probe_rejected(self):
-        with pytest.raises(RecoveryError):
-            recover_at_point(derivative_op(1), 1, 0.0, mus=(0.0,))
+        def recording(f, x):
+            applied.append(x)
+            return 0.0
 
-    def test_near_duplicate_probes_warn_or_fail(self):
-        with pytest.warns(UserWarning):
-            recover_at_point(
-                derivative_op(2), 2, 0.0, lambdas=(1.0, 1.0 + 1e-8)
-            )
-
-    def test_probe_invariance(self):
-        rng = random.Random(12)
-        op = random_canonical_op(rng, 3)
-        base_c, base_d = recover_at_point(op, 3, 0.4)
-        alt_c, alt_d = recover_at_point(
-            op, 3, 0.4, lambdas=(0.5, -1.5, 2.5), mus=(0.7, -0.9, 1.8)
-        )
-        for a, b in zip(base_c + base_d, alt_c + alt_d):
-            assert abs(a - b) <= 1e-6 * (1.0 + abs(a))
-
-    def test_overdetermined_least_squares(self):
-        op = CanonicalOp(1, [fn_constant(2.0)], [fn_constant(-1.0)])
-        c, d = recover_at_point(
-            op, 1, 0.0, lambdas=(1.0, -1.0, 2.0, -2.0), mus=(1.0, -1.0, 2.0)
-        )
-        assert math.isclose(c[0], 2.0, abs_tol=1e-9)
-        assert math.isclose(d[0], -1.0, abs_tol=1e-9)
+        op = BlackBoxOp(recording, "recording")
+        for n in (0, -1):
+            with pytest.raises(StructuralError):
+                recover_at_point(op, n, 0.0)
+            with pytest.raises(StructuralError):
+                recover_profile(op, n, [0.0, 0.5])
+        assert applied == []
 
 
 class TestRecoverProfile:
@@ -125,6 +112,36 @@ class TestRecoverProfile:
 
         with pytest.raises(TypeError):
             recover_profile(BlackBoxOp(buggy, "buggy"), 1, [0.0, 0.5, 1.0])
+
+    def test_ill_conditioned_system_warns_once_at_the_caller(self):
+        # default probes at n = 11: cond 6.1e8 > COND_WARN_THRESHOLD
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            recover_profile(derivative_op(2), 11, default_grid(5))
+        assert len(caught) == 1
+        assert caught[0].category is UserWarning
+        assert caught[0].filename == __file__
+
+    def test_near_singular_system_raises_once(self):
+        # default probes at n = 16: cond 6.4e14 > 1e14
+        with pytest.raises(RecoveryError):
+            recover_profile(derivative_op(1), 16, default_grid(5))
+
+    def test_rows_match_pointwise_recovery(self):
+        # one solve over all points moves a row from the one-point solve by
+        # at most n·κ∞(M)·u·‖row‖∞ (M the probe matrix, u = 2^-53)
+        rng = random.Random(4242)
+        grid = default_grid(21, -0.8, 0.8)
+        for n in (1, 2, 3, 4):
+            bound = n * np.linalg.cond(_probe_matrix(n), np.inf) * 2.0**-53
+            for _ in range(3):
+                op = random_canonical_op(rng, n)
+                profile = recover_profile(op, n, grid)
+                assert not profile.failures
+                for x, c_row, d_row in zip(profile.grid, profile.c_rows, profile.d_rows):
+                    for got, want in zip((c_row, d_row), recover_at_point(op, n, x)):
+                        shift = max(abs(g - w) for g, w in zip(got, want))
+                        assert shift <= bound * max(abs(w) for w in want)
 
 
 class TestValidation:
