@@ -6,7 +6,8 @@ class StructuralError(ValueError):
 
 
 class EvalDomainError(ValueError):
-    """Evaluation requested outside a function's or operation's domain."""
+    """Evaluation where a function or operation is undefined: ln of a
+    value <= 0, division by zero, or a kink (abs, fractional powers at 0)."""
 
 
 class NumericRangeError(ArithmeticError):

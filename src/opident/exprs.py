@@ -11,11 +11,12 @@ Grammar (whitespace-insensitive, LL(1), no implicit multiplication):
 
 Exponents are literal numeric constants, so jets of every expression stay
 closed-form. Numeric literals are decimal with optional fraction and
-exponent part (no hex, no leading sign).
+exponent part (no hex, no leading sign) and must round to a finite float.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -107,6 +108,8 @@ def _tokenize(text: str) -> list[_Token]:
             continue
         if ch.isdigit():
             m = _NUMBER.match(text, i)
+            if not math.isfinite(float(m.group())):
+                raise ParseError(f"number {m.group()!r} overflows the float range", i)
             tokens.append(_Token("number", m.group(), i))
             i = m.end()
             continue

@@ -1,10 +1,11 @@
-"""Jet-evaluable functions on an open domain.
+"""Jet-evaluable functions on the real line.
 
 A SmoothFn bundles a deterministic jet evaluator with a human-readable
 descriptor. Constructors cover everything the identity and recovery
 machinery needs: pointwise products, linear combinations, exp-composites,
 polynomials with a prescribed jet, compact-support bumps, and
-expression-backed functions.
+expression-backed functions. Where one is undefined (ln of a value <= 0,
+division by zero, a kink), its jet raises EvalDomainError.
 
 Evaluation is pure. eval_jet takes a point, giving a Jet, or a grid (a
 tuple of points), giving a read-only derivative-major (K+1, P) array whose
@@ -20,13 +21,12 @@ per-point jets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import exprs
-from .errors import EvalDomainError, NumericRangeError, StructuralError
+from .errors import NumericRangeError, StructuralError
 from .jets import (
     Jet,
     _conv,
@@ -42,71 +42,19 @@ from .jets import (
 _CACHE_CAP = 8192
 
 
-@dataclass(frozen=True)
-class Domain:
-    """Union of disjoint open intervals (a, b)."""
-
-    intervals: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        if not self.intervals:
-            raise StructuralError("a domain needs at least one interval")
-        for a, b in self.intervals:
-            if not a < b:
-                raise StructuralError(f"empty interval ({a}, {b})")
-        ordered = sorted(self.intervals)
-        for (_, b1), (a2, _) in zip(ordered, ordered[1:]):
-            if a2 < b1:
-                raise StructuralError("domain intervals overlap")
-        object.__setattr__(self, "intervals", tuple(ordered))
-
-    def contains(self, x: float) -> bool:
-        return any(a < x < b for a, b in self.intervals)
-
-    def intersect(self, other: "Domain") -> "Domain":
-        if other is self:
-            return self
-        pieces = []
-        for a1, b1 in self.intervals:
-            for a2, b2 in other.intervals:
-                lo, hi = max(a1, a2), min(b1, b2)
-                if lo < hi:
-                    pieces.append((lo, hi))
-        if not pieces:
-            raise StructuralError("functions have no common domain")
-        return Domain(tuple(pieces))
-
-    def __str__(self) -> str:
-        return " ∪ ".join(f"({a}, {b})" for a, b in self.intervals)
-
-
-REAL_LINE = Domain(((-math.inf, math.inf),))
-
-
-def common_domain(fs: Sequence["SmoothFn"]) -> Domain:
-    dom = fs[0].domain
-    if all(f.domain is dom for f in fs):
-        return dom
-    for f in fs[1:]:
-        dom = dom.intersect(f.domain)
-    return dom
-
-
 class SmoothFn:
-    """A function evaluable to a Jet of any order at interior points."""
+    """A function on the real line, evaluable to a Jet of any order."""
 
-    __slots__ = ("descriptor", "domain", "is_zero", "_jet_fn", "_grid_fn", "_cache")
+    __slots__ = ("descriptor", "is_zero", "_jet_fn", "_grid_fn", "_cache")
 
     def __init__(
         self,
         descriptor: str,
         jet_fn: Callable[[float, int], Jet],
-        domain: Domain = REAL_LINE,
         is_zero: bool = False,
         grid_fn: Callable[[tuple, int], Sequence] | None = None,
     ):
         self.descriptor = descriptor
-        self.domain = domain
         self.is_zero = is_zero
         self._jet_fn = jet_fn
         self._grid_fn = grid_fn
@@ -123,24 +71,13 @@ class SmoothFn:
         if type(x0) is tuple:
             out = self._eval_grid(x0, order)
         else:
-            if self.domain is not REAL_LINE and not self.domain.contains(x0):
-                raise self._outside(x0)
             out = self._jet_fn(x0, order)
         if len(self._cache) >= _CACHE_CAP:
             self._cache.clear()
         self._cache[key] = out
         return out
 
-    def _outside(self, x0: float) -> EvalDomainError:
-        return EvalDomainError(
-            f"{x0} is not interior to the domain {self.domain} of {self.descriptor}"
-        )
-
     def _eval_grid(self, grid: tuple, order: int) -> np.ndarray:
-        if self.domain is not REAL_LINE:
-            for x0 in grid:
-                if not self.domain.contains(x0):
-                    raise self._outside(x0)
         with np.errstate(all="ignore"):
             if self._grid_fn is not None:
                 derivs = self._grid_fn(grid, order)
@@ -164,31 +101,32 @@ class SmoothFn:
         return f"SmoothFn({self.descriptor})"
 
 
-def fn_constant(c: float, domain: Domain = REAL_LINE) -> SmoothFn:
+def fn_constant(c: float) -> SmoothFn:
+    """The constant c; a non-finite c raises NumericRangeError."""
     c = float(c)
+    if not math.isfinite(c):
+        raise NumericRangeError(f"constant {c} is not finite")
     desc = exprs.format_number(c) if c >= 0 else "-" + exprs.format_number(-c)
     return SmoothFn(
         desc,
         lambda x0, order: jet_constant(x0, c, order),
-        domain,
         is_zero=(c == 0.0),
         grid_fn=lambda grid, order: (c,) + (0.0,) * order,
     )
 
 
-def fn_from_expr(source, domain: Domain = REAL_LINE) -> SmoothFn:
+def fn_from_expr(source) -> SmoothFn:
     """Function denoted by a DSL string or parsed AST."""
     tree = exprs.parse(source) if isinstance(source, str) else source
     is_zero = isinstance(tree, exprs.Const) and tree.value == 0.0
     return SmoothFn(
         exprs.to_text(tree),
         lambda x0, order: exprs.eval_jet(tree, x0, order),
-        domain,
         is_zero=is_zero,
     )
 
 
-def fn_from_jet(x0: float, v: Sequence[float], domain: Domain = REAL_LINE) -> SmoothFn:
+def fn_from_jet(x0: float, v: Sequence[float]) -> SmoothFn:
     """The polynomial sum_l v[l]·(x-x0)^l/l!, whose jet at x0 is exactly v."""
     x0 = float(x0)
     coeffs = tuple(float(c) for c in v)
@@ -214,7 +152,6 @@ def fn_from_jet(x0: float, v: Sequence[float], domain: Domain = REAL_LINE) -> Sm
     return SmoothFn(
         desc,
         lambda y, order: Jet(y, derivs(y - x0, order)),
-        domain,
         is_zero=zero,
         grid_fn=lambda grid, order: derivs(np.array(grid, dtype=float) - x0, order),
     )
@@ -227,7 +164,6 @@ def fn_product(fs: Sequence[SmoothFn]) -> SmoothFn:
         raise StructuralError("fn_product needs at least one factor")
     if len(factors) == 1:
         return factors[0]
-    dom = common_domain(factors)
 
     def jet_fn(x0: float, order: int) -> Jet:
         # canonical fold order: the product jet is then bitwise identical
@@ -250,7 +186,7 @@ def fn_product(fs: Sequence[SmoothFn]) -> SmoothFn:
 
     desc = "*".join(f"({f.descriptor})" for f in factors)
     zero = any(f.is_zero for f in factors)
-    return SmoothFn(desc, jet_fn, dom, is_zero=zero, grid_fn=grid_fn)
+    return SmoothFn(desc, jet_fn, is_zero=zero, grid_fn=grid_fn)
 
 
 def fn_linear_combination(terms: Sequence[tuple[float, SmoothFn]]) -> SmoothFn:
@@ -262,7 +198,6 @@ def fn_linear_combination(terms: Sequence[tuple[float, SmoothFn]]) -> SmoothFn:
         raise StructuralError("fn_linear_combination needs at least one term")
     if len(pairs) == 1 and pairs[0][0] == 1.0:
         return pairs[0][1]
-    dom = common_domain([f for _, f in pairs])
 
     def jet_fn(x0: float, order: int) -> Jet:
         jets = [(c, f.eval_jet(x0, order).derivs) for c, f in pairs]
@@ -270,7 +205,7 @@ def fn_linear_combination(terms: Sequence[tuple[float, SmoothFn]]) -> SmoothFn:
 
     desc = "+".join(f"{c}*({f.descriptor})" for c, f in pairs)
     zero = all(c == 0.0 or f.is_zero for c, f in pairs)
-    return SmoothFn(desc, jet_fn, dom, is_zero=zero)
+    return SmoothFn(desc, jet_fn, is_zero=zero)
 
 
 def fn_exp_of(g: SmoothFn) -> SmoothFn:
@@ -278,17 +213,16 @@ def fn_exp_of(g: SmoothFn) -> SmoothFn:
     return SmoothFn(
         f"exp({g.descriptor})",
         lambda x0, order: jet_exp(g.eval_jet(x0, order)),
-        g.domain,
         grid_fn=lambda grid, order: _exp_derivs(g.eval_jet(grid, order)),
     )
 
 
-def fn_monomial(m: int, domain: Domain = REAL_LINE) -> SmoothFn:
+def fn_monomial(m: int) -> SmoothFn:
     """x^m, exact for jet purposes (polynomial with prescribed jet at 0)."""
     if m < 0:
         raise StructuralError("monomial degree must be nonnegative")
     v = [0.0] * m + [float(math.factorial(m))]
-    fn = fn_from_jet(0.0, v, domain)
+    fn = fn_from_jet(0.0, v)
     fn.descriptor = "1" if m == 0 else ("x" if m == 1 else f"x^{m}")
     return fn
 
@@ -301,11 +235,7 @@ def _smoothstep_jet(t_jet: Jet) -> Jet:
     return jet_product(num, jet_reciprocal(den))
 
 
-def fn_bump(
-    support: tuple[float, float],
-    plateau: tuple[float, float],
-    domain: Domain = REAL_LINE,
-) -> SmoothFn:
+def fn_bump(support: tuple[float, float], plateau: tuple[float, float]) -> SmoothFn:
     """C^∞ bump: 1 on the closed plateau, 0 outside the open support,
     values in [0, 1], all jets flat at both regimes."""
     a, b = float(support[0]), float(support[1])
@@ -337,4 +267,4 @@ def fn_bump(
         t = Jet(x0, (value, scale) + (0.0,) * max(0, order - 1))
         return _smoothstep_jet(t.truncate(order))
 
-    return SmoothFn(f"bump({a},{b};[{p},{q}])", jet_fn, domain)
+    return SmoothFn(f"bump({a},{b};[{p},{q}])", jet_fn)

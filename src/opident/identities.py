@@ -46,7 +46,7 @@ from .operators import (
     CanonicalOp,
     Operator,
     apply,
-    apply_canonical_batch,
+    apply_canonical_values,
     is_linear_form,
 )
 
@@ -309,7 +309,7 @@ def _points_batched(op: CanonicalOp, fs: Sequence[SmoothFn], n: int, grid) -> li
         for _ in range(n):
             powers.append(_conv(powers[-1], jets[:, 0]))
         stacked = np.concatenate([prods, np.stack(powers, axis=1)], axis=1)
-        applied = apply_canonical_batch(c_vals, d_vals, stacked)
+        applied = apply_canonical_values(c_vals, d_vals, stacked)
         finite = np.isfinite(stacked).all(axis=(0, 1)) & np.isfinite(applied).all(axis=0)
         if not finite.all():
             x = grid[int(np.argmin(finite))]

@@ -5,9 +5,10 @@ CanonicalOp is the closed form
     D(f)(x) = sum_i c_i(x)·f^(i)(x) + sum_i d_i(x)·f(x)·ln|f(x)|^i,
 
 with the second sum defined as 0 wherever f(x) = 0 (x·ln|x|^k extends
-continuously by 0). BlackBoxOp wraps an arbitrary deterministic rule
-(SmoothFn, x) -> real, so the identity checks can probe operators with no
-structural access.
+continuously by 0); apply_canonical_values, the one place it is written,
+evaluates it at a point or on a grid. BlackBoxOp wraps an arbitrary
+deterministic rule (SmoothFn, x) -> real, so the identity checks can probe
+operators with no structural access.
 """
 
 from __future__ import annotations
@@ -86,45 +87,32 @@ Operator = Union[CanonicalOp, BlackBoxOp]
 
 
 def apply_canonical_values(
-    c_vals: Sequence[float], d_vals: Sequence[float], f: SmoothFn, x: float
-) -> float:
-    """The canonical formula with numeric coefficients c_i(x), d_i(x); an
-    empty d_vals skips the log terms."""
-    derivs = f.eval_jet(x, len(c_vals)).derivs
-    total = 0.0
-    for i, cv in enumerate(c_vals, 1):
-        total += cv * derivs[i]
-    v = derivs[0]
-    if d_vals and v != 0.0:
-        log_v = math.log(abs(v))
-        power = 1.0
-        for dv in d_vals:
-            power *= log_v
-            total += dv * v * power
-    return total
-
-
-def apply_canonical_batch(
-    c_vals: np.ndarray, d_vals: np.ndarray, derivs: np.ndarray
-) -> np.ndarray:
-    """apply_canonical_values over a batch of jets, bitwise: derivs is
-    derivative-major, (n+1, ..., P), c_vals and d_vals are (n, P)
-    coefficient rows at P points (a d_vals with no rows skips the log
-    terms). Terms are added in the same order; logs go through math.log,
-    as np.log can differ in the last ulp."""
+    c_vals: Sequence[float] | np.ndarray,
+    d_vals: Sequence[float] | np.ndarray,
+    derivs: Sequence[float] | np.ndarray,
+) -> float | np.ndarray:
+    """The canonical formula on the derivatives of f: derivs is one point's
+    (f, f', ..., f^(n)) with float coefficients, or a derivative-major
+    (n+1, ..., P) stack at P points with (n, P) coefficient rows, and a grid
+    column is bitwise its point's value. An empty d_vals skips the log
+    terms. ln|f| is math.log per value (np.log can differ in the last ulp),
+    taken as 0 where f = 0: the ±0.0 log terms there leave the c-term sum,
+    which is never -0.0, unchanged."""
     total = 0.0
     for i, cv in enumerate(c_vals, 1):
         total = total + cv * derivs[i]
     if len(d_vals):
         v = derivs[0]
-        nonzero = v != 0.0
-        log_v = np.array(
-            [math.log(abs(a)) if a != 0.0 else 0.0 for a in v.ravel().tolist()]
-        ).reshape(v.shape)
+        if isinstance(v, np.ndarray):
+            log_v = np.array(
+                [math.log(abs(a)) if a else 0.0 for a in v.ravel().tolist()]
+            ).reshape(v.shape)
+        else:
+            log_v = math.log(abs(v)) if v else 0.0
         power = 1.0
         for dv in d_vals:
             power = power * log_v
-            total = np.where(nonzero, total + dv * v * power, total)
+            total = total + dv * v * power
     return total
 
 
@@ -138,7 +126,7 @@ def apply(op: Operator, f: SmoothFn, x: float) -> float:
             )
         return out
     c_vals, d_vals = op.coefficient_values(x)
-    total = apply_canonical_values(c_vals, d_vals, f, x)
+    total = apply_canonical_values(c_vals, d_vals, f.eval_jet(x, op.n).derivs)
     if not math.isfinite(total):
         raise NumericRangeError(
             f"{op.descriptor} produced a non-finite value at x={x}"

@@ -142,17 +142,20 @@ def validate_recovery(
     recovered: CoefficientProfile,
     holdout: Sequence[SmoothFn],
 ) -> ResidualReport:
-    """Compare op against the canonical form built from the recovered
-    coefficients, on functions outside the probe family, at every recovered
-    grid point (tolerances 1e-9 absolute, 1e-6 relative). Passing certifies
-    consistency with the canonical class on the evidence; a black box that
-    is not of that form fails loudly here."""
+    """Compare op against apply_canonical_values with the recovered
+    coefficients, on functions outside the probe family, at every grid point
+    (tolerances 1e-9 absolute, 1e-6 relative); a point where recovery failed
+    is an infinite sample naming the failure. Passing certifies consistency
+    with the canonical class on the evidence; a black box that is not of
+    that form fails loudly here."""
     agg = _Aggregator()
+    for idx, message in recovered.failures:
+        agg.add(math.inf, 1.0, recovered.grid[idx], (f"recovery failed: {message}",))
     for x, c_row, d_row in zip(recovered.grid, recovered.c_rows, recovered.d_rows):
         if c_row is None:
             continue
         for f in holdout:
             lhs = apply(op, f, x)
-            rhs = apply_canonical_values(c_row, d_row, f, x)
+            rhs = apply_canonical_values(c_row, d_row, f.eval_jet(x, recovered.n).derivs)
             agg.add(lhs - rhs, max(abs(lhs), abs(rhs)), x, (f.descriptor,))
     return agg.report("recovery-validation", recovered.n, 1e-9, 1e-6)

@@ -73,6 +73,14 @@ def test_golden_errors(text, offset):
     assert "expected" in str(exc_info.value) or "un" in str(exc_info.value)
 
 
+@pytest.mark.parametrize("text", ["x+1e999", "x^1e400"])
+def test_non_finite_literal_is_a_parse_error(text):
+    with pytest.raises(ParseError) as exc_info:
+        parse(text)
+    assert exc_info.value.offset == 2
+    assert "overflows" in str(exc_info.value)
+
+
 def random_expr(rng: random.Random, depth: int):
     """Random grammar-reachable AST (constants nonnegative: the grammar
 

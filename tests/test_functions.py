@@ -7,9 +7,8 @@ import random
 import numpy as np
 import pytest
 
-from opident.errors import EvalDomainError, NumericRangeError, StructuralError
+from opident.errors import EvalDomainError, NumericRangeError, ParseError, StructuralError
 from opident.functions import (
-    Domain,
     fn_bump,
     fn_constant,
     fn_exp_of,
@@ -22,35 +21,6 @@ from opident.functions import (
 from opident.identities import default_grid, random_function
 
 E = math.e
-
-
-class TestDomain:
-    def test_contains_is_strict(self):
-        d = Domain(((0.0, 1.0),))
-        assert d.contains(0.5)
-        assert not d.contains(0.0)
-        assert not d.contains(1.0)
-
-    def test_eval_at_endpoint_is_error(self):
-        f = fn_from_expr("x^2", Domain(((0.0, 1.0),)))
-        with pytest.raises(EvalDomainError):
-            f.eval_jet(1.0, 1)
-
-    def test_rejects_empty_interval(self):
-        with pytest.raises(StructuralError):
-            Domain(((1.0, 1.0),))
-
-    def test_rejects_overlap(self):
-        with pytest.raises(StructuralError):
-            Domain(((0.0, 2.0), (1.0, 3.0)))
-
-    def test_intersection(self):
-        d = Domain(((0.0, 2.0),)).intersect(Domain(((1.0, 3.0),)))
-        assert d.intervals == ((1.0, 2.0),)
-
-    def test_empty_intersection_is_error(self):
-        with pytest.raises(StructuralError):
-            Domain(((0.0, 1.0),)).intersect(Domain(((2.0, 3.0),)))
 
 
 class TestProduct:
@@ -169,6 +139,16 @@ class TestCombinators:
     def test_constant_minus_one(self):
         f = fn_constant(-1.0)
         assert f.eval_jet(0.0, 3).derivs == (-1.0, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("c", [math.inf, -math.inf, math.nan])
+    def test_non_finite_constant_is_a_range_error(self, c):
+        with pytest.raises(NumericRangeError):
+            fn_constant(c)
+
+    @pytest.mark.parametrize("source", ["x+1e999", "x^1e400"])
+    def test_non_finite_literal_is_a_parse_error(self, source):
+        with pytest.raises(ParseError):
+            fn_from_expr(source)
 
     def test_exp_of_x_squared(self):
         f = fn_exp_of(fn_from_expr("x^2"))
@@ -292,11 +272,11 @@ class TestGridEval:
                 assert_grid_parity(fn_product(perm), grid, orders=(0, 1, 5))
 
     def test_out_of_domain_point_is_the_per_point_error(self):
-        f = fn_product([fn_from_expr("x^2", Domain(((0.0, 1.0),))), fn_monomial(1)])
+        f = fn_product([fn_from_expr("ln(x)"), fn_monomial(1)])
         with pytest.raises(EvalDomainError) as per_point:
-            f.eval_jet(1.0, 2)
+            f.eval_jet(-1.0, 2)
         with pytest.raises(EvalDomainError) as grid:
-            f.eval_jet((0.5, 1.0, 0.25), 2)
+            f.eval_jet((0.5, -1.0, 0.25), 2)
         assert str(grid.value) == str(per_point.value)
 
     @pytest.mark.parametrize(

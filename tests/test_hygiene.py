@@ -1,12 +1,13 @@
-"""Source hygiene: no module imports a name it never uses."""
+"""Source hygiene: no module imports a name it never uses, and no package
+module catches every exception."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(
-    [*(ROOT / "src" / "opident").glob("*.py"), *(ROOT / "tests").glob("*.py")]
-)
+PACKAGE = sorted((ROOT / "src" / "opident").glob("*.py"))
+MODULES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
+BROAD = {"Exception", "BaseException"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -41,3 +42,37 @@ def test_detects_an_unused_import():
         "line 1: math",
         "line 2: path",
     ]
+
+
+def broad_excepts(source: str) -> list[str]:
+    """Handlers that are bare or catch Exception or BaseException, alone or
+    in a tuple."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ExceptHandler):
+            continue
+        caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+        names = {c.id for c in caught if isinstance(c, ast.Name)}
+        if node.type is None or names & BROAD:
+            found.append(f"line {node.lineno}")
+    return found
+
+
+def test_no_broad_excepts():
+    assert "identities.py" in {path.name for path in PACKAGE}
+    found = {}
+    for path in PACKAGE:
+        broad = broad_excepts(path.read_text())
+        if broad:
+            found[str(path.relative_to(ROOT))] = broad
+    assert found == {}
+
+
+def test_detects_a_broad_except():
+    source = (
+        "try:\n    pass\nexcept:\n    pass\n"
+        "try:\n    pass\nexcept (ValueError, Exception):\n    pass\n"
+        "try:\n    pass\nexcept BaseException as exc:\n    pass\n"
+        "try:\n    pass\nexcept ValueError:\n    pass\n"
+    )
+    assert broad_excepts(source) == ["line 3", "line 7", "line 11"]

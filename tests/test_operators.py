@@ -8,13 +8,12 @@ import pytest
 import numpy as np
 
 from opident.errors import NumericRangeError, StructuralError
-from opident.functions import fn_constant, fn_from_expr, fn_from_jet, fn_linear_combination
+from opident.functions import fn_constant, fn_from_expr, fn_linear_combination
 from opident.identities import random_function, random_polynomial
 from opident.operators import (
     BlackBoxOp,
     CanonicalOp,
     apply,
-    apply_canonical_batch,
     apply_canonical_values,
     builtin_blackbox,
     derivative_op,
@@ -76,31 +75,44 @@ class TestApply:
             via_values = apply_canonical_values(
                 [fn.value_at(x) for fn in op.c],
                 [fn.value_at(x) for fn in op.d],
-                f,
-                x,
+                f.eval_jet(x, n).derivs,
             )
-            assert math.isclose(direct, via_values, rel_tol=1e-12, abs_tol=1e-12)
+            assert direct == via_values
 
     @pytest.mark.parametrize("log_terms", [True, False])
     def test_batch_is_bitwise_the_scalar_formula(self, log_terms):
         # np.log and math.log disagree in the last ulp on about 2 values in
-        # 10^4, so 20000 jets would show a batch that used np.log
+        # 10^4, so 20000 jets would show a grid path that used np.log. Every
+        # 50th jet has f = ±0.0, and every 100th also zero derivatives under
+        # negative c, whose -0.0 products meet the ±0.0 log terms there.
         rng = random.Random(11)
         n, points = 3, 20000
         jets, c_rows, d_rows = [], [], []
         for p in range(points):
-            value = 0.0 if p % 50 == 0 else rng.choice((-1, 1)) * math.exp(rng.uniform(-5, 5))
-            jets.append([value] + [rng.uniform(-3, 3) for _ in range(n)])
-            c_rows.append([rng.uniform(-2, 2) for _ in range(n)])
+            if p % 100 == 0:
+                jet = [0.0] * (n + 1)
+                c = [-rng.uniform(0.5, 2) for _ in range(n)]
+            else:
+                value = rng.choice((-1, 1)) * math.exp(rng.uniform(-5, 5))
+                if p % 50 == 0:
+                    value = -0.0
+                jet = [value] + [rng.uniform(-3, 3) for _ in range(n)]
+                c = [rng.uniform(-2, 2) for _ in range(n)]
+            jets.append(jet)
+            c_rows.append(c)
             d_rows.append([rng.uniform(-2, 2) for _ in range(n)] if log_terms else [])
-        batch = apply_canonical_batch(
+        grid = apply_canonical_values(
             np.array(c_rows).T, np.array(d_rows).T, np.array(jets).T
         )
         scalar = [
-            apply_canonical_values(c, d, fn_from_jet(0.0, jet), 0.0)
+            apply_canonical_values(c, d, tuple(jet))
             for jet, c, d in zip(jets, c_rows, d_rows)
         ]
-        assert [v.hex() for v in batch.tolist()] == [v.hex() for v in scalar]
+        assert [v.hex() for v in grid.tolist()] == [v.hex() for v in scalar]
+        # where f = 0 the log terms leave the c-term sum bitwise as it is
+        for jet, c, d, got in zip(jets, c_rows, d_rows, scalar):
+            if jet[0] == 0.0:
+                assert got.hex() == apply_canonical_values(c, [], tuple(jet)).hex()
 
 
 class TestIsLinearForm:

@@ -102,6 +102,23 @@ class TestRecoverProfile:
         assert profile.failures[0][0] == 1
         assert profile.c_rows[1] is None
         assert profile.c_rows[0] is not None
+        # the failed point is a sample of the validation, which fails there
+        report = validate_recovery(op, profile, HOLDOUT)
+        assert not report.passed
+        assert report.worst_case.x == 0.5
+        assert report.worst_case.functions == ("recovery failed: boom",)
+
+    @pytest.mark.parametrize("grid", [[0.0, 0.5, 1.0], [0.5]])
+    def test_validation_fails_where_recovery_failed(self, grid):
+        # a nan response is a NumericRangeError in apply: recorded, and a
+        # validation FAIL even when no point was recovered
+        op = BlackBoxOp(
+            lambda f, x: math.nan if x == 0.5 else f.eval_jet(x, 1).derivs[1], "nan at 0.5"
+        )
+        profile = recover_profile(op, 1, grid)
+        report = validate_recovery(op, profile, HOLDOUT)
+        assert not report.passed and not report.vacuous
+        assert report.worst_case.x == 0.5
 
     def test_black_box_bug_propagates(self):
         # a TypeError is a bug in the black box, not a failed recovery
@@ -179,6 +196,6 @@ class TestValidation:
         c, d = recover_at_point(op, 2, 0.3)
         one = fn_constant(1.0)
         minus_one = fn_constant(-1.0)
-        assert apply_canonical_values(c, d, one, 0.3) == 0.0
-        assert apply_canonical_values(c, d, minus_one, 0.3) == 0.0
+        assert apply_canonical_values(c, d, one.eval_jet(0.3, 2).derivs) == 0.0
+        assert apply_canonical_values(c, d, minus_one.eval_jet(0.3, 2).derivs) == 0.0
         assert apply(op, one, 0.3) == 0.0
