@@ -20,7 +20,7 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from .errors import EvalDomainError, ParseError
+from .errors import EvalDomainError, NumericRangeError, ParseError
 from .jets import (
     Jet,
     jet_abs,
@@ -228,6 +228,10 @@ def parse(text: str) -> Expr:
 # Printing. Precedence levels: add(1) < mul(2) < unary minus(3) < pow(4) < atom(5).
 
 def format_number(v: float) -> str:
+    """Shortest DSL text of v; a non-finite v, which no literal denotes,
+    raises NumericRangeError."""
+    if not math.isfinite(v):
+        raise NumericRangeError(f"constant {v} is not finite")
     if v == int(v) and abs(v) < 1e15:
         return str(int(v))
     return repr(v)

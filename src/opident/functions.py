@@ -78,6 +78,8 @@ class SmoothFn:
         return out
 
     def _eval_grid(self, grid: tuple, order: int) -> np.ndarray:
+        if not all(map(math.isfinite, grid)):
+            raise StructuralError("jet base point must be finite")
         with np.errstate(all="ignore"):
             if self._grid_fn is not None:
                 derivs = self._grid_fn(grid, order)
@@ -90,7 +92,8 @@ class SmoothFn:
         for k, row in enumerate(derivs):
             out[k] = row
         if not np.isfinite(out).all():
-            raise NumericRangeError(f"non-finite jet of {self.descriptor} on the grid")
+            x = grid[int(np.argmin(np.isfinite(out).all(axis=0)))]
+            raise NumericRangeError(f"non-finite jet of {self.descriptor} at x={x}")
         out.flags.writeable = False
         return out
 

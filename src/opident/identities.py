@@ -42,13 +42,7 @@ from .functions import (
     fn_product,
 )
 from .jets import _conv, binomial_row, signed_sum, sorted_jet_order
-from .operators import (
-    CanonicalOp,
-    Operator,
-    apply,
-    apply_canonical_values,
-    is_linear_form,
-)
+from .operators import CanonicalOp, Operator, apply, apply_canonical_values
 
 DEFAULT_TOL_ABS = 1e-9
 DEFAULT_TOL_REL = 1e-8
@@ -287,11 +281,7 @@ def _points_batched(op: CanonicalOp, fs: Sequence[SmoothFn], n: int, grid) -> li
     size = 1 << m
     # jets[k, j, p]: the k-th derivative of fs[j] at grid[p]
     jets = np.stack([f.eval_jet(grid, order) for f in fs], axis=1)
-    c_vals = np.array([fn.eval_jet(grid, 0)[0] for fn in op.c])
-    if is_linear_form(op):
-        d_vals = np.empty((0, points))
-    else:
-        d_vals = np.array([fn.eval_jet(grid, 0)[0] for fn in op.d])
+    c_vals, d_vals = op.coefficient_values(grid)
     with np.errstate(all="ignore"):
         # by_rank[r, p]: index into fs of the rank-r function at grid[p]
         by_rank = sorted_jet_order(jets)

@@ -26,7 +26,7 @@ class CanonicalOp:
     """Order-n operator with derivative coefficients c and log-term
     coefficients d (each a list of n SmoothFn)."""
 
-    __slots__ = ("n", "c", "d", "descriptor", "_has_log_terms", "_coef_cache")
+    __slots__ = ("n", "c", "d", "descriptor", "_has_log_terms")
 
     def __init__(
         self,
@@ -45,26 +45,26 @@ class CanonicalOp:
         self.c = tuple(c)
         self.d = tuple(d)
         self._has_log_terms = not all(fn.is_zero for fn in self.d)
-        self._coef_cache: dict = {}
         if descriptor is None:
             cs = ", ".join(fn.descriptor for fn in self.c)
             ds = ", ".join(fn.descriptor for fn in self.d)
             descriptor = f"D[n={n}; c=({cs}); d=({ds})]"
         self.descriptor = descriptor
 
-    def coefficient_values(self, x: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """(c_1(x)..c_n(x)), (d_1(x)..d_n(x)), memoized per point; the d-row
-        is empty when every log-term coefficient is the zero function."""
-        cached = self._coef_cache.get(x)
-        if cached is None:
-            cached = (
-                tuple(fn.value_at(x) for fn in self.c),
-                tuple(fn.value_at(x) for fn in self.d) if self._has_log_terms else (),
-            )
-            if len(self._coef_cache) > 4096:
-                self._coef_cache.clear()
-            self._coef_cache[x] = cached
-        return cached
+    def coefficient_values(self, x):
+        """(c_1(x)..c_n(x)), (d_1(x)..d_n(x)) read through each coefficient's
+        SmoothFn memo: floats at a point or, for a grid given as a tuple of
+        points, (n, P) arrays. The d-row is empty, (0, P) on a grid, when
+        every log-term coefficient is the zero function."""
+        if type(x) is tuple:
+            c_vals = np.array([fn.eval_jet(x, 0)[0] for fn in self.c])
+            if not self._has_log_terms:
+                return c_vals, np.empty((0, len(x)))
+            return c_vals, np.array([fn.eval_jet(x, 0)[0] for fn in self.d])
+        return (
+            tuple(fn.value_at(x) for fn in self.c),
+            tuple(fn.value_at(x) for fn in self.d) if self._has_log_terms else (),
+        )
 
     def __repr__(self) -> str:
         return self.descriptor
@@ -116,8 +116,16 @@ def apply_canonical_values(
     return total
 
 
-def apply(op: Operator, f: SmoothFn, x: float) -> float:
-    """Evaluate D(f)(x); the jet of f is taken at order n for canonical D."""
+def apply(op: Operator, f: SmoothFn, x):
+    """D(f)(x) at the point x or, for a grid given as a tuple of points, an
+    array of D(f) at each point, bitwise the point values. For canonical D
+    the jet of f is taken at order n, on a grid in one formula pass; a black
+    box is called point by point. A non-finite value raises
+    NumericRangeError naming the (first such) point."""
+    if type(x) is tuple:
+        if isinstance(op, BlackBoxOp):
+            return np.array([apply(op, f, p) for p in x], dtype=float)
+        return apply_on_grid(op, x, f.eval_jet(x, op.n))
     if isinstance(op, BlackBoxOp):
         out = op.fn(f, x)
         if not math.isfinite(out):
@@ -132,6 +140,22 @@ def apply(op: Operator, f: SmoothFn, x: float) -> float:
             f"{op.descriptor} produced a non-finite value at x={x}"
         )
     return total
+
+
+def apply_on_grid(op: CanonicalOp, grid: tuple, derivs: np.ndarray) -> np.ndarray:
+    """apply_canonical_values with op's coefficient rows on the grid, for a
+    derivative-major stack derivs of shape (op.n+1, ..., P), or (op.n+1, ...,
+    1) for jets that are the same at every point; the result is (..., P). A
+    non-finite entry raises NumericRangeError naming the first grid point
+    that has one."""
+    c_vals, d_vals = op.coefficient_values(grid)
+    with np.errstate(all="ignore"):
+        out = apply_canonical_values(c_vals, d_vals, derivs)
+    finite = np.isfinite(out).reshape(-1, len(grid)).all(axis=0)
+    if not finite.all():
+        x = grid[int(np.argmin(finite))]
+        raise NumericRangeError(f"{op.descriptor} produced a non-finite value at x={x}")
+    return out
 
 
 def is_linear_form(op: CanonicalOp) -> bool:

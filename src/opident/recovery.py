@@ -8,6 +8,14 @@ thus share one probe matrix M[j, i] = p_j^(i+1), Vandermonde-type with no
 constant column, and it does not depend on x0: a recovery checks its
 condition once and solves all its response columns in one call.
 
+A probe's jet at its own anchor does not depend on the anchor either, bit
+for bit: exp_probe(x0, p) evaluates its inner polynomial at t = x0 - x0 =
+0.0, so its jet at x0 is the exp of (0, p, 0, ...), and a constant's jet is
+(e^p, 0, ...) everywhere. So for a canonical D every response at every grid
+point comes from one pass of apply_canonical_values: the (n+1, 2n, 1) stack
+of probe jets against the (n, P) coefficient rows, bitwise the per-point
+responses. A black box is probed point by point.
+
 A holdout validation guards against operators outside the canonical class:
 recovery always produces numbers, but only operators of the canonical form
 reproduce D on functions the probe family never saw.
@@ -25,7 +33,7 @@ import numpy as np
 from .errors import EvalDomainError, NumericRangeError, RecoveryError, StructuralError
 from .functions import SmoothFn, fn_constant, fn_exp_of, fn_from_jet
 from .identities import ResidualReport, _Aggregator
-from .operators import Operator, apply, apply_canonical_values
+from .operators import CanonicalOp, Operator, apply, apply_canonical_values, apply_on_grid
 
 COND_WARN_THRESHOLD = 1e8
 
@@ -85,6 +93,19 @@ def _responses(op: Operator, n: int, x0: float) -> list[list[float]]:
     ]
 
 
+def _grid_responses(op: CanonicalOp, n: int, grid: tuple) -> np.ndarray:
+    """_responses at every grid point as an (n, 2P) right-hand side whose
+    columns 2p and 2p+1 are the two columns at grid[p], from one formula
+    pass over the probe jets, which are the same at every anchor."""
+    probes = default_probes(n)
+    values = [math.exp(p) for p in probes]
+    fns = [exp_probe(0.0, p) for p in probes] + [fn_constant(v) for v in values]
+    jets = np.array([fn.eval_jet(0.0, op.n).derivs for fn in fns]).T[:, :, None]
+    out = apply_on_grid(op, grid, jets)
+    out[n:] /= np.array(values)[:, None]
+    return out.reshape(2, n, len(grid)).transpose(1, 2, 0).reshape(n, -1)
+
+
 def recover_at_point(
     op: Operator, n: int, x0: float
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -113,28 +134,38 @@ def recover_profile(
     grid: Sequence[float],
 ) -> CoefficientProfile:
     """The probe responses at every grid point, then one solve against the
-    shared probe matrix. A point whose probes leave the operator's domain or
-    the finite range is recorded as a failure. n < 1 raises StructuralError
-    before any probe is applied, a near-singular probe system (n >= 16)
-    raises RecoveryError once, and any other exception propagates."""
+    shared probe matrix. For a canonical op the responses come from one
+    formula pass over the grid; a black box, or a canonical op whose pass
+    leaves a coefficient's domain or the finite range, is probed point by
+    point. A point whose probes leave the operator's domain or the finite
+    range is recorded as a failure. n < 1 raises StructuralError before any
+    probe is applied, a near-singular probe system (n >= 16) raises
+    RecoveryError once, and any other exception propagates."""
     matrix = _probe_matrix(n)
-    columns: list[list[float]] = []
+    grid = tuple(float(x) for x in grid)
     failures: list[tuple[int, str]] = []
-    for idx, x in enumerate(grid):
+    rhs = None
+    if isinstance(op, CanonicalOp) and grid:
         try:
-            columns += _responses(op, n, x)
-        except (EvalDomainError, NumericRangeError) as exc:
-            failures.append((idx, str(exc)))
-    solved = iter(_solve(matrix, np.array(columns).reshape(-1, n).T).T.tolist())
+            rhs = _grid_responses(op, n, grid)
+        except (EvalDomainError, NumericRangeError):
+            pass  # the per-point loop below records each failing point
+    if rhs is None:
+        columns: list[list[float]] = []
+        for idx, x in enumerate(grid):
+            try:
+                columns += _responses(op, n, x)
+            except (EvalDomainError, NumericRangeError) as exc:
+                failures.append((idx, str(exc)))
+        rhs = np.array(columns).reshape(-1, n).T
+    solved = iter(_solve(matrix, rhs).T.tolist())
     failed = {idx for idx, _ in failures}
     c_rows: list = []
     d_rows: list = []
     for idx in range(len(grid)):
         c_rows.append(None if idx in failed else tuple(next(solved)))
         d_rows.append(None if idx in failed else tuple(next(solved)))
-    return CoefficientProfile(
-        n, tuple(float(x) for x in grid), tuple(c_rows), tuple(d_rows), tuple(failures)
-    )
+    return CoefficientProfile(n, grid, tuple(c_rows), tuple(d_rows), tuple(failures))
 
 
 def validate_recovery(
@@ -145,17 +176,26 @@ def validate_recovery(
     """Compare op against apply_canonical_values with the recovered
     coefficients, on functions outside the probe family, at every grid point
     (tolerances 1e-9 absolute, 1e-6 relative); a point where recovery failed
-    is an infinite sample naming the failure. Passing certifies consistency
-    with the canonical class on the evidence; a black box that is not of
-    that form fails loudly here."""
+    is an infinite sample naming the failure. Both sides are evaluated on
+    the grid of recovered points, the right one in one formula pass over the
+    stacked holdout jets. Passing certifies consistency with the canonical
+    class on the evidence; a black box that is not of that form fails loudly
+    here."""
     agg = _Aggregator()
     for idx, message in recovered.failures:
         agg.add(math.inf, 1.0, recovered.grid[idx], (f"recovery failed: {message}",))
-    for x, c_row, d_row in zip(recovered.grid, recovered.c_rows, recovered.d_rows):
-        if c_row is None:
-            continue
-        for f in holdout:
-            lhs = apply(op, f, x)
-            rhs = apply_canonical_values(c_row, d_row, f.eval_jet(x, recovered.n).derivs)
-            agg.add(lhs - rhs, max(abs(lhs), abs(rhs)), x, (f.descriptor,))
+    kept = [i for i, row in enumerate(recovered.c_rows) if row is not None]
+    if not kept or not holdout:
+        return agg.report("recovery-validation", recovered.n, 1e-9, 1e-6)
+    grid = tuple(recovered.grid[i] for i in kept)
+    lhs = np.array([apply(op, f, grid) for f in holdout])
+    jets = np.stack([f.eval_jet(grid, recovered.n) for f in holdout], axis=1)
+    c_rows = np.array([recovered.c_rows[i] for i in kept]).T
+    d_rows = np.array([recovered.d_rows[i] for i in kept]).T
+    with np.errstate(all="ignore"):
+        rhs = apply_canonical_values(c_rows, d_rows, jets)
+    names = [f.descriptor for f in holdout]
+    for x, left, right in zip(grid, lhs.T.tolist(), rhs.T.tolist()):
+        for a, b, name in zip(left, right, names):
+            agg.add(a - b, max(abs(a), abs(b)), x, (name,))
     return agg.report("recovery-validation", recovered.n, 1e-9, 1e-6)

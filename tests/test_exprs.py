@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from opident.errors import EvalDomainError, ParseError
+from opident.errors import EvalDomainError, NumericRangeError, ParseError
 from opident.exprs import (
     BinOp,
     Const,
@@ -17,6 +17,7 @@ from opident.exprs import (
     parse,
     to_text,
 )
+from opident.functions import fn_from_expr
 
 X = Var()
 
@@ -79,6 +80,16 @@ def test_non_finite_literal_is_a_parse_error(text):
         parse(text)
     assert exc_info.value.offset == 2
     assert "overflows" in str(exc_info.value)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_constant_in_a_built_tree_is_a_range_error(value):
+    # a tree built in code bypasses the parser's literal check
+    tree = BinOp("+", Var(), Const(value))
+    with pytest.raises(NumericRangeError):
+        to_text(tree)
+    with pytest.raises(NumericRangeError):
+        fn_from_expr(tree)
 
 
 def random_expr(rng: random.Random, depth: int):

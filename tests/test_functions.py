@@ -296,6 +296,21 @@ class TestGridEval:
         with pytest.raises(NumericRangeError):
             f.eval_jet(grid, 2)
 
+    def test_range_error_names_the_first_bad_point(self):
+        # (1e200·x)² overflows at ±1 but not at 0 or 1e-150
+        f = fn_product([fn_from_jet(0.0, [0.0, 1e200])] * 2)
+        with pytest.raises(NumericRangeError, match=r" at x=-1\.0$"):
+            f.eval_jet((0.0, 1e-150, -1.0, 1.0), 0)
+
+    def test_non_finite_point_is_the_per_point_error(self):
+        f = fn_constant(2.0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(StructuralError) as per_point:
+                f.eval_jet(bad, 1)
+            with pytest.raises(StructuralError) as grid:
+                f.eval_jet((0.0, bad), 1)
+            assert str(grid.value) == str(per_point.value)
+
     def test_read_only_and_memoized(self):
         f = fn_exp_of(fn_from_jet(0.0, [0.1, 1.5, -2.0]))
         first = f.eval_jet(GRID, 3)

@@ -1,5 +1,5 @@
-"""Source hygiene: no module imports a name it never uses, and no package
-module catches every exception."""
+"""Source hygiene: no module imports a name it never uses, no package
+module catches every exception, and the package keeps one memo dict."""
 
 import ast
 from pathlib import Path
@@ -76,3 +76,55 @@ def test_detects_a_broad_except():
         "try:\n    pass\nexcept ValueError:\n    pass\n"
     )
     assert broad_excepts(source) == ["line 3", "line 7", "line 11"]
+
+
+def dict_caches(source: str) -> list[str]:
+    """Class.attribute of every `self._*cache* = {}` or `= dict()` inside a
+    class, annotated or not."""
+    found = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in ast.walk(cls):
+            if isinstance(node, ast.Assign):
+                targets, value = node.targets, node.value
+            elif isinstance(node, ast.AnnAssign):
+                targets, value = [node.target], node.value
+            else:
+                continue
+            is_dict = isinstance(value, ast.Dict) or (
+                isinstance(value, ast.Call)
+                and isinstance(value.func, ast.Name)
+                and value.func.id == "dict"
+            )
+            for target in targets:
+                if (
+                    is_dict
+                    and isinstance(target, ast.Attribute)
+                    and isinstance(target.value, ast.Name)
+                    and target.value.id == "self"
+                    and target.attr.startswith("_")
+                    and "cache" in target.attr
+                ):
+                    found.append(f"{cls.name}.{target.attr}")
+    return found
+
+
+def test_one_memo_dict():
+    # one caching policy: the SmoothFn memo is the package's only dict cache
+    assert [c for path in PACKAGE for c in dict_caches(path.read_text())] == [
+        "SmoothFn._cache"
+    ]
+
+
+def test_detects_a_dict_cache():
+    source = (
+        "class A:\n    def __init__(self):\n"
+        "        self._cache = {}\n"
+        "        self._row_cache: dict = dict()\n"
+        "        self.cache = {}\n"
+        "        self._cache_size = 0\n"
+        "        other._cache = {}\n"
+        "cache = {}\n"
+    )
+    assert dict_caches(source) == ["A._cache", "A._row_cache"]

@@ -58,6 +58,35 @@ class TestApply:
         with pytest.raises(NumericRangeError):
             apply(bad, fn_constant(1.0), 0.0)
 
+    @pytest.mark.parametrize(
+        "op",
+        [
+            CanonicalOp(
+                2,
+                [fn_from_expr("sin(x)"), fn_constant(-1.5)],
+                [fn_from_expr("x^2-0.5"), fn_constant(2.0)],
+            ),
+            linear_op([fn_from_expr("cos(x)"), fn_constant(0.0), fn_from_expr("x")]),
+            BlackBoxOp(lambda f, x: f.value_at(x) * f.eval_jet(x, 1).derivs[1], "f*f'"),
+        ],
+        ids=["log-terms", "linear", "black-box"],
+    )
+    def test_grid_is_bitwise_the_point_values(self, op):
+        # f vanishes at the grid points 0 and 0.5, where the log terms are 0
+        grid = tuple(i / 8 for i in range(-8, 9))
+        for f in (fn_from_expr("x*(x-0.5)*exp(x)"), fn_from_expr("sin(3*x)+2")):
+            got = apply(op, f, grid).tolist()
+            assert [v.hex() for v in got] == [apply(op, f, x).hex() for x in grid]
+
+    def test_grid_range_error_names_the_first_bad_point(self):
+        # 1e308·e^x overflows from e^x > 1.797, first at the grid point 0.625
+        op = linear_op([fn_constant(1e308)])
+        twin = BlackBoxOp(lambda f, x: apply(op, f, x), "per-point twin")
+        grid = tuple(i / 8 for i in range(-8, 9))
+        for path in (op, twin):
+            with pytest.raises(NumericRangeError, match=r" at x=0\.625$"):
+                apply(path, fn_from_expr("exp(x)"), grid)
+
     def test_order_validation(self):
         with pytest.raises(StructuralError):
             CanonicalOp(0, [], [])

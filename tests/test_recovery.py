@@ -20,6 +20,7 @@ from opident.operators import (
     entropy_op,
 )
 from opident.recovery import (
+    CoefficientProfile,
     _probe_matrix,
     default_probes,
     recover_at_point,
@@ -161,6 +162,46 @@ class TestRecoverProfile:
                         assert shift <= bound * max(abs(w) for w in want)
 
 
+def per_point_twin(op):
+    return BlackBoxOp(lambda f, x: apply(op, f, x), f"per-point {op.descriptor}")
+
+
+class TestGridPass:
+    """A canonical op's one formula pass gives bitwise the records of its
+    per-point twin, a black box that applies it one point at a time."""
+
+    def test_profile_and_validation_are_the_per_point_results(self):
+        rng = random.Random(909)
+        for n in range(1, 6):
+            for points in (1, 2, 5, 21):
+                op = random_canonical_op(rng, n)
+                twin = per_point_twin(op)
+                for order in (n, rng.randint(1, 5)):
+                    grid = default_grid(points, -0.8, 0.8)
+                    got = recover_profile(op, order, grid)
+                    want = recover_profile(twin, order, grid)
+                    assert repr(got) == repr(want)
+                    assert repr(validate_recovery(op, got, HOLDOUT)) == repr(
+                        validate_recovery(twin, want, HOLDOUT)
+                    )
+
+    @pytest.mark.parametrize(
+        "source, failed", [("ln(x)", [0, 1, 2]), ("1/x", [2])]
+    )
+    def test_coefficient_failures_are_the_per_point_failures(self, source, failed):
+        op = CanonicalOp(
+            2, [fn_from_expr(source), fn_constant(1.0)], [fn_constant(0.5), fn_from_expr("x")]
+        )
+        grid = default_grid(5)  # -1, -0.5, 0, 0.5, 1
+        got = recover_profile(op, 2, grid)
+        want = recover_profile(per_point_twin(op), 2, grid)
+        assert [idx for idx, _ in got.failures] == failed
+        assert repr(got) == repr(want)
+        assert repr(validate_recovery(op, got, HOLDOUT)) == repr(
+            validate_recovery(per_point_twin(op), want, HOLDOUT)
+        )
+
+
 class TestValidation:
     def test_roundtrip_random_ops(self):
         rng = random.Random(2718)
@@ -178,6 +219,18 @@ class TestValidation:
                     assert abs(d_row[i] - true_d) <= 1e-6 * (1.0 + abs(true_d))
             report = validate_recovery(op, profile, HOLDOUT)
             assert report.passed, report.summary()
+
+    def test_ties_go_to_the_first_sample_in_point_order(self):
+        # zero coefficients and a black box reading a table: the largest
+        # residual, 2, is at (0.0, g) and at (1.0, f), point-major first
+        f, g = fn_from_expr("x"), fn_from_expr("x+1")
+        table = {(f, 0.0): 1.0, (g, 0.0): 2.0, (f, 1.0): 2.0, (g, 1.0): 1.0}
+        op = BlackBoxOp(lambda fn, x: table[fn, x], "table")
+        zero = ((0.0,), (0.0,))
+        profile = CoefficientProfile(1, (0.0, 1.0), zero, zero, ())
+        report = validate_recovery(op, profile, [f, g])
+        assert report.max_abs_residual == 2.0
+        assert (report.worst_case.x, report.worst_case.functions) == (0.0, ("x+1",))
 
     def test_square_blackbox_fails_validation(self):
         op = builtin_blackbox("square")
