@@ -24,4 +24,3 @@ class ParseError(ValueError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"syntax error at offset {offset}: {message}")
         self.offset = offset
-        self.reason = message

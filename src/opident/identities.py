@@ -13,14 +13,19 @@ its terms, rounded once from the exact sum, so it depends neither on the
 order of the terms nor on the interpreter. A report carries the sample with
 the worst ratio of residual to bound, so it passes only if every sample does.
 
-A black-box D sees only opaque SmoothFn products, built per tuple and
-evaluated per point. A canonical D is checked over the whole grid at once:
-the tuple's functions and the operator's coefficients are each evaluated
-on the grid in one call (SmoothFn.eval_jet with a tuple of points), every
-subset product is one jet array built by DP over the tuple's canonical
-order, and the closed form is applied to all of them in one numpy pass.
-The batched path folds the same terms in the same order as the per-point
-one, so both give bitwise the same records.
+For a tuple fs of m functions on a grid of P points, the suite's two engines
+return what depends on D as arrays (terms, inner, values): the (2^m-1, P)
+subset terms in ascending-bitmask order, inner[i] = D(fs[0]^(m-i)) of shape
+(m, P), and the (P,) values of fs[0]. The diagonal identity on fs[0] is
+formed from the last two, once per tuple. A black-box D sees only opaque
+SmoothFn products, built per tuple and evaluated per point. A canonical D
+is checked over the whole grid at once: the tuple's functions and the
+operator's coefficients are each evaluated on the grid in one call
+(SmoothFn.eval_jet with a tuple of points), every subset product is one jet
+array built by DP over the tuple's canonical order, and the closed form is
+applied to all of them in one numpy pass.
+The batched engine folds the same terms in the same order as the per-point
+one, so both give bitwise the same arrays.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -99,15 +104,6 @@ class ResidualReport:
             "vacuous": self.vacuous,
         }
 
-    def summary(self) -> str:
-        flag = "PASS" if self.passed else "FAIL"
-        extra = " (vacuous)" if self.vacuous else ""
-        return (
-            f"[{flag}] {self.name}  n={self.n}  samples={self.samples}  "
-            f"worst: |residual|={self.max_abs_residual:.3e} "
-            f"at scale={self.max_scale:.3e}{extra}"
-        )
-
 
 def bound_ratio(residual: float, scale: float, tol_abs: float, tol_rel: float) -> float:
     """|residual| / (tol_abs + tol_rel·scale); inf when the residual or the
@@ -151,12 +147,10 @@ class _Aggregator:
         )
 
 
-def subset_masks(size: int) -> Iterator[int]:
+def subset_masks(size: int) -> range:
     """All proper subsets of {0..size-1} as bitmasks, ascending (the full
     set — the one subset the identity excludes — is omitted)."""
-    full = (1 << size) - 1
-    for mask in range(full):
-        yield mask
+    return range((1 << size) - 1)
 
 
 def _require_tuple(fs: Sequence[SmoothFn]) -> None:
@@ -209,51 +203,53 @@ def alternating_subset_residual(
     return signed_sum(alternating_subset_terms(op, fs, x))
 
 
-def _popcounts(size: int) -> list[int]:
-    """Member counts of the subset_masks(size), in their order."""
-    return [mask.bit_count() for mask in subset_masks(size)]
-
-
-def _power_terms(inner: Sequence[float], v: float, n: int, cards: Sequence[int]):
-    """(diagonal terms, equal-entry subset terms) from v = f(x) and
-    inner[i] = D(f^(n+1-i))(x), i = 0..n.
+def _power_terms(inner: np.ndarray, values: np.ndarray, n: int):
+    """(diagonal terms, equal-entry subset terms), (n+1, P) and
+    (2^(n+1)-1, P) arrays, from values v = f and inner[i] = D(f^(n+1-i)).
 
     The diagonal terms are (-1)^i C(n+1,i) v^i inner[i]; the subset identity
     on the tuple (f,)*(n+1) has, per mask with i members, (-1)^i v^i
-    inner[i], one term per entry i of cards (_popcounts(n+1) lists them in
-    ascending-bitmask order).
+    inner[i], one row per mask of subset_masks(n+1) (both in the float
+    operations of a one-point loop over i).
     """
     row = binomial_row(n + 1)
-    pterms, by_card = [], []
-    vpow = 1.0
-    for i in range(n + 1):
-        term = row[i] * vpow * inner[i]
-        signed = vpow * inner[i]
-        pterms.append(term if i % 2 == 0 else -term)
-        by_card.append(signed if i % 2 == 0 else -signed)
-        vpow *= v
-    return pterms, [by_card[i] for i in cards]
+    pterms, signed = [], []
+    vpow = np.ones_like(values)
+    with np.errstate(all="ignore"):
+        for i in range(n + 1):
+            term = row[i] * vpow * inner[i]
+            power = vpow * inner[i]
+            pterms.append(term if i % 2 == 0 else -term)
+            signed.append(power if i % 2 == 0 else -power)
+            vpow = vpow * values
+    cards = [mask.bit_count() for mask in subset_masks(n + 1)]
+    return np.array(pterms), np.array(signed)[cards]
 
 
-def _power_terms_from_plan(op: Operator, powers, n: int, v: float, x: float, cards):
-    inner = [apply(op, powers[n - i], x) for i in range(n + 1)]
-    return _power_terms(inner, v, n, cards)
+def _power_terms_from_plan(op: Operator, powers, x: float) -> list[float]:
+    return [apply(op, power, x) for power in reversed(powers)]
 
 
-def _points_per_point(op: Operator, fs: Sequence[SmoothFn], n: int, grid):
-    """Per grid point (x, subset terms, power terms) through opaque product
-    functions: the path a black-box D needs, and the reference for the
-    batched canonical path."""
+def _points_per_point(op: Operator, fs: Sequence[SmoothFn], grid):
+    """(terms, inner, values), the engine arrays of the module docstring,
+    through opaque product functions: the path a black-box D needs, and the
+    reference for _points_batched. At each point the subset applies run
+    before the power applies, so an error names the first failing point."""
     plan = _subset_plan(fs)
-    powers = [fn_product([fs[0]] * k) for k in range(1, n + 2)]
-    cards = _popcounts(n + 1)
-    for x in grid:
-        values = [f.value_at(x) for f in fs]
-        terms = _terms_from_plan(op, plan, values, x)
-        yield x, terms, _power_terms_from_plan(op, powers, n, values[0], x, cards)
+    m = len(fs)
+    powers = [fn_product([fs[0]] * k) for k in range(1, m + 1)]
+    terms = np.empty(((1 << m) - 1, len(grid)))
+    inner = np.empty((m, len(grid)))
+    values = np.empty(len(grid))
+    for p, x in enumerate(grid):
+        point_values = [f.value_at(x) for f in fs]
+        terms[:, p] = _terms_from_plan(op, plan, point_values, x)
+        inner[:, p] = _power_terms_from_plan(op, powers, x)
+        values[p] = point_values[0]
+    return terms, inner, values
 
 
-def _points_batched(op: CanonicalOp, fs: Sequence[SmoothFn], n: int, grid) -> list:
+def _points_batched(op: CanonicalOp, fs: Sequence[SmoothFn], grid):
     """_points_per_point for a canonical D, computed for the whole grid at
     once, bitwise equal to it.
 
@@ -275,8 +271,6 @@ def _points_batched(op: CanonicalOp, fs: Sequence[SmoothFn], n: int, grid) -> li
     """
     _require_tuple(fs)
     grid = tuple(grid)
-    if not grid:
-        return []
     m, order, points = len(fs), op.n, len(grid)
     size = 1 << m
     # jets[k, j, p]: the k-th derivative of fs[j] at grid[p]
@@ -296,7 +290,7 @@ def _points_batched(op: CanonicalOp, fs: Sequence[SmoothFn], n: int, grid) -> li
             top_jets = ranked[:, tops]
             prods[:, masks] = top_jets if level == 1 else _conv(prods[:, rests], top_jets)
         powers = [jets[:, 0]]
-        for _ in range(n):
+        for _ in range(m - 1):
             powers.append(_conv(powers[-1], jets[:, 0]))
         stacked = np.concatenate([prods, np.stack(powers, axis=1)], axis=1)
         applied = apply_canonical_values(c_vals, d_vals, stacked)
@@ -312,13 +306,7 @@ def _points_batched(op: CanonicalOp, fs: Sequence[SmoothFn], n: int, grid) -> li
         terms = outside[inside, cols] * applied[size - 1 - inside, cols]
         odd = member.sum(axis=1) % 2 == 1
         terms[odd] = -terms[odd]
-    inner = applied[size:][::-1].T.tolist()
-    values = jets[0, 0].tolist()
-    cards = _popcounts(n + 1)
-    return [
-        (x, t, _power_terms(i, v, n, cards))
-        for x, t, v, i in zip(grid, terms.T.tolist(), values, inner)
-    ]
+    return terms, applied[size:][::-1], jets[0, 0]
 
 
 def check_units(op: Operator, grid: Sequence[float]) -> ResidualReport:
@@ -437,32 +425,30 @@ def run_check_suite_full(op: Operator, n: int, cfg: SamplingConfig) -> SuiteOutc
     shared term scale (they agree up to roundoff by construction). Both
     sides of that gap come from the same n+1 applications D(f^k)(x).
 
-    A canonical D is evaluated for the whole grid per tuple by
-    _points_batched; a black-box D per point through opaque products.
-    Both give bitwise the same samples, added in the same order.
+    Per tuple, a canonical D takes _points_batched and a black box
+    _points_per_point; _power_terms forms both diagonal forms from the
+    engine's arrays, and the samples are added point by point.
     """
     rng = random.Random(cfg.seed)
     agg = _Aggregator()
     gap_agg = _Aggregator()
+    engine = _points_batched if isinstance(op, CanonicalOp) else _points_per_point
     for _ in range(cfg.tuples):
         fs = tuple(random_function(rng) for _ in range(n + 1))
         descriptors = tuple(f.descriptor for f in fs)
-        f0 = fs[0]
-        if isinstance(op, CanonicalOp):
-            points = _points_batched(op, fs, n, cfg.grid)
-        else:
-            points = _points_per_point(op, fs, n, cfg.grid)
-        for x, terms, (pterms, dterms) in points:
+        subset, inner, values = engine(op, fs, cfg.grid)
+        columns = (a.T.tolist() for a in (subset, *_power_terms(inner, values, n)))
+        for x, terms, pterms, dterms in zip(cfg.grid, *columns):
             scale = max(map(abs, terms))
             agg.add(signed_sum(terms), scale, x, descriptors)
 
             presidual = signed_sum(pterms)
             pscale = max(map(abs, pterms))
-            agg.add(presidual, pscale, x, (f0.descriptor,))
+            agg.add(presidual, pscale, x, descriptors[:1])
 
             dscale = max(map(abs, dterms))
             gap = presidual - signed_sum(dterms)
-            gap_agg.add(gap, max(pscale, dscale), x, (f0.descriptor,))
+            gap_agg.add(gap, max(pscale, dscale), x, descriptors[:1])
     return SuiteOutcome(
         agg.report("identity-suite", n, DEFAULT_TOL_ABS, DEFAULT_TOL_REL),
         gap_agg.report("diagonal-consistency", n, 0.0, 1e-12),

@@ -35,15 +35,6 @@ class PartitionTerm:
         """M = m_1 + ... + m_k (the power of 1/f in the term)."""
         return sum(self.multiplicities)
 
-    @property
-    def reduced_coefficient(self) -> float:
-        """Coefficient after absorbing the 1/j! factors, i.e. the weight of
-        prod_j (f^(j))^m_j / f^M when written with raw derivatives."""
-        denom = 1
-        for j, m in enumerate(self.multiplicities, start=1):
-            denom *= math.factorial(j) ** m
-        return self.coefficient / denom
-
 
 @lru_cache(maxsize=None)
 def enumerate_partition_multisets(k: int) -> tuple[PartitionTerm, ...]:

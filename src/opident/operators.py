@@ -158,26 +158,16 @@ def apply_on_grid(op: CanonicalOp, grid: tuple, derivs: np.ndarray) -> np.ndarra
     return out
 
 
-def is_linear_form(op: CanonicalOp) -> bool:
-    """True iff every log-term coefficient is the zero function (form with
-    derivative terms only, which is linear in f)."""
-    if not isinstance(op, CanonicalOp):
-        raise TypeError("is_linear_form applies to canonical operators")
-    return not op._has_log_terms
-
-
 def linear_op(c: Sequence[SmoothFn], descriptor: str | None = None) -> CanonicalOp:
     """Canonical operator with log terms all zero."""
     n = len(c)
     return CanonicalOp(n, c, [fn_constant(0.0)] * n, descriptor)
 
 
-def derivative_op(k: int) -> Operator:
-    """The k-th derivative as an operator; k=0 is the identity black box."""
-    if k < 0:
-        raise StructuralError("derivative order must be nonnegative")
-    if k == 0:
-        return BlackBoxOp(lambda f, x: f.value_at(x), "identity")
+def derivative_op(k: int) -> CanonicalOp:
+    """The k-th derivative, k >= 1, as a canonical operator."""
+    if k < 1:
+        raise StructuralError("derivative order must be positive")
     coeffs = [fn_constant(0.0)] * (k - 1) + [fn_constant(1.0)]
     return linear_op(coeffs, descriptor=f"d^{k}/dx^{k}" if k > 1 else "d/dx")
 
@@ -189,20 +179,19 @@ def entropy_op() -> CanonicalOp:
     )
 
 
-def builtin_blackbox(name: str, **params) -> BlackBoxOp:
+def builtin_blackbox(name: str) -> BlackBoxOp:
     """Falsification black boxes shipped with the CLI.
 
     square: f ↦ f², fails every identity (not of canonical form).
-    translate: f ↦ f(·+a), non-local; breaks localization.
+    translate: f ↦ f(·+0.5), non-local; breaks localization.
     third-derivative: f ↦ f''', a bona fide order-3 operator.
     km-entropy: f ↦ f·ln|f| wrapped opaquely (0 at zeros of f).
     """
     if name == "square":
         return BlackBoxOp(lambda f, x: f.value_at(x) ** 2, "square: f -> f^2")
     if name == "translate":
-        a = float(params.get("a", 0.5))
         return BlackBoxOp(
-            lambda f, x: f.value_at(x + a), f"translate: f -> f(x+{a})"
+            lambda f, x: f.value_at(x + 0.5), "translate: f -> f(x+0.5)"
         )
     if name == "third-derivative":
         return BlackBoxOp(lambda f, x: f.eval_jet(x, 3).derivs[3], "f -> f'''")

@@ -1,12 +1,15 @@
 """Source hygiene: no module imports a name it never uses, no package
-module catches every exception, and the package keeps one memo dict."""
+module catches every exception, the package keeps one memo dict, and every
+module-level definition in the package has a caller."""
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "opident").glob("*.py"))
 MODULES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
+BENCH = sorted((ROOT / "bench").glob("*.py"))
 BROAD = {"Exception", "BaseException"}
 
 
@@ -128,3 +131,57 @@ def test_detects_a_dict_cache():
         "cache = {}\n"
     )
     assert dict_caches(source) == ["A._cache", "A._row_cache"]
+
+
+def references(node: ast.AST) -> set[str]:
+    """Every Name, Attribute and import alias under node."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            found.add(sub.name)
+    return found
+
+
+def uncalled_definitions(sources: dict[str, str], mentioned: set[str]) -> list[str]:
+    """module.name of every module-level function or class of the sources
+    that no other top-level statement of any source references and that is
+    not in mentioned."""
+    defined, statements = [], []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((module, node))
+            statements.append((node, references(node)))
+    return [
+        f"{module}.{node.name}"
+        for module, node in defined
+        if node.name not in mentioned
+        and not any(node.name in refs for other, refs in statements if other is not node)
+    ]
+
+
+def test_every_definition_has_a_caller():
+    # a name the benchmark traces or calls counts as called
+    assert {"identities.py", "layers.py"} <= {path.name for path in PACKAGE + BENCH}
+    sources = {path.stem: path.read_text() for path in PACKAGE}
+    mentioned = {word for path in BENCH for word in re.findall(r"\w+", path.read_text())}
+    assert uncalled_definitions(sources, mentioned) == []
+
+
+def test_detects_an_uncalled_definition():
+    sources = {
+        "a": (
+            "def called(): pass\n"
+            "def recursive(): return recursive()\n"
+            "def traced(): pass\n"
+            "class Unused:\n    def make(self): return Unused()\n"
+            "def imported(): pass\n"
+            "def via_attribute(): pass\n"
+        ),
+        "b": "from a import imported\nimport a\ncalled()\na.via_attribute()\n",
+    }
+    assert uncalled_definitions(sources, {"traced"}) == ["a.recursive", "a.Unused"]

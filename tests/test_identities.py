@@ -1,10 +1,12 @@
 """Identity engine: residuals, structural sanity, and the random suites."""
 
+import collections
 import itertools
 import math
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from opident.errors import EvalDomainError, NumericRangeError
@@ -21,6 +23,7 @@ from opident.identities import (
     _Aggregator,
     _points_batched,
     _points_per_point,
+    _power_terms,
     alternating_subset_residual,
     alternating_subset_terms,
     check_localization,
@@ -31,7 +34,7 @@ from opident.identities import (
     run_check_suite_full,
     subset_masks,
 )
-from opident.jets import signed_sum
+from opident.jets import binomial_row, signed_sum
 from opident.operators import (
     BlackBoxOp,
     apply,
@@ -82,8 +85,9 @@ class TestSubsetResidual:
 
 def _diagonal_residual(op, f, n, x):
     """The suite's diagonal residual Σ (-1)^i C(n+1,i) f(x)^i D(f^(n+1-i))(x)."""
-    ((_, _, (pterms, _)),) = _points_per_point(op, (f,) * (n + 1), n, [x])
-    return signed_sum(pterms)
+    _, inner, values = _points_per_point(op, (f,) * (n + 1), [x])
+    pterms, _ = _power_terms(inner, values, n)
+    return signed_sum(pterms[:, 0])
 
 
 class TestPowerResidual:
@@ -95,6 +99,31 @@ class TestPowerResidual:
     def test_square_blackbox_n2(self):
         op = builtin_blackbox("square")
         assert _diagonal_residual(op, X, 2, 1.0) == 1.0
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_grid_terms_are_the_one_point_loop(self, n):
+        # reference: the loop over Python floats at one point; every column
+        # must be bitwise its result, overflow, -0.0 and nan entries included
+        rng = random.Random(n)
+
+        def pick():
+            return rng.choice([rng.uniform(-3.0, 3.0), 1e200, -0.0, math.nan])
+
+        values = np.array([pick() for _ in range(30)])
+        inner = np.array([[pick() for _ in range(30)] for _ in range(n + 1)])
+        pterms, dterms = _power_terms(inner, values, n)
+        row = binomial_row(n + 1)
+        for p, v in enumerate(values.tolist()):
+            want, by_card, vpow = [], [], 1.0
+            for i in range(n + 1):
+                term = row[i] * vpow * inner[i, p].item()
+                signed = vpow * inner[i, p].item()
+                want.append(term if i % 2 == 0 else -term)
+                by_card.append(signed if i % 2 == 0 else -signed)
+                vpow *= v
+            equal = [by_card[mask.bit_count()] for mask in subset_masks(n + 1)]
+            assert np.array(want).tobytes() == pterms[:, p].tobytes()
+            assert np.array(equal).tobytes() == dterms[:, p].tobytes()
 
 
 class TestStructuralSanity:
@@ -248,7 +277,7 @@ class TestSuite:
         for n in (2, 3):
             cfg = SamplingConfig(seed=9, tuples=4)
             report = run_check_suite_full(op, n, cfg).report
-            assert report.passed, report.summary()
+            assert report.passed, report
 
 
 def _wrapped(op):
@@ -278,9 +307,33 @@ class TestBatchedCanonical:
             )
             rng = random.Random(n)
             fs = tuple(random_function(rng) for _ in range(n + 1))
-            batched = _points_batched(op, fs, n, cfg.grid)
-            per_point = list(_points_per_point(op, fs, n, cfg.grid))
-            assert repr(batched) == repr(per_point)
+            batched = _points_batched(op, fs, cfg.grid)
+            per_point = _points_per_point(op, fs, cfg.grid)
+            assert [(a.shape, a.tobytes()) for a in batched] == [
+                (a.shape, a.tobytes()) for a in per_point
+            ]
+
+    def test_engines_on_an_empty_grid(self):
+        op = _parity_ops(2)[0]
+        rng = random.Random(2)
+        fs = tuple(random_function(rng) for _ in range(3))
+        for engine, target in ((_points_batched, op), (_points_per_point, _wrapped(op))):
+            assert [a.shape for a in engine(target, fs, ())] == [(7, 0), (3, 0), (0,)]
+
+    def test_black_box_error_names_the_first_point(self):
+        # a black box is applied point by point, the 2^m - 1 subset applies
+        # and then the m power applies: at the first grid point only the
+        # power applies go non-finite, at the second every apply does
+        n = 2
+        calls = collections.Counter()
+
+        def box(f, x):
+            calls[x] += 1
+            return math.inf if x == 0.5 or calls[x] > 2 ** (n + 1) - 1 else 0.0
+
+        cfg = SamplingConfig(seed=5, tuples=1, grid=(0.0, 0.5))
+        with pytest.raises(NumericRangeError, match=r"at x=0\.0$"):
+            run_check_suite_full(BlackBoxOp(box, "late"), n, cfg)
 
     def test_list_grid_matches_tuple_grid(self):
         op = _parity_ops(3)[0]
@@ -308,13 +361,16 @@ class TestBatchedCanonical:
         op = random_canonical_op(rng, n)
         fs = [random_function(rng) for _ in range(n + 1)]
         grid = default_grid(9)
-        base = _points_batched(op, fs, n, grid)
+        want, want_inner, want_values = _points_batched(op, fs, grid)
         for perm in itertools.permutations(range(n + 1)):
-            got = _points_batched(op, [fs[k] for k in perm], n, grid)
-            for (_, terms, _), (_, want, _) in zip(got, base):
-                for mask, term in zip(subset_masks(n + 1), terms):
-                    orig = sum(1 << perm[k] for k in range(n + 1) if mask >> k & 1)
-                    assert term.hex() == want[orig].hex()
+            terms, inner, values = _points_batched(op, [fs[k] for k in perm], grid)
+            for mask, row in zip(subset_masks(n + 1), terms):
+                orig = sum(1 << perm[k] for k in range(n + 1) if mask >> k & 1)
+                assert row.tobytes() == want[orig].tobytes()
+            if perm[0] == 0:
+                # the powers and values are those of the unchanged first function
+                assert inner.tobytes() == want_inner.tobytes()
+                assert values.tobytes() == want_values.tobytes()
 
     @pytest.mark.parametrize(
         "coefficient, error",

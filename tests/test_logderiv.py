@@ -68,13 +68,11 @@ class TestEnumeration:
                 assert sum(i * m for i, m in enumerate(t.multiplicities, 1)) == k
                 assert t.coefficient != 0.0
                 assert t.coefficient == round(t.coefficient)
-                assert t.reduced_coefficient == round(t.reduced_coefficient)
 
     def test_k3_coefficients(self):
         terms = enumerate_partition_multisets(3)
         assert [t.multiplicities for t in terms] == [(0, 0, 1), (1, 1, 0), (3, 0, 0)]
         assert [t.coefficient for t in terms] == [6.0, -6.0, 2.0]
-        assert [t.reduced_coefficient for t in terms] == [1.0, -3.0, 2.0]
 
     def test_out_of_range(self):
         with pytest.raises(StructuralError):

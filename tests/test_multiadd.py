@@ -15,6 +15,7 @@ from opident.functions import (
 from opident.functions import fn_linear_combination
 from opident.identities import (
     _points_per_point,
+    _power_terms,
     alternating_subset_residual,
     alternating_subset_terms,
     random_function,
@@ -140,8 +141,10 @@ class TestMultiadditiveForm:
             x = rng.uniform(-1, 1)
             for _ in range(3):
                 probe = random_function(rng)
-                ((_, _, (pterms, _)),) = _points_per_point(op, (probe,) * (n + 1), n, [x])
-                assert abs(signed_sum(pterms)) <= 1e-8 * max(1.0, abs(apply(op, probe, x)))
+                _, inner, values = _points_per_point(op, (probe,) * (n + 1), [x])
+                pterms, _ = _power_terms(inner, values, n)
+                residual = signed_sum(pterms[:, 0])
+                assert abs(residual) <= 1e-8 * max(1.0, abs(apply(op, probe, x)))
             fs = [random_function(rng) for _ in range(n + 1)]
             value = alternating_subset_residual(op, fs, x)
             scale = max(abs(t) for t in alternating_subset_terms(op, fs, x))

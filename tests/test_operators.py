@@ -18,7 +18,6 @@ from opident.operators import (
     builtin_blackbox,
     derivative_op,
     entropy_op,
-    is_linear_form,
     linear_op,
 )
 from opident.suites import random_canonical_op
@@ -92,6 +91,8 @@ class TestApply:
             CanonicalOp(0, [], [])
         with pytest.raises(StructuralError):
             CanonicalOp(2, [fn_constant(1.0)], [fn_constant(0.0)] * 2)
+        with pytest.raises(StructuralError):
+            derivative_op(0)
 
     def test_canonical_values_matches_ops(self):
         rng = random.Random(5)
@@ -145,16 +146,26 @@ class TestApply:
 
 
 class TestIsLinearForm:
+    """The d-row of coefficient_values is empty, () at a point and (0, P) on
+    a grid, exactly when every log-term coefficient is the zero function."""
+
+    grid = (-0.5, 0.0, 0.5)
+
     def test_all_zero_log_terms(self):
         op = linear_op([fn_constant(1.0), fn_constant(0.0)])
-        assert is_linear_form(op)
+        assert op.coefficient_values(0.3)[1] == ()
+        assert op.coefficient_values(self.grid)[1].shape == (0, 3)
 
     def test_nonzero_log_coefficient(self):
+        # d_1 = x is zero at the point 0 but not the zero function
         op = CanonicalOp(1, [fn_constant(1.0)], [fn_from_expr("x")])
-        assert not is_linear_form(op)
+        assert op.coefficient_values(0.0)[1] == (0.0,)
+        assert op.coefficient_values(self.grid)[1].tolist() == [list(self.grid)]
 
     def test_entropy_is_not_linear_form(self):
-        assert not is_linear_form(entropy_op())
+        op = entropy_op()
+        assert op.coefficient_values(0.3)[1] == (1.0,)
+        assert op.coefficient_values(self.grid)[1].tolist() == [[1.0, 1.0, 1.0]]
 
 
 class TestOperatorInvariants:
@@ -202,7 +213,7 @@ class TestBuiltinBlackBoxes:
         assert apply(op, fn_from_expr("x+1"), 2.0) == 9.0
 
     def test_translate_is_nonlocal(self):
-        op = builtin_blackbox("translate", a=0.5)
+        op = builtin_blackbox("translate")
         assert apply(op, fn_from_expr("x^2"), 1.0) == 2.25
 
     def test_third_derivative(self):

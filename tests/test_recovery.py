@@ -218,7 +218,7 @@ class TestValidation:
                     assert abs(c_row[i] - true_c) <= 1e-6 * (1.0 + abs(true_c))
                     assert abs(d_row[i] - true_d) <= 1e-6 * (1.0 + abs(true_d))
             report = validate_recovery(op, profile, HOLDOUT)
-            assert report.passed, report.summary()
+            assert report.passed, report
 
     def test_ties_go_to_the_first_sample_in_point_order(self):
         # zero coefficients and a black box reading a table: the largest

@@ -55,4 +55,4 @@ def test_non_finite_sample_is_the_worst():
 def test_selftest_fast_all_pass():
     records = selftest(fast=True)
     assert len(records) == 23
-    assert [r.summary() for r in records if not r.passed] == []
+    assert [r.to_json() for r in records if not r.passed] == []
