@@ -12,6 +12,7 @@ Grammar (whitespace-insensitive, LL(1), no implicit multiplication):
 Exponents are literal numeric constants, so jets of every expression stay
 closed-form. Numeric literals are decimal with optional fraction and
 exponent part (no hex, no leading sign) and must round to a finite float.
+One evaluator, eval_derivs, takes a point or a whole grid in one pass.
 """
 
 from __future__ import annotations
@@ -20,19 +21,18 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from .errors import EvalDomainError, NumericRangeError, ParseError
+from .errors import EvalDomainError, NumericRangeError, ParseError, StructuralError
 from .jets import (
     Jet,
-    jet_abs,
-    jet_constant,
-    jet_exp,
-    jet_linear_combine,
-    jet_ln_abs,
-    jet_power,
-    jet_product,
-    jet_reciprocal,
-    jet_sin_cos,
-    jet_variable,
+    _abs_derivs,
+    _any,
+    _check_finite,
+    _conv,
+    _exp_derivs,
+    _ln_abs_derivs,
+    _power_derivs,
+    _reciprocal_derivs,
+    _sin_cos_derivs,
 )
 
 FUNCTIONS = ("sin", "cos", "exp", "ln", "abs")
@@ -270,50 +270,62 @@ def to_text(node: Expr) -> str:
 
 
 def eval_jet(node: Expr, x0: float, order: int) -> Jet:
-    """Jet of the denoted function at x0, by structural recursion.
+    """Jet of the denoted function at x0: eval_derivs at the point."""
+    x0 = float(x0)
+    if not math.isfinite(x0):
+        raise StructuralError("jet base point must be finite")
+    return Jet(x0, eval_derivs(node, x0, order))
 
-    Domain violations (log of a nonpositive value, division by zero at x0,
-    abs/fractional powers at a kink) raise EvalDomainError naming the source
-    offset of the offending subexpression when available.
+
+def eval_derivs(node: Expr, x, order: int) -> list:
+    """Derivatives 0..order of the denoted function by structural recursion,
+    at a point x or, entry by entry, on a grid given as an array x: bitwise
+    the per-point derivatives, stacked.
+
+    Every node's entries must be finite, else NumericRangeError. Domain
+    violations (log of a nonpositive value, division by zero, abs or a
+    fractional power at a kink) raise EvalDomainError naming the source
+    offset of the offending subexpression when available. On a grid, either
+    error says only that some point fails.
     """
     if isinstance(node, Const):
-        return jet_constant(x0, node.value, order)
-    if isinstance(node, Var):
-        return jet_variable(x0, order)
-    if isinstance(node, Neg):
-        return -eval_jet(node.arg, x0, order)
-    if isinstance(node, Pow):
-        base = eval_jet(node.base, x0, order)
-        return _located(jet_power, node, base, node.exponent)
-    if isinstance(node, Func):
-        arg = eval_jet(node.arg, x0, order)
-        if node.name == "sin":
-            return jet_sin_cos(arg)[0]
-        if node.name == "cos":
-            return jet_sin_cos(arg)[1]
-        if node.name == "exp":
-            return jet_exp(arg)
-        if node.name == "abs":
-            return _located(jet_abs, node, arg)
-        # ln: strict natural log, needs a positive value
-        if arg.value <= 0.0:
-            raise EvalDomainError(
-                f"ln of a nonpositive value ({arg.value}){_at(node)}"
-            )
-        return jet_ln_abs(arg)
-    if isinstance(node, BinOp):
-        left = eval_jet(node.left, x0, order)
-        right = eval_jet(node.right, x0, order)
+        d = [float(node.value)] + [0.0] * order
+    elif isinstance(node, Var):
+        d = ([x, 1.0] + [0.0] * (order - 1))[: order + 1]
+    elif isinstance(node, Neg):
+        d = [-v for v in eval_derivs(node.arg, x, order)]
+    elif isinstance(node, Pow):
+        base = eval_derivs(node.base, x, order)
+        d = _located(_power_derivs, node, base, node.exponent)
+    elif isinstance(node, Func):
+        arg = eval_derivs(node.arg, x, order)
+        if node.name in ("sin", "cos"):
+            s, c = map(_check_finite, _sin_cos_derivs(arg))  # as jet_sin_cos
+            d = s if node.name == "sin" else c
+        elif node.name == "exp":
+            d = _exp_derivs(arg)
+        elif node.name == "abs":
+            d = _located(_abs_derivs, node, arg)
+        else:  # ln: strict natural log, needs a positive value
+            if _any(arg[0] <= 0.0):
+                raise EvalDomainError(f"ln of a nonpositive value ({arg[0]}){_at(node)}")
+            d = _ln_abs_derivs(arg)
+    elif isinstance(node, BinOp):
+        left = eval_derivs(node.left, x, order)
+        right = eval_derivs(node.right, x, order)
         if node.op == "+":
-            return jet_linear_combine(1.0, left, 1.0, right)
-        if node.op == "-":
-            return jet_linear_combine(1.0, left, -1.0, right)
-        if node.op == "*":
-            return jet_product(left, right)
-        if right.value == 0.0:
-            raise EvalDomainError(f"division by zero{_at(node)}")
-        return jet_product(left, jet_reciprocal(right))
-    raise TypeError(f"not an Expr node: {node!r}")
+            d = [a + b for a, b in zip(left, right)]
+        elif node.op == "-":
+            d = [a - b for a, b in zip(left, right)]
+        elif node.op == "*":
+            d = _conv(left, right)
+        else:
+            if _any(right[0] == 0.0):
+                raise EvalDomainError(f"division by zero{_at(node)}")
+            d = _conv(left, _check_finite(_reciprocal_derivs(right)))
+    else:
+        raise TypeError(f"not an Expr node: {node!r}")
+    return _check_finite(d)
 
 
 def _at(node: Expr) -> str:

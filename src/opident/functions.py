@@ -12,10 +12,12 @@ tuple of points), giving a read-only derivative-major (K+1, P) array whose
 column p is bitwise the jet at point p. Each SmoothFn memoizes per (point
 or grid, order), which makes the subset-product sweeps of the identity
 engine cheap without giving operators any structural access to their
-inputs. Products, exp-composites, constants and prescribed-jet polynomials
-run their scalar derivative code on numpy rows, so a grid takes the same
-operations in the same order; the other constructors stack their
-per-point jets.
+inputs. Constants, prescribed-jet polynomials, products, exp-composites and
+expression functions evaluate a grid in one pass: they run their scalar
+derivative code on numpy rows, the same operations in the same order.
+Linear combinations and bumps stack their per-point jets. A grid pass
+that raises EvalDomainError or NumericRangeError is re-run point by point,
+which raises the error of the first failing point.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import exprs
-from .errors import NumericRangeError, StructuralError
+from .errors import EvalDomainError, NumericRangeError, StructuralError
 from .jets import (
     Jet,
     _conv,
@@ -80,10 +82,14 @@ class SmoothFn:
     def _eval_grid(self, grid: tuple, order: int) -> np.ndarray:
         if not all(map(math.isfinite, grid)):
             raise StructuralError("jet base point must be finite")
+        derivs = None
         with np.errstate(all="ignore"):
             if self._grid_fn is not None:
-                derivs = self._grid_fn(grid, order)
-            else:
+                try:
+                    derivs = self._grid_fn(grid, order)
+                except (EvalDomainError, NumericRangeError):
+                    pass  # the per-point loop raises the first point's error
+            if derivs is None:
                 derivs = np.array(
                     [self._jet_fn(x0, order).derivs for x0 in grid], dtype=float
                 ).reshape(len(grid), order + 1).T
@@ -126,6 +132,7 @@ def fn_from_expr(source) -> SmoothFn:
         exprs.to_text(tree),
         lambda x0, order: exprs.eval_jet(tree, x0, order),
         is_zero=is_zero,
+        grid_fn=lambda grid, order: exprs.eval_derivs(tree, np.array(grid, dtype=float), order),
     )
 
 

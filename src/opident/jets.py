@@ -10,11 +10,13 @@ below order K).
 Raw derivatives, not Taylor coefficients f^(i)/i!, are stored: the product
 rule then reads off the binomial table verbatim.
 
-A grid of jets is stored derivative-major: a (K+1, ..., P) array whose
-entry k holds the k-th derivatives at every point, just as entry k of a
-Jet's derivs is its k-th derivative. _conv and the exp recurrence index
-entries only, so they run unchanged on such arrays, with the same
-operations in the same order and hence bitwise the per-point results.
+A grid of jets is stored derivative-major: entry k holds the k-th
+derivatives at every point, as a numpy row or (..., P) array, or as a float
+where it is the same at every point. The derivs kernels _conv,
+_exp_derivs, _ln_abs_derivs, _reciprocal_derivs, _sin_cos_derivs,
+_abs_derivs and _power_derivs (which jet_* wrap around a Jet) index
+entries only, so they run on a point's derivs or a grid's with the same
+operations in the same order, and hence give bitwise the per-point results.
 """
 
 from __future__ import annotations
@@ -48,10 +50,24 @@ def signed_sum(terms: Sequence[float]) -> float:
         return math.nan
 
 
-def _check_finite(values: Sequence[float]) -> None:
+def _check_finite(values: Sequence) -> Sequence:
+    """values, once every entry (a float or a grid row) is finite."""
     for v in values:
-        if not math.isfinite(v):
+        if not (np.isfinite(v).all() if isinstance(v, np.ndarray) else math.isfinite(v)):
             raise NumericRangeError(f"non-finite jet coefficient: {v!r}")
+    return values
+
+
+def _any(mask) -> bool:
+    """A comparison at a point, or whether it holds anywhere on a grid row."""
+    return mask.any() if isinstance(mask, np.ndarray) else mask
+
+
+def _per_value(fn, v):
+    """fn of a float or of each value of a row (numpy's can differ by an ulp)."""
+    if isinstance(v, np.ndarray):
+        return np.array([fn(t) for t in v.tolist()])
+    return fn(v)
 
 
 class Jet:
@@ -122,13 +138,6 @@ def jet_constant(x0: float, value: float, order: int) -> Jet:
     return Jet(x0, (float(value),) + (0.0,) * order)
 
 
-def jet_variable(x0: float, order: int) -> Jet:
-    """Jet of the identity function x at x0."""
-    if order == 0:
-        return Jet(x0, (x0,))
-    return Jet(x0, (float(x0), 1.0) + (0.0,) * (order - 1))
-
-
 def _require_aligned(j1: Jet, j2: Jet) -> None:
     if j1.x0 != j2.x0:
         raise StructuralError(
@@ -195,17 +204,12 @@ def _exp_derivs(g):
     grid array.
 
     Uses the recurrence h = exp(g), h^(k+1) = sum_j C(k,j) g^(j+1) h^(k-j),
-    which is the product rule applied to h' = g'·h. Order-0 entries go
-    through math.exp, also on a grid, as np.exp can differ in the last ulp.
+    which is the product rule applied to h' = g'·h.
     """
-    g0 = g[0]
     try:
-        if isinstance(g0, np.ndarray):
-            h0 = np.array([math.exp(v) for v in g0.tolist()])
-        else:
-            h0 = math.exp(g0)
+        h0 = _per_value(math.exp, g[0])
     except OverflowError:
-        raise NumericRangeError(f"exp overflow at value {g0}") from None
+        raise NumericRangeError(f"exp overflow at value {g[0]}") from None
     n = len(g)
     h = [h0] + [0.0] * (n - 1)
     binomial_row(n - 1)
@@ -220,34 +224,41 @@ def _exp_derivs(g):
 
 
 def jet_ln_abs(j: Jet) -> Jet:
-    """Jet of ln|f| from the jet of f; requires f(x0) != 0.
+    """Jet of ln|f| from the jet of f; requires f(x0) != 0."""
+    return Jet(j.x0, _ln_abs_derivs(j.derivs))
 
-    Solves f·u' = f' order by order (u = ln|f|); all coefficients beyond the
-    value are sign-independent because only ratios over f appear.
-    """
-    f = j.derivs
-    if f[0] == 0.0:
+
+def _ln_abs_derivs(f):
+    """Derivatives of ln|f| from those of f, nonzero at every point: solves
+    f·u' = f' order by order (u = ln|f|); all coefficients beyond the value
+    are sign-independent because only ratios over f appear."""
+    if _any(f[0] == 0.0):
         raise EvalDomainError("log singularity at base point")
     n = len(f)
     u = [0.0] * n
-    u[0] = math.log(abs(f[0]))
+    u[0] = _per_value(math.log, abs(f[0]))
     binomial_row(n - 1)
     rows = _BINOM
     inv_f0 = 1.0 / f[0]
     for k in range(n - 1):
-        # f[0]*u[k+1] = f[k+1] - sum_{i=1..k} C(k,i) f[i] u[k+1-i]
+        # f[0]*u[k+1] = f[k+1] - sum_{i=1..k} C(k,i) f[i] u[k+1-i]; no -=,
+        # which would write into the row f[k+1]
         row = rows[k]
         s = f[k + 1]
         for i in range(1, k + 1):
-            s -= row[i] * f[i] * u[k + 1 - i]
+            s = s - row[i] * f[i] * u[k + 1 - i]
         u[k + 1] = s * inv_f0
-    return Jet(j.x0, u)
+    return u
 
 
 def jet_reciprocal(j: Jet) -> Jet:
     """Jet of 1/f; requires f(x0) != 0."""
-    f = j.derivs
-    if f[0] == 0.0:
+    return Jet(j.x0, _reciprocal_derivs(j.derivs))
+
+
+def _reciprocal_derivs(f):
+    """Derivatives of 1/f from those of f, nonzero at every point."""
+    if _any(f[0] == 0.0):
         raise EvalDomainError("division by zero at base point")
     n = len(f)
     w = [0.0] * n
@@ -260,17 +271,22 @@ def jet_reciprocal(j: Jet) -> Jet:
         for i in range(1, k + 1):
             s += row[i] * f[i] * w[k - i]
         w[k] = -s * w[0]
-    return Jet(j.x0, w)
+    return w
 
 
 def jet_sin_cos(j: Jet) -> tuple[Jet, Jet]:
-    """Jets of sin∘g and cos∘g, advanced jointly via s' = g'·c, c' = -g'·s."""
-    g = j.derivs
+    """Jets of sin∘g and cos∘g."""
+    s, c = _sin_cos_derivs(j.derivs)
+    return Jet(j.x0, s), Jet(j.x0, c)
+
+
+def _sin_cos_derivs(g):
+    """Derivatives of sin∘g and cos∘g, advanced jointly via s' = g'·c, c' = -g'·s."""
     n = len(g)
     s = [0.0] * n
     c = [0.0] * n
-    s[0] = math.sin(g[0])
-    c[0] = math.cos(g[0])
+    s[0] = _per_value(math.sin, g[0])
+    c[0] = _per_value(math.cos, g[0])
     binomial_row(n - 1)
     rows = _BINOM
     for k in range(n - 1):
@@ -283,41 +299,38 @@ def jet_sin_cos(j: Jet) -> tuple[Jet, Jet]:
             acc_c -= gi * s[k - i]
         s[k + 1] = acc_s
         c[k + 1] = acc_c
-    return Jet(j.x0, s), Jet(j.x0, c)
+    return s, c
 
 
-def jet_abs(j: Jet) -> Jet:
-    """Jet of |f|; away from zeros this is ±f. Kink at f(x0)=0 is an error
-    unless the jet is order 0."""
-    v = j.derivs[0]
-    if v > 0.0:
-        return j
-    if v < 0.0:
-        return -j
-    if j.order == 0:
-        return Jet(j.x0, (0.0,))
-    raise EvalDomainError("abs is not differentiable at a zero of f")
+def _abs_derivs(f):
+    """Derivatives of |f|: |f(x)|, then ±f^(k) by the sign of f(x). A zero
+    of f is a kink, an error unless only the value is asked for."""
+    a = abs(f[0])
+    if len(f) > 1 and _any(a == 0.0):
+        raise EvalDomainError("abs is not differentiable at a zero of f")
+    return [a] + [f[0] / a * d for d in f[1:]]
 
 
 def jet_power(j: Jet, exponent: float) -> Jet:
-    """Jet of f^p for a constant exponent p.
+    """Jet of f^p for a constant exponent p."""
+    return Jet(j.x0, _power_derivs(j.derivs, exponent))
 
-    Integer p: exact repeated products (any sign of f; negative p needs
-    f(x0) != 0). Non-integer p: exp(p·ln f), requires f(x0) > 0.
-    """
+
+def _power_derivs(f, exponent: float):
+    """Derivatives of f^p, each intermediate checked finite as a Jet would
+    be: integer p by exact repeated products (any sign of f; negative p
+    needs f != 0), non-integer p as exp(p·ln f), which needs f > 0."""
     if float(exponent).is_integer():
         p = int(exponent)
         if p == 0:
-            return jet_constant(j.x0, 1.0, j.order)
-        base = j if p > 0 else jet_reciprocal(j)
-        acc = base
+            return [1.0] + [0.0] * (len(f) - 1)
+        acc = base = f if p > 0 else _check_finite(_reciprocal_derivs(f))
         for _ in range(abs(p) - 1):
-            acc = jet_product(acc, base)
+            acc = _check_finite(_conv(acc, base))
         return acc
-    if j.derivs[0] <= 0.0:
+    if _any(f[0] <= 0.0):
         raise EvalDomainError(
             "fractional power needs a positive value at the base point"
         )
-    ln = jet_ln_abs(j)
-    scaled = Jet(j.x0, tuple(exponent * v for v in ln.derivs))
-    return jet_exp(scaled)
+    ln = _check_finite(_ln_abs_derivs(f))
+    return _exp_derivs(_check_finite([exponent * v for v in ln]))

@@ -188,7 +188,14 @@ def builtin_blackbox(name: str) -> BlackBoxOp:
     km-entropy: f ↦ f·ln|f| wrapped opaquely (0 at zeros of f).
     """
     if name == "square":
-        return BlackBoxOp(lambda f, x: f.value_at(x) ** 2, "square: f -> f^2")
+        def square(f: SmoothFn, x: float) -> float:
+            v = f.value_at(x)
+            try:  # not v * v, which can differ from libm's pow in the last bit
+                return v ** 2
+            except OverflowError:  # past about 1.3e154; apply reports the inf
+                return math.inf
+
+        return BlackBoxOp(square, "square: f -> f^2")
     if name == "translate":
         return BlackBoxOp(
             lambda f, x: f.value_at(x + 0.5), "translate: f -> f(x+0.5)"

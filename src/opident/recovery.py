@@ -178,9 +178,9 @@ def validate_recovery(
     (tolerances 1e-9 absolute, 1e-6 relative); a point where recovery failed
     is an infinite sample naming the failure. Both sides are evaluated on
     the grid of recovered points, the right one in one formula pass over the
-    stacked holdout jets. Passing certifies consistency with the canonical
-    class on the evidence; a black box that is not of that form fails loudly
-    here."""
+    holdout jets, each holdout's from one grid pass. Passing certifies
+    consistency with the canonical class on the evidence; a black box that
+    is not of that form fails loudly here."""
     agg = _Aggregator()
     for idx, message in recovered.failures:
         agg.add(math.inf, 1.0, recovered.grid[idx], (f"recovery failed: {message}",))

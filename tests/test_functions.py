@@ -18,7 +18,9 @@ from opident.functions import (
     fn_product,
     fn_linear_combination,
 )
+from opident.exprs import BinOp, Const, Pow, Var, parse, to_text
 from opident.identities import default_grid, random_function
+from test_exprs import random_expr
 
 E = math.e
 
@@ -203,6 +205,14 @@ def stacked(f, grid, order):
     return np.array([f.eval_jet(x, order).derivs for x in grid], dtype=float).T
 
 
+def outcome(evaluate):
+    """The bytes evaluate() returns, or the type and text of what it raises."""
+    try:
+        return evaluate().tobytes()
+    except (EvalDomainError, NumericRangeError) as exc:
+        return type(exc), str(exc)
+
+
 def assert_grid_parity(f, grid=GRID, orders=range(7)):
     for order in orders:
         got = f.eval_jet(grid, order)
@@ -228,6 +238,8 @@ class TestGridEval:
             fn_exp_of(fn_constant(0.0)),
             fn_product([fn_from_jet(0.0, [1.0, 2.0]), fn_exp_of(fn_from_expr("x"))]),
             fn_exp_of(fn_product([fn_monomial(2), fn_constant(-0.5)])),
+            fn_from_expr("sin(2*x)*exp(x)"),
+            fn_exp_of(fn_from_expr("1/(2+x)")),
         ],
         ids=lambda f: f.descriptor,
     )
@@ -237,11 +249,44 @@ class TestGridEval:
     @pytest.mark.parametrize(
         "f",
         [
-            fn_from_expr("sin(2*x)*exp(x)"),
+            fn_from_expr("2.5"),
+            fn_from_expr("x"),
+            fn_from_expr("-x"),
+            fn_from_expr("(x+0.5)^3"),
+            fn_from_expr(Pow(BinOp("+", Var(), Const(4.0)), -2.0)),
+            fn_from_expr("(x+4)^2.5"),
+            fn_from_expr("sin(3*x)"),
+            fn_from_expr("cos(x^2)"),
+            fn_from_expr("exp(-x)"),
+            fn_from_expr("ln(x+4)"),
+            fn_from_expr("abs(x-0.31)"),
+            fn_from_expr("x+sin(x)"),
+            fn_from_expr("1-x^2"),
+            fn_from_expr("x*cos(x)"),
+            fn_from_expr("1/(x+4)"),
+            fn_from_expr("-sin(x)/(2+cos(x))"),
+        ],
+        ids=lambda f: f.descriptor,
+    )
+    def test_every_expression_node(self, f):
+        assert_grid_parity(f)
+
+    def test_random_expressions(self):
+        # out-of-domain points included: the grid then raises the per-point error
+        rng = random.Random(2504)
+        for _ in range(200):
+            tree = random_expr(rng, rng.randint(1, 5))
+            for order in range(7):
+                per_point = outcome(lambda: stacked(fn_from_expr(tree), GRID, order))
+                on_grid = outcome(lambda: fn_from_expr(tree).eval_jet(GRID, order))
+                assert on_grid == per_point, (to_text(tree), order)
+
+    @pytest.mark.parametrize(
+        "f",
+        [
             fn_linear_combination([(2.0, fn_from_expr("x^2")), (-3.0, fn_monomial(1))]),
             BUMP,
             fn_product([BUMP, fn_from_expr("cos(x)")]),
-            fn_exp_of(fn_from_expr("1/(2+x)")),
         ],
         ids=lambda f: f.descriptor,
     )
@@ -278,6 +323,38 @@ class TestGridEval:
         with pytest.raises(EvalDomainError) as grid:
             f.eval_jet((0.5, -1.0, 0.25), 2)
         assert str(grid.value) == str(per_point.value)
+
+    @pytest.mark.parametrize(
+        "tree",
+        [
+            parse("ln(x-0.5)"),
+            parse("1/(x-0.5)"),
+            parse("(x-0.5)^2.5"),
+            Pow(BinOp("-", Var(), Const(0.5)), -2.0),
+            parse("abs(x-0.5)"),
+        ],
+        ids=to_text,
+    )
+    def test_expression_domain_error_is_the_per_point_error(self, tree):
+        # 0.5 is the first point out of the domain
+        grid = (1.0, 0.75, 0.5, 0.25, 2.0)
+        with pytest.raises(EvalDomainError) as per_point:
+            fn_from_expr(tree).eval_jet(0.5, 2)
+        with pytest.raises(EvalDomainError) as on_grid:
+            fn_from_expr(tree).eval_jet(grid, 2)
+        assert str(on_grid.value) == str(per_point.value)
+
+    def test_abs_at_a_zero_has_a_value(self):
+        assert_grid_parity(fn_from_expr("abs(x-0.5)"), (1.0, 0.5, -0.0, 0.0), orders=(0,))
+
+    def test_expression_overflow_is_the_per_point_range_error(self):
+        # x*1e200*1e200 is inf at ±1, where math.sin would raise ValueError
+        for order in (0, 2):
+            with pytest.raises(NumericRangeError) as per_point:
+                fn_from_expr("sin(x*1e200*1e200)").eval_jet(1.0, order)
+            with pytest.raises(NumericRangeError) as on_grid:
+                fn_from_expr("sin(x*1e200*1e200)").eval_jet((0.0, 1.0, -1.0), order)
+            assert str(on_grid.value) == str(per_point.value)
 
     @pytest.mark.parametrize(
         "f",

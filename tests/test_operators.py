@@ -212,6 +212,17 @@ class TestBuiltinBlackBoxes:
         op = builtin_blackbox("square")
         assert apply(op, fn_from_expr("x+1"), 2.0) == 9.0
 
+    def test_square_is_float_power_and_overflow_is_a_range_error(self):
+        # v * v and v ** 2 can differ in the last bit (a libm pow need not
+        # round correctly), so the square black box keeps ** 2 bit for bit
+        op = builtin_blackbox("square")
+        rng = random.Random(11)
+        for _ in range(10_000):
+            v = rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-150.0, 150.0)
+            assert apply(op, fn_constant(v), 0.0).hex() == (v ** 2).hex()
+        with pytest.raises(NumericRangeError):
+            apply(op, fn_constant(1e200), 0.0)
+
     def test_translate_is_nonlocal(self):
         op = builtin_blackbox("translate")
         assert apply(op, fn_from_expr("x^2"), 1.0) == 2.25
