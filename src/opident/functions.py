@@ -33,10 +33,9 @@ from .jets import (
     Jet,
     _conv,
     _exp_derivs,
+    _reciprocal_derivs,
     jet_constant,
     jet_exp,
-    jet_product,
-    jet_reciprocal,
     signed_sum,
     sorted_jet_order,
 )
@@ -237,12 +236,15 @@ def fn_monomial(m: int) -> SmoothFn:
     return fn
 
 
-def _smoothstep_jet(t_jet: Jet) -> Jet:
-    """Jet of s(t) = e(t)/(e(t)+e(1-t)) with e(u)=exp(-1/u), for t in (0,1)."""
-    one = jet_constant(t_jet.x0, 1.0, t_jet.order)
-    num = jet_exp(-jet_reciprocal(t_jet))
-    den = num + jet_exp(-jet_reciprocal(one - t_jet))
-    return jet_product(num, jet_reciprocal(den))
+def _smoothstep_derivs(t: list) -> list:
+    """Derivatives of s(t) = e(t)/(e(t)+e(1-t)) with e(u)=exp(-1/u), for t in
+    (0,1), from those of t. A step that overflows leaves a non-finite entry
+    in the result, which the Jet around it rejects."""
+    num = _exp_derivs([-v for v in _reciprocal_derivs(t)])
+    # 1 - t with 0.0 - v, not -v, so that t's zero entries give +0.0
+    rest = [1.0 - t[0]] + [0.0 - v for v in t[1:]]
+    den = [a + b for a, b in zip(num, _exp_derivs([-v for v in _reciprocal_derivs(rest)]))]
+    return _conv(num, _reciprocal_derivs(den))
 
 
 def fn_bump(support: tuple[float, float], plateau: tuple[float, float]) -> SmoothFn:
@@ -274,7 +276,7 @@ def fn_bump(support: tuple[float, float], plateau: tuple[float, float]) -> Smoot
             # next to the support end exp(-1/t) underflows, and the jet of
             # -1/t would overflow first: the flat limit there is 0
             return jet_constant(x0, 0.0, order)
-        t = Jet(x0, (value, scale) + (0.0,) * max(0, order - 1))
-        return _smoothstep_jet(t.truncate(order))
+        t = [value, scale] + [0.0] * (order - 1)
+        return Jet(x0, _smoothstep_derivs(t[: order + 1]))
 
     return SmoothFn(f"bump({a},{b};[{p},{q}])", jet_fn)

@@ -19,12 +19,12 @@ subset terms in ascending-bitmask order, inner[i] = D(fs[0]^(m-i)) of shape
 (m, P), and the (P,) values of fs[0]. The diagonal identity on fs[0] is
 formed from the last two, once per tuple. A black-box D sees only opaque
 SmoothFn products, built per tuple and evaluated per point. A canonical D
-is checked over the whole grid at once: the tuple's functions and the
-operator's coefficients are each evaluated on the grid in one call
-(SmoothFn.eval_jet with a tuple of points), every subset product is one jet
-array built by DP over the tuple's canonical order, and the closed form is
-applied to all of them in one numpy pass.
-The batched engine folds the same terms in the same order as the per-point
+is checked over the whole grid at once, as stacks, formula, gather:
+_subset_stacks builds every subset product of the tuple's grid jets by DP
+over its canonical order; operators.apply_on_grid applies the closed form
+to all of them and to the powers of fs[0] in one pass; and each term
+gathers its subset's outside value product and D of its complement's
+product. The batched engine folds the same terms in the same order as the per-point
 one, so both give bitwise the same arrays.
 """
 
@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NumericRangeError, StructuralError
+from .errors import StructuralError
 from .functions import (
     SmoothFn,
     fn_constant,
@@ -47,7 +47,7 @@ from .functions import (
     fn_product,
 )
 from .jets import _conv, binomial_row, signed_sum, sorted_jet_order
-from .operators import CanonicalOp, Operator, apply, apply_canonical_values
+from .operators import CanonicalOp, Operator, apply, apply_on_grid
 
 DEFAULT_TOL_ABS = 1e-9
 DEFAULT_TOL_REL = 1e-8
@@ -249,63 +249,63 @@ def _points_per_point(op: Operator, fs: Sequence[SmoothFn], grid):
     return terms, inner, values
 
 
-def _points_batched(op: CanonicalOp, fs: Sequence[SmoothFn], grid):
-    """_points_per_point for a canonical D, computed for the whole grid at
-    once, bitwise equal to it.
+def _subset_stacks(jets: np.ndarray):
+    """(outside, prods, inside, odd) of a tuple of m grid jets, given as a
+    derivative-major (K+1, m, P) stack, in arrays of its dtype.
 
-    The jets of the tuple come from one grid evaluation per function,
-    f.eval_jet(grid, op.n), and the coefficient rows c_i(x), d_i(x) from
-    one order-0 grid evaluation per coefficient; a list grid is taken as a
-    tuple. All jet stacks are derivative-major, (op.n+1, ..., P), so the
-    scalar _conv runs on them unchanged. Per point the tuple is put in
-    canonical order, a stable lexicographic sort of its jets (fn_product's
-    fold order), and every subset product is built by DP over rank
-    bitmasks, prod[R] = prod[R - top(R)] ⊛ jet[top(R)], one convolution of
-    (op.n+1, masks, P) stacks per popcount level. The outside value
-    products use the same DP and the powers of fs[0] the chain
-    f^k = f^(k-1) ⊛ f.
-    Values are the order-0 entries of the jets: every jet recurrence is
-    triangular, so they are bitwise those of order-0 jets. A non-finite
-    product or value raises NumericRangeError naming the first grid point
-    that has one.
+    Per point the tuple is put in canonical order (sorted_jet_order,
+    fn_product's fold order) and the product over each rank bitmask R is
+    built by DP, prod[R] = prod[R - top(R)] ⊛ jet[top(R)], one _conv per
+    popcount level: prods[:, R] is its (K+1, 2^m, P) jet and outside[R] the
+    (2^m, P) product of its values in the same fold. inside[s, p] is the
+    rank bitmask at point p of subset s of subset_masks(m), and odd[s]
+    whether that subset has odd size.
+    """
+    _, m, points = jets.shape
+    size = 1 << m
+    # by_rank[r, p]: index into the tuple of the rank-r function at point p
+    by_rank = sorted_jet_order(jets)
+    ranked = np.take_along_axis(jets, by_rank[None], axis=1)
+    prods = np.zeros((len(jets), size, points), dtype=jets.dtype)
+    outside = np.ones((size, points), dtype=jets.dtype)
+    for level in range(1, m + 1):
+        masks = [r for r in range(1, size) if r.bit_count() == level]
+        tops = [r.bit_length() - 1 for r in masks]
+        rests = [r ^ (1 << t) for r, t in zip(masks, tops)]
+        outside[masks] = outside[rests] * ranked[0, tops]
+        top_jets = ranked[:, tops]
+        prods[:, masks] = top_jets if level == 1 else _conv(prods[:, rests], top_jets)
+    # bits[j, p]: the rank bit of the j-th function at point p
+    bits = 1 << np.argsort(by_rank, axis=0)
+    member = np.array([[mask >> j & 1 for j in range(m)] for mask in subset_masks(m)])
+    return outside, prods, member @ bits, member.sum(axis=1) % 2 == 1
+
+
+def _points_batched(op: CanonicalOp, fs: Sequence[SmoothFn], grid):
+    """_points_per_point for a canonical D on the whole grid at once,
+    bitwise equal to it: grid jets (a list grid is taken as a tuple), then
+    _subset_stacks and the chain f^k = f^(k-1) ⊛ f for the powers of fs[0],
+    then one apply_on_grid pass, which raises NumericRangeError naming the
+    first grid point with a non-finite product or value, then the signed
+    gather. Values are the order-0 entries of the jets: every jet
+    recurrence is triangular, so they are bitwise those of order-0 jets.
     """
     _require_tuple(fs)
     grid = tuple(grid)
-    m, order, points = len(fs), op.n, len(grid)
+    m = len(fs)
     size = 1 << m
     # jets[k, j, p]: the k-th derivative of fs[j] at grid[p]
-    jets = np.stack([f.eval_jet(grid, order) for f in fs], axis=1)
-    c_vals, d_vals = op.coefficient_values(grid)
+    jets = np.stack([f.eval_jet(grid, op.n) for f in fs], axis=1)
     with np.errstate(all="ignore"):
-        # by_rank[r, p]: index into fs of the rank-r function at grid[p]
-        by_rank = sorted_jet_order(jets)
-        ranked = np.take_along_axis(jets, by_rank[None], axis=1)
-        prods = np.zeros((order + 1, size, points))
-        outside = np.ones((size, points))
-        for level in range(1, m + 1):
-            masks = [r for r in range(1, size) if r.bit_count() == level]
-            tops = [r.bit_length() - 1 for r in masks]
-            rests = [r ^ (1 << t) for r, t in zip(masks, tops)]
-            outside[masks] = outside[rests] * ranked[0, tops]
-            top_jets = ranked[:, tops]
-            prods[:, masks] = top_jets if level == 1 else _conv(prods[:, rests], top_jets)
+        outside, prods, inside, odd = _subset_stacks(jets)
         powers = [jets[:, 0]]
         for _ in range(m - 1):
             powers.append(_conv(powers[-1], jets[:, 0]))
         stacked = np.concatenate([prods, np.stack(powers, axis=1)], axis=1)
-        applied = apply_canonical_values(c_vals, d_vals, stacked)
-        finite = np.isfinite(stacked).all(axis=(0, 1)) & np.isfinite(applied).all(axis=0)
-        if not finite.all():
-            x = grid[int(np.argmin(finite))]
-            raise NumericRangeError(f"{op.descriptor} produced a non-finite value at x={x}")
-        # bits[j, p]: the rank bit of fs[j] at grid[p]
-        bits = 1 << np.argsort(by_rank, axis=0)
-        member = np.array([[mask >> j & 1 for j in range(m)] for mask in subset_masks(m)])
-        inside = member @ bits
-        cols = np.arange(points)
+        applied = apply_on_grid(op, grid, stacked)
+        cols = np.arange(len(grid))
         terms = outside[inside, cols] * applied[size - 1 - inside, cols]
-        odd = member.sum(axis=1) % 2 == 1
-        terms[odd] = -terms[odd]
+    terms[odd] = -terms[odd]
     return terms, applied[size:][::-1], jets[0, 0]
 
 

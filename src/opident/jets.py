@@ -100,12 +100,6 @@ class Jet:
     def value(self) -> float:
         return self.derivs[0]
 
-    def truncate(self, order: int) -> "Jet":
-        """First order+1 entries as a lower-order jet."""
-        if order > self.order:
-            raise StructuralError(f"cannot truncate order {self.order} to {order}")
-        return Jet(self.x0, self.derivs[: order + 1])
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Jet)
@@ -118,19 +112,6 @@ class Jet:
 
     def __repr__(self) -> str:
         return f"Jet(x0={self.x0}, derivs={list(self.derivs)})"
-
-    # Operator sugar for internal use; the module-level functions are the API.
-    def __add__(self, other: "Jet") -> "Jet":
-        return jet_linear_combine(1.0, self, 1.0, other)
-
-    def __sub__(self, other: "Jet") -> "Jet":
-        return jet_linear_combine(1.0, self, -1.0, other)
-
-    def __neg__(self) -> "Jet":
-        return Jet(self.x0, tuple(-v for v in self.derivs))
-
-    def __mul__(self, other: "Jet") -> "Jet":
-        return jet_product(self, other)
 
 
 def jet_constant(x0: float, value: float, order: int) -> Jet:

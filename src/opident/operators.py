@@ -146,12 +146,13 @@ def apply_on_grid(op: CanonicalOp, grid: tuple, derivs: np.ndarray) -> np.ndarra
     """apply_canonical_values with op's coefficient rows on the grid, for a
     derivative-major stack derivs of shape (op.n+1, ..., P), or (op.n+1, ...,
     1) for jets that are the same at every point; the result is (..., P). A
-    non-finite entry raises NumericRangeError naming the first grid point
-    that has one."""
+    non-finite entry of derivs or of the result raises NumericRangeError
+    naming the first grid point that has one."""
     c_vals, d_vals = op.coefficient_values(grid)
     with np.errstate(all="ignore"):
         out = apply_canonical_values(c_vals, d_vals, derivs)
-    finite = np.isfinite(out).reshape(-1, len(grid)).all(axis=0)
+    finite = np.isfinite(derivs).all(axis=0) & np.isfinite(out)
+    finite = finite.all(axis=tuple(range(finite.ndim - 1)))
     if not finite.all():
         x = grid[int(np.argmin(finite))]
         raise NumericRangeError(f"{op.descriptor} produced a non-finite value at x={x}")
@@ -190,10 +191,7 @@ def builtin_blackbox(name: str) -> BlackBoxOp:
     if name == "square":
         def square(f: SmoothFn, x: float) -> float:
             v = f.value_at(x)
-            try:  # not v * v, which can differ from libm's pow in the last bit
-                return v ** 2
-            except OverflowError:  # past about 1.3e154; apply reports the inf
-                return math.inf
+            return v * v  # correctly rounded; libm's pow, behind v ** 2, need not be
 
         return BlackBoxOp(square, "square: f -> f^2")
     if name == "translate":

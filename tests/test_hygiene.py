@@ -172,6 +172,20 @@ def test_every_definition_has_a_caller():
     assert uncalled_definitions(sources, mentioned) == []
 
 
+def test_definitions_only_the_benchmark_calls():
+    # the benchmark's words keep these alive; each is deleted or gains a
+    # package caller, and leaves this list, when the benchmark moves on
+    sources = {path.stem: path.read_text() for path in PACKAGE}
+    assert uncalled_definitions(sources, set()) == [
+        "jets.jet_linear_combine",
+        "jets.jet_product",
+        "jets.jet_reciprocal",
+        "jets.jet_sin_cos",
+        "jets.jet_power",
+        "recovery.recover_at_point",
+    ]
+
+
 def test_detects_an_uncalled_definition():
     sources = {
         "a": (

@@ -14,6 +14,7 @@ from opident.functions import (
     fn_bump,
     fn_constant,
     fn_from_expr,
+    fn_from_jet,
     fn_linear_combination,
 )
 from opident.identities import (
@@ -371,6 +372,23 @@ class TestBatchedCanonical:
                 # the powers and values are those of the unchanged first function
                 assert inner.tobytes() == want_inner.tobytes()
                 assert values.tobytes() == want_values.tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_exact_zeros_at_grid_points(self, n):
+        # each function of the tuple is exactly 0.0 at a grid point of its
+        # own, so every product through it takes the formula's f = 0 branch
+        # there, the one where the log terms are left out
+        rng = random.Random(300 + n)
+        op = random_canonical_op(rng, n)
+        assert op.coefficient_values(0.5)[1]  # log terms present
+        grid = default_grid(9)
+        zeros = rng.sample(grid, n + 1)
+        slopes = [rng.choice((-1, 1)) * rng.uniform(0.5, 2.0) for _ in zeros]
+        fs = [fn_from_jet(x, [0.0, a, rng.uniform(-2, 2)]) for x, a in zip(zeros, slopes)]
+        assert all(f.value_at(x) == 0.0 for f, x in zip(fs, zeros))
+        batched = _points_batched(op, fs, grid)
+        per_point = _points_per_point(_wrapped(op), fs, grid)
+        assert [a.tobytes() for a in batched] == [a.tobytes() for a in per_point]
 
     @pytest.mark.parametrize(
         "coefficient, error",

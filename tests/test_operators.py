@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -76,6 +77,11 @@ class TestApply:
         for f in (fn_from_expr("x*(x-0.5)*exp(x)"), fn_from_expr("sin(3*x)+2")):
             got = apply(op, f, grid).tolist()
             assert [v.hex() for v in got] == [apply(op, f, x).hex() for x in grid]
+
+    def test_empty_grid(self):
+        f = fn_from_expr("x^2+1")
+        for op in (entropy_op(), builtin_blackbox("square")):
+            assert apply(op, f, ()).shape == (0,)
 
     def test_grid_range_error_names_the_first_bad_point(self):
         # 1e308·e^x overflows from e^x > 1.797, first at the grid point 0.625
@@ -212,14 +218,14 @@ class TestBuiltinBlackBoxes:
         op = builtin_blackbox("square")
         assert apply(op, fn_from_expr("x+1"), 2.0) == 9.0
 
-    def test_square_is_float_power_and_overflow_is_a_range_error(self):
-        # v * v and v ** 2 can differ in the last bit (a libm pow need not
-        # round correctly), so the square black box keeps ** 2 bit for bit
+    def test_square_is_correctly_rounded_and_overflow_is_a_range_error(self):
+        # a libm pow need not round correctly, so v ** 2 can be an ulp off
+        # the exact square; the black box must give it bit for bit
         op = builtin_blackbox("square")
         rng = random.Random(11)
         for _ in range(10_000):
             v = rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-150.0, 150.0)
-            assert apply(op, fn_constant(v), 0.0).hex() == (v ** 2).hex()
+            assert apply(op, fn_constant(v), 0.0).hex() == float(Fraction(v) ** 2).hex()
         with pytest.raises(NumericRangeError):
             apply(op, fn_constant(1e200), 0.0)
 
