@@ -10,14 +10,15 @@ division by zero, a kink), its jet raises EvalDomainError.
 Evaluation is pure. eval_jet takes a point, giving a Jet, or a grid (a
 tuple of points), giving a read-only derivative-major (K+1, P) array whose
 column p is bitwise the jet at point p. Each SmoothFn memoizes per (point
-or grid, order), which makes the subset-product sweeps of the identity
-engine cheap without giving operators any structural access to their
-inputs. Constants, prescribed-jet polynomials, products, exp-composites and
-expression functions evaluate a grid in one pass: they run their scalar
-derivative code on numpy rows, the same operations in the same order.
-Linear combinations and bumps stack their per-point jets. A grid pass
-that raises EvalDomainError or NumericRangeError is re-run point by point,
-which raises the error of the first failing point.
+or grid, order) for repeated reads: black-box point sweeps, where every
+subset product re-reads its factors, and grid reads of coefficients and
+holdouts. The canonical identity engine builds its subset products by DP
+and does not hit it. Constants, prescribed-jet polynomials, products,
+exp-composites and expression functions evaluate a grid in one pass: they
+run their scalar derivative code on numpy rows, the same operations in the
+same order. Linear combinations and bumps stack their per-point jets. A
+grid pass that raises EvalDomainError or NumericRangeError is re-run point
+by point, which raises the error of the first failing point.
 """
 
 from __future__ import annotations

@@ -64,9 +64,9 @@ def _any(mask) -> bool:
 
 
 def _per_value(fn, v):
-    """fn of a float or of each value of a row (numpy's can differ by an ulp)."""
+    """fn of a float or of each value of an array (numpy's can differ by an ulp)."""
     if isinstance(v, np.ndarray):
-        return np.array([fn(t) for t in v.tolist()])
+        return np.array([fn(t) for t in v.ravel().tolist()]).reshape(v.shape)
     return fn(v)
 
 
@@ -299,15 +299,17 @@ def jet_power(j: Jet, exponent: float) -> Jet:
 
 def _power_derivs(f, exponent: float):
     """Derivatives of f^p, each intermediate checked finite as a Jet would
-    be: integer p by exact repeated products (any sign of f; negative p
-    needs f != 0), non-integer p as exp(p·ln f), which needs f > 0."""
+    be: integer p by square-and-multiply (any sign of f; negative p needs
+    f != 0), non-integer p as exp(p·ln f), which needs f > 0."""
     if float(exponent).is_integer():
         p = int(exponent)
         if p == 0:
             return [1.0] + [0.0] * (len(f) - 1)
         acc = base = f if p > 0 else _check_finite(_reciprocal_derivs(f))
-        for _ in range(abs(p) - 1):
-            acc = _check_finite(_conv(acc, base))
+        for bit in bin(abs(p))[3:]:
+            acc = _check_finite(_conv(acc, acc))
+            if bit == "1":
+                acc = _check_finite(_conv(acc, base))
         return acc
     if _any(f[0] <= 0.0):
         raise EvalDomainError(

@@ -7,14 +7,13 @@ contributes
 
 where M = m_1 + ... + m_k. Coefficients are computed in exact integer
 arithmetic (factorials through 12! are exact) and only converted to floats
-when the term is evaluated. The partition table per k is cached.
+when the term is evaluated.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import EvalDomainError, StructuralError
 from .jets import Jet
@@ -36,7 +35,6 @@ class PartitionTerm:
         return sum(self.multiplicities)
 
 
-@lru_cache(maxsize=None)
 def enumerate_partition_multisets(k: int) -> tuple[PartitionTerm, ...]:
     """All multiplicity vectors (m_1..m_k) with sum i·m_i = k, each once,
     in ascending lexicographic order."""

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import NumericRangeError, StructuralError
 from .functions import SmoothFn, fn_constant
+from .jets import _per_value
 
 
 class CanonicalOp:
@@ -95,20 +96,15 @@ def apply_canonical_values(
     (f, f', ..., f^(n)) with float coefficients, or a derivative-major
     (n+1, ..., P) stack at P points with (n, P) coefficient rows, and a grid
     column is bitwise its point's value. An empty d_vals skips the log
-    terms. ln|f| is math.log per value (np.log can differ in the last ulp),
-    taken as 0 where f = 0: the ±0.0 log terms there leave the c-term sum,
-    which is never -0.0, unchanged."""
+    terms. ln|f| is math.log per value (np.log can differ in the last ulp)
+    of |f|, or of 1 where f = 0: the ±0.0 log terms there leave the c-term
+    sum, which is never -0.0, unchanged."""
     total = 0.0
     for i, cv in enumerate(c_vals, 1):
         total = total + cv * derivs[i]
     if len(d_vals):
         v = derivs[0]
-        if isinstance(v, np.ndarray):
-            log_v = np.array(
-                [math.log(abs(a)) if a else 0.0 for a in v.ravel().tolist()]
-            ).reshape(v.shape)
-        else:
-            log_v = math.log(abs(v)) if v else 0.0
+        log_v = _per_value(math.log, abs(v) + (v == 0.0))
         power = 1.0
         for dv in d_vals:
             power = power * log_v

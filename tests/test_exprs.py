@@ -17,6 +17,7 @@ from opident.exprs import (
     parse,
     to_text,
 )
+from opident import jets
 from opident.functions import fn_from_expr
 
 X = Var()
@@ -153,6 +154,23 @@ class TestEvalJet:
         j = eval_jet(parse("x/(1+x)"), 1.0, 1)
         assert math.isclose(j.derivs[0], 0.5, rel_tol=1e-14)
         assert math.isclose(j.derivs[1], 0.25, rel_tol=1e-14)
+
+    def test_integer_power_squares_and_multiplies(self, monkeypatch):
+        # one _conv per bit of the exponent and one per 1-bit: 14 for
+        # x^1000, where repeated products took 999
+        calls = []
+        conv = jets._conv
+        monkeypatch.setattr(jets, "_conv", lambda a, b: calls.append(1) or conv(a, b))
+        j = fn_from_expr("x^1000").eval_jet(0.5, 4)
+        assert len(calls) <= 20
+        # every partial product is an integer times a power of 2, so exact
+        assert j.derivs == tuple(math.perm(1000, k) * 0.5 ** (1000 - k) for k in range(5))
+
+    def test_huge_integer_power(self):
+        # |x| < 1 underflows to 0 in about 2,000 products; |x| > 1 overflows
+        assert fn_from_expr("x^1e308").eval_jet(0.5, 4).derivs == (0.0,) * 5
+        with pytest.raises(NumericRangeError):
+            fn_from_expr("x^1e308").eval_jet(2.0, 4)
 
     def test_abs_of_negative_branch(self):
         j = eval_jet(parse("abs(x-2)"), 1.0, 1)

@@ -1,6 +1,7 @@
 """Source hygiene: no module imports a name it never uses, no package
-module catches every exception, the package keeps one memo dict, and every
-module-level definition in the package has a caller."""
+module catches every exception, the package keeps one memo dict and no
+functools cache, and every module-level definition in the package has a
+caller."""
 
 import ast
 import re
@@ -11,6 +12,7 @@ PACKAGE = sorted((ROOT / "src" / "opident").glob("*.py"))
 MODULES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
 BENCH = sorted((ROOT / "bench").glob("*.py"))
 BROAD = {"Exception", "BaseException"}
+CACHES = {"lru_cache", "cache"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -131,6 +133,39 @@ def test_detects_a_dict_cache():
         "cache = {}\n"
     )
     assert dict_caches(source) == ["A._cache", "A._row_cache"]
+
+
+def decorator_caches(source: str) -> list[str]:
+    """Name of every function decorated with functools.lru_cache or
+    functools.cache, bare or called, by attribute or imported name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for decorator in node.decorator_list:
+            target = decorator.func if isinstance(decorator, ast.Call) else decorator
+            if getattr(target, "attr", getattr(target, "id", None)) in CACHES:
+                found.append(node.name)
+    return found
+
+
+def test_no_decorator_caches():
+    # one caching policy: a functools cache would be a second one
+    assert "logderiv.py" in {path.name for path in PACKAGE}
+    assert [c for path in PACKAGE for c in decorator_caches(path.read_text())] == []
+
+
+def test_detects_a_decorator_cache():
+    source = (
+        "import functools\nfrom functools import cache, lru_cache\n"
+        "@lru_cache(maxsize=None)\ndef a(k): pass\n"
+        "@functools.lru_cache\ndef b(k): pass\n"
+        "@cache\ndef c(k): pass\n"
+        "class K:\n    @functools.cache\n    def d(self): pass\n"
+        "@staticmethod\ndef e(k): pass\n"
+        "def f(k): pass\n"
+    )
+    assert decorator_caches(source) == ["a", "b", "c", "d"]
 
 
 def references(node: ast.AST) -> set[str]:
