@@ -12,13 +12,15 @@ tuple of points), giving a read-only derivative-major (K+1, P) array whose
 column p is bitwise the jet at point p. Each SmoothFn memoizes per (point
 or grid, order) for repeated reads: black-box point sweeps, where every
 subset product re-reads its factors, and grid reads of coefficients and
-holdouts. The canonical identity engine builds its subset products by DP
-and does not hit it. Constants, prescribed-jet polynomials, products,
-exp-composites and expression functions evaluate a grid in one pass: they
-run their scalar derivative code on numpy rows, the same operations in the
-same order. Linear combinations and bumps stack their per-point jets. A
-grid pass that raises EvalDomainError or NumericRangeError is re-run point
-by point, which raises the error of the first failing point.
+holdouts. The canonical identity engine does not hit it: it evaluates its
+random inputs in one family pass (identities._family_jets, on the kernels
+_poly_derivs, _exp_derivs and _conv) and builds its subset products by DP.
+Constants, prescribed-jet polynomials, products, exp-composites and
+expression functions evaluate a grid in one pass: they run their scalar
+derivative code on numpy rows, the same operations in the same order. Linear
+combinations and bumps stack their per-point jets. A grid pass that raises
+EvalDomainError or NumericRangeError is re-run point by point, which
+raises the error of the first failing point.
 """
 
 from __future__ import annotations
@@ -136,34 +138,35 @@ def fn_from_expr(source) -> SmoothFn:
     )
 
 
+def _poly_derivs(v: Sequence, t, order: int) -> list:
+    """p^(k)(y) = sum_{l>=k} v[l]·t^(l-k)/(l-k)! for k <= order, from p's
+    jet v at x0 and t = y - x0: floats, or a grid row t with each v[l] a
+    float or an (F, 1) column of F polynomials' jets."""
+    out = []
+    for k in range(order + 1):
+        acc = 0.0
+        tp = 1.0
+        fact = 1.0
+        for l in range(k, len(v)):
+            if l > k:
+                tp = tp * t
+                fact *= l - k
+            acc = acc + v[l] * tp / fact
+        out.append(acc)
+    return out
+
+
 def fn_from_jet(x0: float, v: Sequence[float]) -> SmoothFn:
     """The polynomial sum_l v[l]·(x-x0)^l/l!, whose jet at x0 is exactly v."""
     x0 = float(x0)
     coeffs = tuple(float(c) for c in v)
-
-    def derivs(t, order: int) -> list:
-        # p^(k)(y) = sum_{l>=k} v[l]·t^(l-k)/(l-k)! with t = y - x0, a float
-        # or, on a grid, an array
-        out = []
-        for k in range(order + 1):
-            acc = 0.0
-            tp = 1.0
-            fact = 1.0
-            for l in range(k, len(coeffs)):
-                if l > k:
-                    tp = tp * t
-                    fact *= l - k
-                acc = acc + coeffs[l] * tp / fact
-            out.append(acc)
-        return out
-
     desc = f"jetpoly@{x0}{list(coeffs)}"
     zero = all(c == 0.0 for c in coeffs)
     return SmoothFn(
         desc,
-        lambda y, order: Jet(y, derivs(y - x0, order)),
+        lambda y, order: Jet(y, _poly_derivs(coeffs, y - x0, order)),
         is_zero=zero,
-        grid_fn=lambda grid, order: derivs(np.array(grid, dtype=float) - x0, order),
+        grid_fn=lambda grid, order: _poly_derivs(coeffs, np.array(grid, dtype=float) - x0, order),
     )
 
 

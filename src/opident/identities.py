@@ -16,16 +16,17 @@ the worst ratio of residual to bound, so it passes only if every sample does.
 For a tuple fs of m functions on a grid of P points, the suite's two engines
 return what depends on D as arrays (terms, inner, values): the (2^m-1, P)
 subset terms in ascending-bitmask order, inner[i] = D(fs[0]^(m-i)) of shape
-(m, P), and the (P,) values of fs[0]. The diagonal identity on fs[0] is
-formed from the last two, once per tuple. A black-box D sees only opaque
-SmoothFn products, built per tuple and evaluated per point. A canonical D
-is checked over the whole grid at once, as stacks, formula, gather:
-_subset_stacks builds every subset product of the tuple's grid jets by DP
-over its canonical order; operators.apply_on_grid applies the closed form
-to the nonempty ones and to the powers of fs[0] in one pass; and each term
+(m, P), and the (P,) values of fs[0]; for T tuples at once the canonical
+engine's arrays span T·P columns, tuple-major. The diagonal identity on
+fs[0] is formed from the last two, once per tuple. A black-box D sees only
+opaque SmoothFn products, built per tuple and evaluated per point. A
+canonical D is checked on a block of tuples over the whole grid at once:
+one family pass gives every input's grid jets; _subset_stacks builds every subset
+product and the powers of fs[0] by DP over each tuple's canonical order;
+apply_on_grid applies the closed form to them in one pass; and each term
 gathers its subset's outside value product and D of its complement's
-product. The batched engine folds the same terms in the same order as the per-point
-one, so both give bitwise the same arrays.
+product. Both engines fold the same terms in the same order, so they give
+bitwise the same arrays.
 """
 
 from __future__ import annotations
@@ -37,20 +38,24 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import StructuralError
+from .errors import EvalDomainError, NumericRangeError, StructuralError
 from .functions import (
     SmoothFn,
+    _poly_derivs,
     fn_constant,
     fn_exp_of,
     fn_from_jet,
     fn_monomial,
     fn_product,
 )
-from .jets import _conv, binomial_row, signed_sum, sorted_jet_order
+from .jets import _conv, _exp_derivs, binomial_row, signed_sum, sorted_jet_order
 from .operators import CanonicalOp, Operator, apply, apply_on_grid
 
 DEFAULT_TOL_ABS = 1e-9
 DEFAULT_TOL_REL = 1e-8
+# tuples per canonical engine pass: bounds its stacks, about 0.12 MB a tuple
+# at n = 4 on 21 points
+_TUPLES_PER_PASS = 64
 
 
 @dataclass(frozen=True)
@@ -154,16 +159,16 @@ def subset_masks(size: int) -> range:
     return range((1 << size) - 1)
 
 
-def _require_tuple(fs: Sequence[SmoothFn]) -> None:
-    if len(fs) < 2:
+def _require_tuple(m: int) -> None:
+    if m < 2:
         raise StructuralError("the subset identity needs at least 2 functions")
 
 
 def _subset_plan(fs: Sequence[SmoothFn]):
     """Per-mask (inside indices, complement product, sign) — built once per
     tuple so product functions are reused across grid points."""
-    _require_tuple(fs)
     m = len(fs)
+    _require_tuple(m)
     plan = []
     for mask in subset_masks(m):
         inside = tuple(j for j in range(m) if mask >> j & 1)
@@ -251,64 +256,80 @@ def _points_per_point(op: Operator, fs: Sequence[SmoothFn], grid):
 
 
 def _subset_stacks(jets: np.ndarray):
-    """(outside, prods, inside, odd) of a tuple of m grid jets, given as a
-    derivative-major (K+1, m, P) stack, in arrays of its dtype.
+    """(outside, prods, inside, odd) of tuples of m grid jets, given as a
+    derivative-major (K+1, m, C) stack of C columns, in arrays of its dtype.
 
-    Per point the tuple is put in canonical order (sorted_jet_order,
+    Per column the tuple is put in canonical order (sorted_jet_order,
     fn_product's fold order) and the product over each rank bitmask R is
     built by DP, prod[R] = prod[R - top(R)] ⊛ jet[top(R)], one _conv per
-    popcount level: prods[:, R] is its (K+1, 2^m, P) jet and outside[R] the
-    (2^m, P) product of its values in the same fold. inside[s, p] is the
-    rank bitmask at point p of subset s of subset_masks(m), and odd[s]
-    whether that subset has odd size.
+    popcount level: prods[:, R] is its (K+1, C) jet and outside[R] the
+    (2^m, C) product of its values in the same fold; prods[:, 2^m - 1 + k]
+    is jets[:, 0]^k, k = 1..m, by f^k = f^(k-1) ⊛ f in the same _conv calls.
+    inside[s, c] is the rank bitmask in column c of subset s of
+    subset_masks(m), and odd[s] whether that subset has odd size.
     """
-    _, m, points = jets.shape
+    _, m, cols = jets.shape
     size = 1 << m
-    # by_rank[r, p]: index into the tuple of the rank-r function at point p
+    # by_rank[r, c]: index into the tuple of the rank-r function in column c
     by_rank = sorted_jet_order(jets)
-    ranked = np.take_along_axis(jets, by_rank[None], axis=1)
-    prods = np.zeros((len(jets), size, points), dtype=jets.dtype)
-    outside = np.ones((size, points), dtype=jets.dtype)
+    # factors[:, r]: the rank-r jet; factors[:, m]: jets[:, 0], the powers' base
+    factors = np.take_along_axis(jets, np.vstack([by_rank, 0 * by_rank[:1]])[None], axis=1)
+    prods = np.zeros((len(jets), size + m, cols), dtype=jets.dtype)
+    outside = np.ones((size, cols), dtype=jets.dtype)
     for level in range(1, m + 1):
         masks = [r for r in range(1, size) if r.bit_count() == level]
         tops = [r.bit_length() - 1 for r in masks]
         rests = [r ^ (1 << t) for r, t in zip(masks, tops)]
-        outside[masks] = outside[rests] * ranked[0, tops]
-        top_jets = ranked[:, tops]
+        outside[masks] = outside[rests] * factors[0, tops]
+        top_jets = factors[:, tops + [m]]
+        masks.append(size - 1 + level)
+        rests.append(size - 2 + level)
         prods[:, masks] = top_jets if level == 1 else _conv(prods[:, rests], top_jets)
-    # bits[j, p]: the rank bit of the j-th function at point p
+    # bits[j, c]: the rank bit of the j-th function in column c
     bits = 1 << np.argsort(by_rank, axis=0)
     member = np.array([[mask >> j & 1 for j in range(m)] for mask in subset_masks(m)])
     return outside, prods, member @ bits, member.sum(axis=1) % 2 == 1
 
 
-def _points_batched(op: CanonicalOp, fs: Sequence[SmoothFn], grid):
-    """_points_per_point for a canonical D on the whole grid at once,
-    bitwise equal to it: grid jets (a list grid is taken as a tuple), then
-    _subset_stacks and the chain f^k = f^(k-1) ⊛ f for the powers of fs[0],
-    then one apply_on_grid pass, which raises NumericRangeError naming the
-    first grid point with a non-finite product or value, then the signed
-    gather. Values are the order-0 entries of the jets: every jet
-    recurrence is triangular, so they are bitwise those of order-0 jets.
+def _points_batched(op: CanonicalOp, jets: np.ndarray, grid: tuple):
+    """_points_per_point for a canonical D on T tuples at once, bitwise equal
+    to it tuple by tuple: jets is their (K+1, m, T·P) stack of order-op.n
+    grid jets, column t·P + p holding tuple t at grid[p], as do the arrays
+    returned. _subset_stacks, one apply_on_grid pass (NumericRangeError
+    naming the first grid point with a non-finite product or value in any
+    tuple), then the signed gather. Values are the jets' order-0 entries,
+    bitwise those of order-0 jets since every jet recurrence is triangular.
     """
-    _require_tuple(fs)
-    grid = tuple(grid)
-    m = len(fs)
+    _, m, cols = jets.shape
+    _require_tuple(m)
     size = 1 << m
-    # jets[k, j, p]: the k-th derivative of fs[j] at grid[p]
-    jets = np.stack([f.eval_jet(grid, op.n) for f in fs], axis=1)
     with np.errstate(all="ignore"):
         outside, prods, inside, odd = _subset_stacks(jets)
-        powers = [jets[:, 0]]
-        for _ in range(m - 1):
-            powers.append(_conv(powers[-1], jets[:, 0]))
-        # the empty product prods[:, 0] is no complement, so it is left out
-        stacked = np.concatenate([prods[:, 1:], np.stack(powers, axis=1)], axis=1)
-        applied = apply_on_grid(op, grid, stacked)
-        cols = np.arange(len(grid))
-        terms = outside[inside, cols] * applied[size - 2 - inside, cols]
+        # the empty product prods[:, 0] is no complement, so it is left out;
+        # the columns split into (tuple, point) for the coefficient rows
+        split = (cols // max(len(grid), 1), len(grid))
+        stacked = prods[:, 1:].reshape(len(jets), size - 1 + m, *split)
+        applied = apply_on_grid(op, grid, stacked).reshape(size - 1 + m, cols)
+        index = np.arange(cols)
+        terms = outside[inside, index] * applied[size - 2 - inside, index]
     terms[odd] = -terms[odd]
     return terms, applied[size - 1:][::-1], jets[0, 0]
+
+
+def _canonical_arrays(op: CanonicalOp, draws, grid: tuple) -> list:
+    """Each tuple's engine arrays for a canonical D, from one _family_jets
+    and one _points_batched call, or tuple by tuple if either raises."""
+    order, tuples, m, points = op.n + 1, len(draws), len(draws[0]), len(grid)
+    try:
+        family = _family_jets([d for draw in draws for d in draw], grid, op.n)
+        # (K+1, T·m, P) in draw order to (K+1, m, T·P), tuple-major columns
+        jets = family.reshape(order, tuples, m, points).transpose(0, 2, 1, 3)
+        arrays = _points_batched(op, jets.reshape(order, m, tuples * points), grid)
+    except (EvalDomainError, NumericRangeError):
+        if tuples == 1:
+            raise
+        return [out for draw in draws for out in _canonical_arrays(op, [draw], grid)]
+    return [tuple(a[..., t * points : (t + 1) * points] for a in arrays) for t in range(tuples)]
 
 
 def _exact_zeros(op: Operator, fns: list[SmoothFn], grid, name: str) -> ResidualReport:
@@ -368,7 +389,8 @@ def check_poly_annihilation(
 COEF_RANGE = 2.0
 
 
-def random_polynomial(rng: random.Random, degree: int = 3) -> SmoothFn:
+def _draw_polynomial(rng: random.Random, degree: int = 3):
+    """random_polynomial's draw: (the function, its jet at 0)."""
     coeffs = [rng.uniform(-COEF_RANGE, COEF_RANGE) for _ in range(degree + 1)]
     fact = 1.0
     jet = []
@@ -378,16 +400,53 @@ def random_polynomial(rng: random.Random, degree: int = 3) -> SmoothFn:
         jet.append(cl * fact)
     fn = fn_from_jet(0.0, jet)
     fn.descriptor = "poly[" + ",".join(f"{c:.4g}" for c in coeffs) + "]"
-    return fn
+    return fn, jet
+
+
+def random_polynomial(rng: random.Random, degree: int = 3) -> SmoothFn:
+    return _draw_polynomial(rng, degree)[0]
+
+
+def _draw_function(rng: random.Random):
+    """random_function's draw: (f, p, q) for f = p, exp(q) or p·exp(q), with
+    p and q the jets at 0 of its cubics, None where f has none."""
+    kind = rng.randrange(3)
+    p_fn, p = _draw_polynomial(rng) if kind != 1 else (None, None)
+    q_fn, q = _draw_polynomial(rng) if kind != 0 else (None, None)
+    if kind == 0:
+        return p_fn, p, q
+    return (fn_exp_of(q_fn) if kind == 1 else fn_product([p_fn, fn_exp_of(q_fn)])), p, q
 
 
 def random_function(rng: random.Random) -> SmoothFn:
-    kind = rng.randrange(3)
-    if kind == 0:
-        return random_polynomial(rng)
-    if kind == 1:
-        return fn_exp_of(random_polynomial(rng))
-    return fn_product([random_polynomial(rng), fn_exp_of(random_polynomial(rng))])
+    return _draw_function(rng)[0]
+
+
+def _family_jets(draws, grid, order: int) -> np.ndarray:
+    """np.stack([f.eval_jet(tuple(grid), order) for f, _, _ in draws], axis=1),
+    bitwise, by one _poly_derivs over every p and q, one _exp_derivs and one
+    _conv for the p·exp(q) (fn_product's fold, as _conv is exactly
+    commutative); if that raises or is not finite, function by function."""
+    grid = tuple(grid)
+    has_p, has_q = (np.array([d[i] is not None for d in draws]) for i in (1, 2))
+    polys = [d[1] for d in draws if d[1] is not None] + [d[2] for d in draws if d[2] is not None]
+    try:
+        with np.errstate(all="ignore"):
+            # every jet is at x0 = 0, so t = y - x0 is the grid itself
+            rows = _poly_derivs(np.array(polys).T[:, :, None], np.array(grid, dtype=float), order)
+            poly = np.array([np.broadcast_to(row, (len(polys), len(grid))) for row in rows])
+            ps, qs = np.split(poly, [has_p.sum()], axis=1)
+            out = np.empty((order + 1, len(draws), len(grid)))
+            out[:, has_p] = ps
+            out[:, has_q] = exps = np.array(_exp_derivs(qs))
+            both = has_p & has_q
+            if both.any():
+                out[:, both] = np.array(_conv(ps[:, both[has_p]], exps[:, both[has_q]]))
+        if np.isfinite(out).all():
+            return out
+    except (EvalDomainError, NumericRangeError):
+        pass  # the loop below raises the first function's error
+    return np.stack([f.eval_jet(grid, order) for f, _, _ in draws], axis=1)
 
 
 def default_grid(points: int = 21, lo: float = -1.0, hi: float = 1.0) -> tuple:
@@ -418,6 +477,15 @@ class SuiteOutcome:
         return self.report.passed and self.diagonal_gap.passed
 
 
+def _column_scales(terms: np.ndarray) -> list[float]:
+    """max(map(abs, column)) per column: numpy's, or for a column with a NaN
+    Python's, which depends on where the NaN sits."""
+    scales = np.abs(terms).max(axis=0).tolist()
+    for p in np.flatnonzero(np.isnan(scales)):
+        scales[p] = max(map(abs, terms[:, p].tolist()))
+    return scales
+
+
 def run_check_suite_full(op: Operator, n: int, cfg: SamplingConfig) -> SuiteOutcome:
     """Drive both identities over random tuples; deterministic given seed.
 
@@ -427,30 +495,37 @@ def run_check_suite_full(op: Operator, n: int, cfg: SamplingConfig) -> SuiteOutc
     shared term scale (they agree up to roundoff by construction). Both
     sides of that gap come from the same n+1 applications D(f^k)(x).
 
-    Per tuple, a canonical D takes _points_batched and a black box
-    _points_per_point; _power_terms forms both diagonal forms from the
-    engine's arrays, and the samples are added point by point.
+    Tuples are drawn _TUPLES_PER_PASS at a time; a canonical D takes
+    _canonical_arrays per block, a black box _points_per_point per tuple.
+    _power_terms forms both diagonal forms from the engine's arrays;
+    samples are added point by point.
     """
+    if cfg.tuples < 0:
+        raise StructuralError(f"tuples must be nonnegative, got {cfg.tuples}")
     rng = random.Random(cfg.seed)
+    grid = tuple(cfg.grid)
     agg = _Aggregator()
     gap_agg = _Aggregator()
-    engine = _points_batched if isinstance(op, CanonicalOp) else _points_per_point
-    for _ in range(cfg.tuples):
-        fs = tuple(random_function(rng) for _ in range(n + 1))
-        descriptors = tuple(f.descriptor for f in fs)
-        subset, inner, values = engine(op, fs, cfg.grid)
-        columns = (a.T.tolist() for a in (subset, *_power_terms(inner, values, n)))
-        for x, terms, pterms, dterms in zip(cfg.grid, *columns):
-            scale = max(map(abs, terms))
-            agg.add(signed_sum(terms), scale, x, descriptors)
+    for start in range(0, cfg.tuples, _TUPLES_PER_PASS):
+        size = min(_TUPLES_PER_PASS, cfg.tuples - start)
+        draws = [[_draw_function(rng) for _ in range(n + 1)] for _ in range(size)]
+        if isinstance(op, CanonicalOp):
+            arrays = _canonical_arrays(op, draws, grid)
+        else:
+            arrays = (_points_per_point(op, [f for f, _, _ in draw], grid) for draw in draws)
+        for draw, (subset, inner, values) in zip(draws, arrays):
+            descriptors = tuple(f.descriptor for f, _, _ in draw)
+            term_arrays = (subset, *_power_terms(inner, values, n))
+            columns = [a.T.tolist() for a in term_arrays]
+            scales = [_column_scales(a) for a in term_arrays]
+            for x, terms, pterms, dterms, scale, pscale, dscale in zip(grid, *columns, *scales):
+                agg.add(signed_sum(terms), scale, x, descriptors)
 
-            presidual = signed_sum(pterms)
-            pscale = max(map(abs, pterms))
-            agg.add(presidual, pscale, x, descriptors[:1])
+                presidual = signed_sum(pterms)
+                agg.add(presidual, pscale, x, descriptors[:1])
 
-            dscale = max(map(abs, dterms))
-            gap = presidual - signed_sum(dterms)
-            gap_agg.add(gap, max(pscale, dscale), x, descriptors[:1])
+                gap = presidual - signed_sum(dterms)
+                gap_agg.add(gap, max(pscale, dscale), x, descriptors[:1])
     return SuiteOutcome(
         agg.report("identity-suite", n, DEFAULT_TOL_ABS, DEFAULT_TOL_REL),
         gap_agg.report("diagonal-consistency", n, 0.0, 1e-12),

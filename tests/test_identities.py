@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from opident.errors import EvalDomainError, NumericRangeError
+from opident.errors import EvalDomainError, NumericRangeError, StructuralError
 from opident.functions import (
     fn_bump,
     fn_constant,
@@ -17,11 +17,15 @@ from opident.functions import (
     fn_from_jet,
     fn_linear_combination,
 )
+from opident import identities
 from opident.identities import (
     DEFAULT_TOL_ABS,
     DEFAULT_TOL_REL,
     SamplingConfig,
     _Aggregator,
+    _column_scales,
+    _draw_function,
+    _family_jets,
     _points_batched,
     _points_per_point,
     _power_terms,
@@ -78,8 +82,6 @@ class TestSubsetResidual:
             assert alternating_subset_residual(table, tup, 0.0) == 1.0
 
     def test_needs_two_functions(self):
-        from opident.errors import StructuralError
-
         with pytest.raises(StructuralError):
             alternating_subset_residual(derivative_op(1), [X], 0.0)
 
@@ -183,8 +185,6 @@ class TestChecks:
         assert report.max_abs_residual == 1.0 and not report.passed
 
     def test_localization_rejects_grid_outside(self):
-        from opident.errors import StructuralError
-
         with pytest.raises(StructuralError):
             check_localization(derivative_op(1), X, X, (0.0, 1.0), [2.0])
 
@@ -266,6 +266,11 @@ class TestSuite:
         assert report.passed and report.vacuous
         assert report.max_abs_residual == 0.0
 
+    def test_negative_tuples_raise(self):
+        for op in (derivative_op(1), builtin_blackbox("square")):
+            with pytest.raises(StructuralError):
+                run_check_suite_full(op, 1, SamplingConfig(tuples=-1))
+
     def test_deterministic(self):
         cfg = SamplingConfig(seed=33, tuples=3)
         op = derivative_op(2)
@@ -279,6 +284,11 @@ class TestSuite:
             cfg = SamplingConfig(seed=9, tuples=4)
             report = run_check_suite_full(op, n, cfg).report
             assert report.passed, report
+
+
+def _stack(fs, grid, order):
+    """The (K+1, m, P) stack of one tuple's grid jets, _points_batched's input."""
+    return np.stack([f.eval_jet(tuple(grid), order) for f in fs], axis=1)
 
 
 def _wrapped(op):
@@ -301,14 +311,15 @@ class TestBatchedCanonical:
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_suite_matches_black_box_path(self, n):
-        cfg = SamplingConfig(seed=7 * n, tuples=3)
         for op in _parity_ops(n):
-            assert run_check_suite_full(op, n, cfg) == run_check_suite_full(
-                _wrapped(op), n, cfg
-            )
+            for tuples in (1, 3, 10):
+                cfg = SamplingConfig(seed=7 * n, tuples=tuples)
+                assert run_check_suite_full(op, n, cfg) == run_check_suite_full(
+                    _wrapped(op), n, cfg
+                )
             rng = random.Random(n)
             fs = tuple(random_function(rng) for _ in range(n + 1))
-            batched = _points_batched(op, fs, cfg.grid)
+            batched = _points_batched(op, _stack(fs, cfg.grid, op.n), cfg.grid)
             per_point = _points_per_point(op, fs, cfg.grid)
             assert [(a.shape, a.tobytes()) for a in batched] == [
                 (a.shape, a.tobytes()) for a in per_point
@@ -318,8 +329,9 @@ class TestBatchedCanonical:
         op = _parity_ops(2)[0]
         rng = random.Random(2)
         fs = tuple(random_function(rng) for _ in range(3))
-        for engine, target in ((_points_batched, op), (_points_per_point, _wrapped(op))):
-            assert [a.shape for a in engine(target, fs, ())] == [(7, 0), (3, 0), (0,)]
+        arrays = (_points_batched(op, _stack(fs, (), op.n), ()), _points_per_point(op, fs, ()))
+        for engine_arrays in arrays:
+            assert [a.shape for a in engine_arrays] == [(7, 0), (3, 0), (0,)]
 
     def test_black_box_error_names_the_first_point(self):
         # a black box is applied point by point, the 2^m - 1 subset applies
@@ -362,9 +374,10 @@ class TestBatchedCanonical:
         op = random_canonical_op(rng, n)
         fs = [random_function(rng) for _ in range(n + 1)]
         grid = default_grid(9)
-        want, want_inner, want_values = _points_batched(op, fs, grid)
+        want, want_inner, want_values = _points_batched(op, _stack(fs, grid, n), grid)
         for perm in itertools.permutations(range(n + 1)):
-            terms, inner, values = _points_batched(op, [fs[k] for k in perm], grid)
+            permuted = _stack([fs[k] for k in perm], grid, n)
+            terms, inner, values = _points_batched(op, permuted, grid)
             for mask, row in zip(subset_masks(n + 1), terms):
                 orig = sum(1 << perm[k] for k in range(n + 1) if mask >> k & 1)
                 assert row.tobytes() == want[orig].tobytes()
@@ -386,7 +399,7 @@ class TestBatchedCanonical:
         slopes = [rng.choice((-1, 1)) * rng.uniform(0.5, 2.0) for _ in zeros]
         fs = [fn_from_jet(x, [0.0, a, rng.uniform(-2, 2)]) for x, a in zip(zeros, slopes)]
         assert all(f.value_at(x) == 0.0 for f, x in zip(fs, zeros))
-        batched = _points_batched(op, fs, grid)
+        batched = _points_batched(op, _stack(fs, grid, n), grid)
         per_point = _points_per_point(_wrapped(op), fs, grid)
         assert [a.tobytes() for a in batched] == [a.tobytes() for a in per_point]
 
@@ -416,3 +429,62 @@ class TestBatchedCanonical:
         for path in (op, _wrapped(op)):
             with pytest.raises(NumericRangeError, match=r" at x=0\.375$"):
                 run_check_suite_full(path, 1, cfg)
+
+    def test_tuples_beyond_one_pass(self, monkeypatch):
+        # 9 tuples in one pass, then in passes of 4, 4 and 1
+        op = _parity_ops(1)[0]
+        cfg = SamplingConfig(seed=3, tuples=9)
+        whole = run_check_suite_full(op, 1, cfg)
+        assert whole.report.samples == 9 * len(cfg.grid) * 2
+        monkeypatch.setattr(identities, "_TUPLES_PER_PASS", 4)
+        assert run_check_suite_full(op, 1, cfg) == whole
+
+    def test_error_is_the_first_failing_tuples(self):
+        # seed 2 draws two tuples: 1e308·x·f' first overflows at 0.5 for the
+        # first and at 0.25 for the second, so checking them at once names
+        # 0.25, and only the tuple-by-tuple rerun names the first tuple's 0.5
+        op = linear_op([fn_from_expr("1e308*x")])
+        cfg = SamplingConfig(seed=2, tuples=2, grid=default_grid(9, 0.0, 1.0))
+        for path in (op, _wrapped(op)):
+            with pytest.raises(NumericRangeError, match=r" at x=0\.5$"):
+                run_check_suite_full(path, 1, cfg)
+
+
+class TestFamilyJets:
+    """_family_jets against the functions' own grid jets, bitwise."""
+
+    @pytest.mark.parametrize(
+        "grid",
+        [default_grid(21), default_grid(9, 0.0, 1.0), (0.3,), (), list(default_grid(5))],
+        ids=["default", "unit", "one-point", "empty", "list"],
+    )
+    def test_matches_each_functions_jets(self, grid):
+        rng = random.Random(len(grid))
+        for _ in range(200):
+            draws = [_draw_function(rng) for _ in range(rng.randint(1, 5))]
+            order = rng.randint(0, 6)
+            want = np.stack([f.eval_jet(tuple(grid), order) for f, _, _ in draws], axis=1)
+            got = _family_jets(draws, grid, order)
+            assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+
+    def test_overflow_raises_the_functions_error(self):
+        # at x=40 a cubic exponent with a positive leading term overflows exp
+        rng = random.Random(5)
+        draws = [_draw_function(rng) for _ in range(30)]
+        grid = (0.0, 40.0)
+        with pytest.raises(NumericRangeError) as want:
+            np.stack([f.eval_jet(grid, 4) for f, _, _ in draws], axis=1)
+        with pytest.raises(NumericRangeError) as got:
+            _family_jets(draws, grid, 4)
+        assert "overflow" in str(want.value) and str(got.value) == str(want.value)
+
+
+class TestSampleScales:
+    def test_matches_the_python_max_of_each_column(self):
+        # a NaN first in its column makes Python's max NaN, a NaN later is
+        # skipped by its comparisons; numpy's max would be NaN for both
+        terms = np.array([[1.0, math.nan, -3.0, 0.0], [-2.0, 5.0, math.nan, -0.0]])
+        want = [max(map(abs, col)) for col in terms.T.tolist()]
+        got = _column_scales(terms)
+        assert math.isnan(want[1]) and want[2] == 3.0
+        assert np.array(got).tobytes() == np.array(want).tobytes()
