@@ -1,11 +1,12 @@
 """Jet-evaluable functions on the real line.
 
 A SmoothFn bundles a deterministic jet evaluator with a human-readable
-descriptor. Constructors cover everything the identity and recovery
-machinery needs: pointwise products, linear combinations, exp-composites,
-polynomials with a prescribed jet, compact-support bumps, and
-expression-backed functions. Where one is undefined (ln of a value <= 0,
-division by zero, a kink), its jet raises EvalDomainError.
+descriptor and carries no flag: whether it is zero is read from its values.
+Constructors cover everything the identity and recovery machinery needs:
+pointwise products, linear combinations, exp-composites, polynomials with a
+prescribed jet, compact-support bumps, and expression-backed functions.
+Where one is undefined (ln of a value <= 0, division by zero, a kink), its
+jet raises EvalDomainError.
 
 Evaluation is pure. eval_jet takes a point, giving a Jet, or a grid (a
 tuple of points), giving a read-only derivative-major (K+1, P) array whose
@@ -47,19 +48,17 @@ _CACHE_CAP = 8192
 
 
 class SmoothFn:
-    """A function on the real line, evaluable to a Jet of any order."""
+    """A function on the real line, evaluable to a Jet of any order; it carries no flag."""
 
-    __slots__ = ("descriptor", "is_zero", "_jet_fn", "_grid_fn", "_cache")
+    __slots__ = ("descriptor", "_jet_fn", "_grid_fn", "_cache")
 
     def __init__(
         self,
         descriptor: str,
         jet_fn: Callable[[float, int], Jet],
-        is_zero: bool = False,
         grid_fn: Callable[[tuple, int], Sequence] | None = None,
     ):
         self.descriptor = descriptor
-        self.is_zero = is_zero
         self._jet_fn = jet_fn
         self._grid_fn = grid_fn
         self._cache: dict[tuple, Jet | np.ndarray] = {}
@@ -121,7 +120,6 @@ def fn_constant(c: float) -> SmoothFn:
     return SmoothFn(
         desc,
         lambda x0, order: jet_constant(x0, c, order),
-        is_zero=(c == 0.0),
         grid_fn=lambda grid, order: (c,) + (0.0,) * order,
     )
 
@@ -129,11 +127,9 @@ def fn_constant(c: float) -> SmoothFn:
 def fn_from_expr(source) -> SmoothFn:
     """Function denoted by a DSL string or parsed AST."""
     tree = exprs.parse(source) if isinstance(source, str) else source
-    is_zero = isinstance(tree, exprs.Const) and tree.value == 0.0
     return SmoothFn(
         exprs.to_text(tree),
         lambda x0, order: exprs.eval_jet(tree, x0, order),
-        is_zero=is_zero,
         grid_fn=lambda grid, order: exprs.eval_derivs(tree, np.array(grid, dtype=float), order),
     )
 
@@ -161,11 +157,9 @@ def fn_from_jet(x0: float, v: Sequence[float]) -> SmoothFn:
     x0 = float(x0)
     coeffs = tuple(float(c) for c in v)
     desc = f"jetpoly@{x0}{list(coeffs)}"
-    zero = all(c == 0.0 for c in coeffs)
     return SmoothFn(
         desc,
         lambda y, order: Jet(y, _poly_derivs(coeffs, y - x0, order)),
-        is_zero=zero,
         grid_fn=lambda grid, order: _poly_derivs(coeffs, np.array(grid, dtype=float) - x0, order),
     )
 
@@ -198,8 +192,7 @@ def fn_product(fs: Sequence[SmoothFn]) -> SmoothFn:
         return acc
 
     desc = "*".join(f"({f.descriptor})" for f in factors)
-    zero = any(f.is_zero for f in factors)
-    return SmoothFn(desc, jet_fn, is_zero=zero, grid_fn=grid_fn)
+    return SmoothFn(desc, jet_fn, grid_fn=grid_fn)
 
 
 def fn_linear_combination(terms: Sequence[tuple[float, SmoothFn]]) -> SmoothFn:
@@ -217,8 +210,7 @@ def fn_linear_combination(terms: Sequence[tuple[float, SmoothFn]]) -> SmoothFn:
         return Jet(x0, [signed_sum([c * d[k] for c, d in jets]) for k in range(order + 1)])
 
     desc = "+".join(f"{c}*({f.descriptor})" for c, f in pairs)
-    zero = all(c == 0.0 or f.is_zero for c, f in pairs)
-    return SmoothFn(desc, jet_fn, is_zero=zero)
+    return SmoothFn(desc, jet_fn)
 
 
 def fn_exp_of(g: SmoothFn) -> SmoothFn:

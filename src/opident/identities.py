@@ -21,12 +21,13 @@ engine's arrays span T·P columns, tuple-major. The diagonal identity on
 fs[0] is formed from the last two, once per tuple. A black-box D sees only
 opaque SmoothFn products, built per tuple and evaluated per point. A
 canonical D is checked on a block of tuples over the whole grid at once:
-one family pass gives every input's grid jets; _subset_stacks builds every subset
-product and the powers of fs[0] by DP over each tuple's canonical order;
-apply_on_grid applies the closed form to them in one pass; and each term
-gathers its subset's outside value product and D of its complement's
-product. Both engines fold the same terms in the same order, so they give
-bitwise the same arrays.
+one family pass gives every input's grid jets; _subset_stacks builds every
+subset product and the powers of fs[0] by DP over each tuple's canonical
+order; apply_on_grid applies the closed form to them in one pass; and each
+term gathers its subset's outside value product and D of its complement's
+product. A block that raises is rerun tuple by tuple, so its error is the
+per-tuple loop's. Both engines fold the same terms in the same order, so
+they give bitwise the same arrays.
 """
 
 from __future__ import annotations
@@ -318,7 +319,8 @@ def _points_batched(op: CanonicalOp, jets: np.ndarray, grid: tuple):
 
 def _canonical_arrays(op: CanonicalOp, draws, grid: tuple) -> list:
     """Each tuple's engine arrays for a canonical D, from one _family_jets
-    and one _points_batched call, or tuple by tuple if either raises."""
+    and one _points_batched call; tuple by tuple if that raises; for a lone
+    tuple, its functions' eval_jet (their own errors), then _points_batched."""
     order, tuples, m, points = op.n + 1, len(draws), len(draws[0]), len(grid)
     try:
         family = _family_jets([d for draw in draws for d in draw], grid, op.n)
@@ -326,9 +328,10 @@ def _canonical_arrays(op: CanonicalOp, draws, grid: tuple) -> list:
         jets = family.reshape(order, tuples, m, points).transpose(0, 2, 1, 3)
         arrays = _points_batched(op, jets.reshape(order, m, tuples * points), grid)
     except (EvalDomainError, NumericRangeError):
-        if tuples == 1:
-            raise
-        return [out for draw in draws for out in _canonical_arrays(op, [draw], grid)]
+        if tuples > 1:
+            return [out for draw in draws for out in _canonical_arrays(op, [draw], grid)]
+        jets = np.stack([f.eval_jet(grid, op.n) for f, _, _ in draws[0]], axis=1)
+        arrays = _points_batched(op, jets, grid)
     return [tuple(a[..., t * points : (t + 1) * points] for a in arrays) for t in range(tuples)]
 
 
@@ -357,16 +360,17 @@ def check_localization(
     grid: Sequence[float],
 ) -> ResidualReport:
     """|D(f1)(x) - D(f2)(x)| <= 1e-12 at grid points inside the interval
-    where f1 and f2 agree."""
+    where f1 and f2 agree, from one grid apply each: an error names f1's
+    first failing point before any of f2's."""
     a, b = interval
+    grid = tuple(grid)
     for x in grid:
         if not a < x < b:
             raise StructuralError(
                 f"grid point {x} is outside the agreement interval ({a}, {b})"
             )
     agg = _Aggregator()
-    for x in grid:
-        r = apply(op, f1, x) - apply(op, f2, x)
+    for x, r in zip(grid, (apply(op, f1, grid) - apply(op, f2, grid)).tolist()):
         agg.add(r, abs(r), x, (f1.descriptor, f2.descriptor))
     return agg.report("localization", 0, 1e-12, 0.0)
 
@@ -424,29 +428,23 @@ def random_function(rng: random.Random) -> SmoothFn:
 
 def _family_jets(draws, grid, order: int) -> np.ndarray:
     """np.stack([f.eval_jet(tuple(grid), order) for f, _, _ in draws], axis=1),
-    bitwise, by one _poly_derivs over every p and q, one _exp_derivs and one
-    _conv for the p·exp(q) (fn_product's fold, as _conv is exactly
-    commutative); if that raises or is not finite, function by function."""
-    grid = tuple(grid)
+    bitwise wherever that is finite, by one _poly_derivs over every p and q,
+    one _exp_derivs and one _conv for the p·exp(q) (fn_product's fold, as
+    _conv is exactly commutative). It checks nothing itself."""
     has_p, has_q = (np.array([d[i] is not None for d in draws]) for i in (1, 2))
     polys = [d[1] for d in draws if d[1] is not None] + [d[2] for d in draws if d[2] is not None]
-    try:
-        with np.errstate(all="ignore"):
-            # every jet is at x0 = 0, so t = y - x0 is the grid itself
-            rows = _poly_derivs(np.array(polys).T[:, :, None], np.array(grid, dtype=float), order)
-            poly = np.array([np.broadcast_to(row, (len(polys), len(grid))) for row in rows])
-            ps, qs = np.split(poly, [has_p.sum()], axis=1)
-            out = np.empty((order + 1, len(draws), len(grid)))
-            out[:, has_p] = ps
-            out[:, has_q] = exps = np.array(_exp_derivs(qs))
-            both = has_p & has_q
-            if both.any():
-                out[:, both] = np.array(_conv(ps[:, both[has_p]], exps[:, both[has_q]]))
-        if np.isfinite(out).all():
-            return out
-    except (EvalDomainError, NumericRangeError):
-        pass  # the loop below raises the first function's error
-    return np.stack([f.eval_jet(grid, order) for f, _, _ in draws], axis=1)
+    with np.errstate(all="ignore"):
+        # every jet is at x0 = 0, so t = y - x0 is the grid itself
+        rows = _poly_derivs(np.array(polys).T[:, :, None], np.array(grid, dtype=float), order)
+        poly = np.array([np.broadcast_to(row, (len(polys), len(grid))) for row in rows])
+        ps, qs = np.split(poly, [has_p.sum()], axis=1)
+        out = np.empty((order + 1, len(draws), len(grid)))
+        out[:, has_p] = ps
+        out[:, has_q] = exps = np.array(_exp_derivs(qs))
+        both = has_p & has_q
+        if both.any():
+            out[:, both] = np.array(_conv(ps[:, both[has_p]], exps[:, both[has_q]]))
+    return out
 
 
 def default_grid(points: int = 21, lo: float = -1.0, hi: float = 1.0) -> tuple:

@@ -6,9 +6,9 @@ CanonicalOp is the closed form
 
 with the second sum defined as 0 wherever f(x) = 0 (x·ln|x|^k extends
 continuously by 0); apply_canonical_values, the one place it is written,
-evaluates it at a point or on a grid. BlackBoxOp wraps an arbitrary
-deterministic rule (SmoothFn, x) -> real, so the identity checks can probe
-operators with no structural access.
+evaluates it at a point or on a grid, skipping log terms whose d values are
+all 0. BlackBoxOp wraps an arbitrary deterministic rule (SmoothFn, x) ->
+real, so the identity checks can probe operators with no structural access.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ class CanonicalOp:
     """Order-n operator with derivative coefficients c and log-term
     coefficients d (each a list of n SmoothFn)."""
 
-    __slots__ = ("n", "c", "d", "descriptor", "_has_log_terms")
+    __slots__ = ("n", "c", "d", "descriptor")
 
     def __init__(
         self,
@@ -45,7 +45,6 @@ class CanonicalOp:
         self.n = n
         self.c = tuple(c)
         self.d = tuple(d)
-        self._has_log_terms = not all(fn.is_zero for fn in self.d)
         if descriptor is None:
             cs = ", ".join(fn.descriptor for fn in self.c)
             ds = ", ".join(fn.descriptor for fn in self.d)
@@ -55,17 +54,16 @@ class CanonicalOp:
     def coefficient_values(self, x):
         """(c_1(x)..c_n(x)), (d_1(x)..d_n(x)) read through each coefficient's
         SmoothFn memo: floats at a point or, for a grid given as a tuple of
-        points, (n, P) arrays. The d-row is empty, (0, P) on a grid, when
-        every log-term coefficient is the zero function."""
+        points, (n, P) arrays. The d-row is empty, () or (0, P), exactly where
+        every d value read is ±0.0. That is bitwise the full formula: for
+        finite f, (±0.0·f)·ln|f|^i is ±0.0 and the c-term sum never -0.0."""
         if type(x) is tuple:
             c_vals = np.array([fn.eval_jet(x, 0)[0] for fn in self.c])
-            if not self._has_log_terms:
-                return c_vals, np.empty((0, len(x)))
-            return c_vals, np.array([fn.eval_jet(x, 0)[0] for fn in self.d])
-        return (
-            tuple(fn.value_at(x) for fn in self.c),
-            tuple(fn.value_at(x) for fn in self.d) if self._has_log_terms else (),
-        )
+            d_vals = np.array([fn.eval_jet(x, 0)[0] for fn in self.d])
+            return c_vals, d_vals if d_vals.any() else np.empty((0, len(x)))
+        c_vals = tuple(fn.value_at(x) for fn in self.c)
+        d_vals = tuple(fn.value_at(x) for fn in self.d)
+        return c_vals, d_vals if any(d_vals) else ()
 
     def __repr__(self) -> str:
         return self.descriptor

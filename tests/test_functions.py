@@ -20,6 +20,7 @@ from opident.functions import (
 )
 from opident.exprs import BinOp, Const, Pow, Var, parse, to_text
 from opident.identities import default_grid, random_function
+from opident.operators import CanonicalOp
 from test_exprs import random_expr
 
 E = math.e
@@ -56,7 +57,6 @@ class TestProduct:
 class TestFromJet:
     def test_zero(self):
         f = fn_from_jet(0.0, [0.0, 0.0, 0.0])
-        assert f.is_zero
         assert f.eval_jet(1.3, 2).derivs == (0.0, 0.0, 0.0)
 
     def test_prescribed_jet_roundtrip_exact(self):
@@ -164,8 +164,11 @@ class TestCombinators:
         assert f.eval_jet(2.0, 1).derivs == (1.0, 2.0)
 
     def test_scale_add_zero_detection(self):
+        # a zero combination used as d leaves the d-row empty
         z = fn_linear_combination([(0.0, fn_from_expr("x")), (1.0, fn_constant(0.0))])
-        assert z.is_zero
+        op = CanonicalOp(1, [fn_constant(1.0)], [z])
+        assert op.coefficient_values(0.7)[1] == ()
+        assert op.coefficient_values((-0.5, 0.0, 0.5))[1].shape == (0, 3)
 
     def test_overflowing_sum_is_a_range_error(self):
         big = fn_constant(1.7e308)

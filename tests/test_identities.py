@@ -23,6 +23,7 @@ from opident.identities import (
     DEFAULT_TOL_REL,
     SamplingConfig,
     _Aggregator,
+    _canonical_arrays,
     _column_scales,
     _draw_function,
     _family_jets,
@@ -183,6 +184,37 @@ class TestChecks:
         f2 = fn_linear_combination([(1.0, f1), (1.0, BUMP)])
         report = check_localization(peek, f1, f2, (-1.0, 1.0), [0.0])
         assert report.max_abs_residual == 1.0 and not report.passed
+
+    def test_localization_is_the_per_point_loop(self, monkeypatch):
+        # two grid applies give bitwise the residuals of the per-point loop
+        samples = []
+        add = _Aggregator.add
+        monkeypatch.setattr(
+            _Aggregator, "add", lambda agg, r, *rest: samples.append(r) or add(agg, r, *rest)
+        )
+        rng = random.Random(23)
+        grid = default_grid(9, -0.9, 0.9)
+        ops = [builtin_blackbox("translate")]
+        ops += [random_canonical_op(rng, rng.randint(1, 4)) for _ in range(20)]
+        for op in ops:
+            f1, f2 = random_function(rng), random_function(rng)
+            samples.clear()
+            check_localization(op, f1, f2, (-1.0, 1.0), list(grid))
+            want = [apply(op, f1, x) - apply(op, f2, x) for x in grid]
+            assert [r.hex() for r in samples] == [r.hex() for r in want]
+
+    def test_localization_error_names_f1s_first_failing_point(self):
+        # f2 fails first on the grid, f1 only later: f1's grid apply runs
+        # first, so its point is named, not the first point where either fails
+        grid = [0.0, 0.5, 0.75, 0.95]
+        f1, f2 = fn_from_expr("2*x"), fn_from_expr("4*x")
+        bad = {f1: 0.95, f2: 0.5}
+        box = BlackBoxOp(lambda f, x: math.inf if x == bad[f] else 0.0, "inf")
+        # D(f) = 1e308·x·f' overflows from x = 0.9 for f1, from x = 0.45 for f2
+        canonical = linear_op([fn_from_expr("1e308*x")])
+        for op in (box, canonical):
+            with pytest.raises(NumericRangeError, match=r" at x=0\.95$"):
+                check_localization(op, f1, f2, (-1.0, 1.0), grid)
 
     def test_localization_rejects_grid_outside(self):
         with pytest.raises(StructuralError):
@@ -451,7 +483,9 @@ class TestBatchedCanonical:
 
 
 class TestFamilyJets:
-    """_family_jets against the functions' own grid jets, bitwise."""
+    """The canonical family pass against the functions' own grid jets:
+    _family_jets bitwise where they are finite, and the errors of
+    _canonical_arrays, its one fallback."""
 
     @pytest.mark.parametrize(
         "grid",
@@ -468,15 +502,31 @@ class TestFamilyJets:
             assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
 
     def test_overflow_raises_the_functions_error(self):
-        # at x=40 a cubic exponent with a positive leading term overflows exp
-        rng = random.Random(5)
-        draws = [_draw_function(rng) for _ in range(30)]
+        # at x=40 a cubic exponent with a positive leading term overflows exp,
+        # so the family pass raises for the whole block; _canonical_arrays
+        # reruns it tuple by tuple, and the lone tuple on its functions' own
+        # eval_jet, whose error names the function's value; at seed 21 the
+        # first five tuples pass and 12 of the 30 fail
+        rng = random.Random(21)
+        draws = [[_draw_function(rng) for _ in range(2)] for _ in range(30)]
         grid = (0.0, 40.0)
-        with pytest.raises(NumericRangeError) as want:
-            np.stack([f.eval_jet(grid, 4) for f, _, _ in draws], axis=1)
-        with pytest.raises(NumericRangeError) as got:
-            _family_jets(draws, grid, 4)
-        assert "overflow" in str(want.value) and str(got.value) == str(want.value)
+
+        def error(draw):
+            """The error of the tuple's per-function eval_jet, or None."""
+            try:
+                np.stack([f.eval_jet(grid, 1) for f, _, _ in draw], axis=1)
+            except NumericRangeError as exc:
+                return str(exc)
+            return None
+
+        errors = [error(draw) for draw in draws]
+        first = next(t for t, e in enumerate(errors) if e is not None)
+        want = errors[first]
+        assert first > 0 and "overflow" in want
+        for block in (draws, draws[first : first + 1]):
+            with pytest.raises(NumericRangeError) as got:
+                _canonical_arrays(derivative_op(1), block, grid)
+            assert str(got.value) == want
 
 
 class TestSampleScales:

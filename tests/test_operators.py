@@ -150,10 +150,33 @@ class TestApply:
             if jet[0] == 0.0:
                 assert got.hex() == apply_canonical_values(c, [], tuple(jet)).hex()
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_zero_d_values_are_bitwise_no_log_terms(self, n):
+        # the fact coefficient_values' empty d-row rests on: with finite f each
+        # (±0.0·f)·ln|f|^i is ±0.0 and the c-term sum is never -0.0. f = ±0.0
+        # on every 50th jet, |f| reaches 1e300 (where f·ln|f|^3 overflows, so
+        # the product must be taken as (d·f)·ln|f|^i), and every 100th jet
+        # from the 1st has zero derivatives.
+        rng = random.Random(n)
+        points = 20000
+        jets, c_rows, zero_rows = [], [], []
+        for p in range(points):
+            size = 0.0 if p % 50 == 0 else 10.0 ** rng.uniform(-300, 300)
+            derivs = [0.0] * n if p % 100 == 1 else [rng.uniform(-3, 3) for _ in range(n)]
+            jets.append([rng.choice((-1.0, 1.0)) * size] + derivs)
+            c_rows.append([rng.uniform(-2, 2) for _ in range(n)])
+            zero_rows.append([rng.choice((-0.0, 0.0)) for _ in range(n)])
+        for jet, c, zeros in zip(jets, c_rows, zero_rows):
+            want = apply_canonical_values(c, (), jet).hex()
+            assert apply_canonical_values(c, zeros, jet).hex() == want
+        stack, c_stack = np.array(jets).T, np.array(c_rows).T
+        full = apply_canonical_values(c_stack, np.array(zero_rows).T, stack)
+        assert full.tobytes() == apply_canonical_values(c_stack, (), stack).tobytes()
+
 
 class TestIsLinearForm:
     """The d-row of coefficient_values is empty, () at a point and (0, P) on
-    a grid, exactly when every log-term coefficient is the zero function."""
+    a grid, exactly where every d value read is ±0.0."""
 
     grid = (-0.5, 0.0, 0.5)
 
@@ -163,9 +186,11 @@ class TestIsLinearForm:
         assert op.coefficient_values(self.grid)[1].shape == (0, 3)
 
     def test_nonzero_log_coefficient(self):
-        # d_1 = x is zero at the point 0 but not the zero function
+        # d_1 = x is not the zero function, but the values decide: no log
+        # terms at the point 0, the full row on a grid with a nonzero value
         op = CanonicalOp(1, [fn_constant(1.0)], [fn_from_expr("x")])
-        assert op.coefficient_values(0.0)[1] == (0.0,)
+        assert op.coefficient_values(0.0)[1] == ()
+        assert op.coefficient_values((0.0,))[1].shape == (0, 1)
         assert op.coefficient_values(self.grid)[1].tolist() == [list(self.grid)]
 
     def test_entropy_is_not_linear_form(self):
