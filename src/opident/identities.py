@@ -335,15 +335,23 @@ def _canonical_arrays(op: CanonicalOp, draws, grid: tuple) -> list:
     return [tuple(a[..., t * points : (t + 1) * points] for a in arrays) for t in range(tuples)]
 
 
+def _grid_report(name: str, tol_abs: float, grid: tuple, rows) -> ResidualReport:
+    """The sampling rule over grid residual rows: for each (descriptors, row)
+    pair, in order, the residual r at each grid point x is one sample with
+    scale |r|, so the report's bound is tol_abs alone."""
+    agg = _Aggregator()
+    for descriptors, row in rows:
+        for x, r in zip(grid, row.tolist()):
+            agg.add(r, abs(r), x, descriptors)
+    return agg.report(name, 0, tol_abs, 0.0)
+
+
 def _exact_zeros(op: Operator, fns: list[SmoothFn], grid, name: str) -> ResidualReport:
     """D(f)(x) = 0 with no tolerance for each f of fns at every grid point,
     sampled f by f from one apply per function on the whole grid."""
     grid = tuple(grid)
-    agg = _Aggregator()
-    for f in fns:
-        for x, r in zip(grid, apply(op, f, grid).tolist()):
-            agg.add(r, abs(r), x, (f.descriptor,))
-    return agg.report(name, 0, 0.0, 0.0)
+    rows = (((f.descriptor,), apply(op, f, grid)) for f in fns)
+    return _grid_report(name, 0.0, grid, rows)
 
 
 def check_units(op: Operator, grid: Sequence[float]) -> ResidualReport:
@@ -369,10 +377,9 @@ def check_localization(
             raise StructuralError(
                 f"grid point {x} is outside the agreement interval ({a}, {b})"
             )
-    agg = _Aggregator()
-    for x, r in zip(grid, (apply(op, f1, grid) - apply(op, f2, grid)).tolist()):
-        agg.add(r, abs(r), x, (f1.descriptor, f2.descriptor))
-    return agg.report("localization", 0, 1e-12, 0.0)
+    row = apply(op, f1, grid) - apply(op, f2, grid)
+    descriptors = (f1.descriptor, f2.descriptor)
+    return _grid_report("localization", 1e-12, grid, [(descriptors, row)])
 
 
 def check_poly_annihilation(

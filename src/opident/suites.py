@@ -1,5 +1,20 @@
 """Standard verification batteries, shared by the CLI selftest and the
-acceptance tests.
+acceptance tests. Each battery checks one claim of the paper, or one
+property of the single-operator identity that the claim rests on:
+
+- converse: every canonical operator Σ c_i f^(i) + Σ d_i f·ln|f|^i of
+  order n satisfies the order-n alternating-subset identity, and its
+  diagonal form agrees with it;
+- counterexample: an operator outside the family (f ↦ f²) violates the
+  identity, so it does not hold for every operator;
+- units and localization: D(±1) = 0 and D(f)(x) depends only on f near
+  x, as for every canonical operator;
+- recovery: the coefficients c_i, d_i are read back from the operator
+  as a black box, which is what identifying the solutions means;
+- Fréchet degree: after conjugation by exp the operator has vanishing
+  (n+1)-fold differences, the polynomial structure behind the identity;
+- annihilation: a linear operator whose derivatives all have order
+  ≥ j+1 maps each monomial of degree ≤ j to exactly 0.
 
 Every battery returns ResidualReport records with the uniform schema, so a
 run is a flat list of records and "all pass" is the single exit criterion.
@@ -13,8 +28,6 @@ import math
 import random
 from typing import Sequence
 
-from . import exprs
-from .errors import ParseError
 from .functions import (
     fn_bump,
     fn_constant,
@@ -37,8 +50,7 @@ from .identities import (
     random_polynomial,
     run_check_suite_full,
 )
-from .jets import Jet, jet_ln_abs, signed_sum
-from .logderiv import enumerate_partition_multisets, log_deriv_via_partitions
+from .jets import signed_sum
 from .multiadd import conjugate_exp, difference_terms, iterated_difference
 from .operators import (
     BlackBoxOp,
@@ -147,48 +159,9 @@ def counterexample_battery(seed: int = 42) -> list[ResidualReport]:
     ]
 
 
-def logderiv_battery(seed: int = 42, trials: int = 100) -> list[ResidualReport]:
-    """Partition-sum log derivatives of orders 1..8 against the jet
-    recurrence, plus the partition counts against a brute-force
-    enumeration."""
-    rng = random.Random(seed)
-    agg = _Aggregator()
-    for _ in range(trials):
-        k = rng.randint(1, 8)
-        value = rng.uniform(0.1, 3.0) * rng.choice((-1.0, 1.0))
-        fjet = Jet(0.0, [value] + [rng.uniform(-3.0, 3.0) for _ in range(k)])
-        want = jet_ln_abs(fjet).derivs[k]
-        got = log_deriv_via_partitions(fjet, k)
-        rel = abs(got - want) / max(abs(got), abs(want), 1e-12)
-        agg.add(rel, 1.0, value, (f"k={k}",))
-    records = [agg.report("logderiv-crosscheck", 0, 1e-8, 0.0)]
-
-    expected_counts = (1, 2, 3, 5, 7, 11, 15, 22)
-    brute = [_brute_force_partition_count(k) for k in range(1, 9)]
-    enumerated = [len(enumerate_partition_multisets(k)) for k in range(1, 9)]
-    ok = tuple(brute) == expected_counts and tuple(enumerated) == expected_counts
-    records.append(detection_record("partition-counts", ok))
-    return records
-
-
-def _brute_force_partition_count(k: int) -> int:
-    count = 0
-
-    def rec(remaining: int, max_part: int) -> None:
-        nonlocal count
-        if remaining == 0:
-            count += 1
-            return
-        for part in range(1, min(remaining, max_part) + 1):
-            rec(remaining - part, part)
-
-    rec(k, k)
-    return count
-
-
 def units_battery(seed: int = 42, ops: int = 20) -> list[ResidualReport]:
-    """D(1) = D(-1) = 0 exactly; localization on agreeing subintervals; the
-    alternating binomial identity behind both."""
+    """D(1) = D(-1) = 0 exactly, and localization on agreeing
+    subintervals."""
     rng = random.Random(seed)
     grid = default_grid(7)
     unit_reports = []
@@ -202,16 +175,10 @@ def units_battery(seed: int = 42, ops: int = 20) -> list[ResidualReport]:
         # f1 and f2 agree left of the bump's support (2, 4), which holds
         # the whole grid [-1, 1]
         local_reports.append(check_localization(op, f1, f2, (-math.inf, 2.0), grid))
-    records = [
+    return [
         merge_reports("units-exact", 0, unit_reports, 0.0, 0.0),
         merge_reports("localization", 0, local_reports, 1e-12, 0.0),
     ]
-    binomial_ok = all(
-        sum((-1) ** i * math.comb(n + 1, i) for i in range(n + 1)) == (-1) ** n
-        for n in range(13)
-    )
-    records.append(detection_record("alternating-binomial-identity", binomial_ok))
-    return records
 
 
 def recovery_battery(seed: int = 42, ops: int = 50) -> list[ResidualReport]:
@@ -298,106 +265,6 @@ def annihilation_battery(seed: int = 42) -> list[ResidualReport]:
     return records
 
 
-PARSER_GOLDEN: list[tuple[str, str]] = [
-    ("x^2 + 1", "x^2+1"),
-    ("sin(x)*exp(x)", "sin(x)*exp(x)"),
-    ("-x^2", "-x^2"),
-    ("--x", "--x"),
-    ("1+2*3", "1+2*3"),
-    ("(1+x)*3", "(1+x)*3"),
-    ("1-2-3", "1-2-3"),
-    ("8/2/2", "8/2/2"),
-    ("abs(x-2)", "abs(x-2)"),
-    ("ln(exp(x))", "ln(exp(x))"),
-    ("cos(x)^2", "cos(x)^2"),
-    ("x^2.5", "x^2.5"),
-    ("2*-x", "2*-x"),
-    ("exp(x^2)", "exp(x^2)"),
-    ("  x  ", "x"),
-    ("3.5e-2", "0.035"),
-]
-
-PARSER_ERRORS: list[tuple[str, int]] = [
-    ("2*(x", 4),
-    ("2x", 1),
-    ("x^-2", 2),
-    ("sin x", 4),
-    ("y+1", 0),
-    ("", 0),
-    ("x +", 3),
-    ("1..2", 1),
-    ("x^(2)", 2),
-    ("()", 1),
-]
-
-
-def parser_battery(seed: int = 42, roundtrips: int = 200) -> list[ResidualReport]:
-    """Grammar golden cases (incl. error offsets) and random print/parse
-    round trips."""
-    failures = 0
-    for source, printed in PARSER_GOLDEN:
-        try:
-            tree = exprs.parse(source)
-            if exprs.to_text(tree) != printed or exprs.parse(printed) != tree:
-                failures += 1
-        except ParseError:
-            failures += 1
-    for source, offset in PARSER_ERRORS:
-        try:
-            exprs.parse(source)
-            failures += 1
-        except ParseError as err:
-            if err.offset != offset:
-                failures += 1
-    rng = random.Random(seed)
-    for _ in range(roundtrips):
-        tree = _random_ast(rng, rng.randint(1, 5))
-        if exprs.parse(exprs.to_text(tree)) != tree:
-            failures += 1
-    return [
-        ResidualReport(
-            "parser-conformance",
-            0,
-            len(PARSER_GOLDEN) + len(PARSER_ERRORS) + roundtrips,
-            float(failures),
-            0.0,
-            None,
-            0.0,
-            0.0,
-        )
-    ]
-
-
-def _random_ast(rng: random.Random, depth: int) -> exprs.Expr:
-    if depth <= 0:
-        return rng.choice(
-            [
-                exprs.Var(),
-                exprs.Const(float(rng.randint(0, 9))),
-                exprs.Const(round(rng.uniform(0, 5), 3)),
-            ]
-        )
-    kind = rng.randrange(6)
-    if kind == 0:
-        return exprs.Neg(_random_ast(rng, depth - 1))
-    if kind == 1:
-        return exprs.Func(
-            rng.choice(("sin", "cos", "exp", "ln", "abs")),
-            _random_ast(rng, depth - 1),
-        )
-    if kind == 2:
-        return exprs.Pow(
-            _random_ast(rng, depth - 1), float(rng.choice((0, 1, 2, 3, 0.5, 2.5)))
-        )
-    if kind in (3, 4):
-        return exprs.BinOp(
-            rng.choice("+-*/"),
-            _random_ast(rng, depth - 1),
-            _random_ast(rng, depth - 1),
-        )
-    return _random_ast(rng, depth - 1)
-
-
 def selftest(seed: int = 42, fast: bool = False) -> list[ResidualReport]:
     """The full standard battery at one seed. `fast` shrinks sample counts
     for smoke testing; the acceptance-scale run keeps the defaults."""
@@ -409,10 +276,8 @@ def selftest(seed: int = 42, fast: bool = False) -> list[ResidualReport]:
         tuples_per_op=max(1, 10 // (2 if fast else 1)),
     )
     records += counterexample_battery(seed)
-    records += logderiv_battery(seed, trials=max(10, 100 // scale))
     records += units_battery(seed, ops=max(2, 20 // scale))
     records += recovery_battery(seed, ops=max(2, 50 // scale))
     records += frechet_battery(seed, ops=max(2, 15 // scale))
     records += annihilation_battery(seed)
-    records += parser_battery(seed, roundtrips=max(20, 200 // scale))
     return records

@@ -23,27 +23,29 @@ from opident.functions import fn_from_expr
 X = Var()
 
 
+# (source, parsed tree, printed): to_text prints no spaces, only the
+# parentheses that precedence needs, and each constant in its shortest form
 GOLDEN = [
-    ("x", X),
-    ("42", Const(42.0)),
-    ("3.5e-2", Const(0.035)),
-    ("  x  ", X),
-    ("x^2 + 1", BinOp("+", Pow(X, 2.0), Const(1.0))),
-    ("sin(x)*exp(x)", BinOp("*", Func("sin", X), Func("exp", X))),
-    ("-x", Neg(X)),
-    ("--x", Neg(Neg(X))),
-    ("-x^2", Neg(Pow(X, 2.0))),
-    ("1+2*3", BinOp("+", Const(1.0), BinOp("*", Const(2.0), Const(3.0)))),
-    ("1*2+3", BinOp("+", BinOp("*", Const(1.0), Const(2.0)), Const(3.0))),
-    ("1-2-3", BinOp("-", BinOp("-", Const(1.0), Const(2.0)), Const(3.0))),
-    ("8/2/2", BinOp("/", BinOp("/", Const(8.0), Const(2.0)), Const(2.0))),
-    ("(1+x)*3", BinOp("*", BinOp("+", Const(1.0), X), Const(3.0))),
-    ("abs(x-2)", Func("abs", BinOp("-", X, Const(2.0)))),
-    ("ln(exp(x))", Func("ln", Func("exp", X))),
-    ("cos(x)^2", Pow(Func("cos", X), 2.0)),
-    ("x^2.5", Pow(X, 2.5)),
-    ("2*-x", BinOp("*", Const(2.0), Neg(X))),
-    ("exp(x^2)", Func("exp", Pow(X, 2.0))),
+    ("x", X, "x"),
+    ("42", Const(42.0), "42"),
+    ("3.5e-2", Const(0.035), "0.035"),
+    ("  x  ", X, "x"),
+    ("x^2 + 1", BinOp("+", Pow(X, 2.0), Const(1.0)), "x^2+1"),
+    ("sin(x)*exp(x)", BinOp("*", Func("sin", X), Func("exp", X)), "sin(x)*exp(x)"),
+    ("-x", Neg(X), "-x"),
+    ("--x", Neg(Neg(X)), "--x"),
+    ("-x^2", Neg(Pow(X, 2.0)), "-x^2"),
+    ("1+2*3", BinOp("+", Const(1.0), BinOp("*", Const(2.0), Const(3.0))), "1+2*3"),
+    ("1*2+3", BinOp("+", BinOp("*", Const(1.0), Const(2.0)), Const(3.0)), "1*2+3"),
+    ("1-2-3", BinOp("-", BinOp("-", Const(1.0), Const(2.0)), Const(3.0)), "1-2-3"),
+    ("8/2/2", BinOp("/", BinOp("/", Const(8.0), Const(2.0)), Const(2.0)), "8/2/2"),
+    ("(1+x)*3", BinOp("*", BinOp("+", Const(1.0), X), Const(3.0)), "(1+x)*3"),
+    ("abs(x-2)", Func("abs", BinOp("-", X, Const(2.0))), "abs(x-2)"),
+    ("ln(exp(x))", Func("ln", Func("exp", X)), "ln(exp(x))"),
+    ("cos(x)^2", Pow(Func("cos", X), 2.0), "cos(x)^2"),
+    ("x^2.5", Pow(X, 2.5), "x^2.5"),
+    ("2*-x", BinOp("*", Const(2.0), Neg(X)), "2*-x"),
+    ("exp(x^2)", Func("exp", Pow(X, 2.0)), "exp(x^2)"),
 ]
 
 ERRORS = [
@@ -62,9 +64,18 @@ ERRORS = [
 ]
 
 
-@pytest.mark.parametrize("text,expected", GOLDEN, ids=[g[0] for g in GOLDEN])
+@pytest.mark.parametrize(
+    "text,expected", [g[:2] for g in GOLDEN], ids=[g[0] for g in GOLDEN]
+)
 def test_golden_parse(text, expected):
     assert parse(text) == expected
+
+
+@pytest.mark.parametrize(
+    "text,printed", [g[::2] for g in GOLDEN], ids=[g[0] for g in GOLDEN]
+)
+def test_golden_print(text, printed):
+    assert to_text(parse(text)) == printed
 
 
 @pytest.mark.parametrize("text,offset", ERRORS, ids=[e[0] or "<empty>" for e in ERRORS])
@@ -126,7 +137,7 @@ def test_print_parse_roundtrip_200():
 
 
 def test_print_parse_idempotent_on_parsed_source():
-    for text, _ in GOLDEN:
+    for text, _, _ in GOLDEN:
         tree = parse(text)
         assert parse(to_text(tree)) == tree
 
