@@ -11,11 +11,13 @@ jet raises EvalDomainError.
 Evaluation is pure. eval_jet takes a point, giving a Jet, or a grid (a
 tuple of points), giving a read-only derivative-major (K+1, P) array whose
 column p is bitwise the jet at point p. Each SmoothFn memoizes per (point
-or grid, order) for repeated reads: black-box point sweeps, where every
-subset product re-reads its factors, and grid reads of coefficients and
-holdouts. The canonical identity engine does not hit it: it evaluates its
-random inputs in one family pass (identities._family_jets, on the kernels
-_poly_derivs, _exp_derivs and _conv) and builds its subset products by DP.
+or grid, order) for repeated reads: black-box point sweeps, where each
+subset product of identities._subset_plan reads its factors' jets and the
+jet of the product that leaves one of them out, and grid reads of
+coefficients and holdouts. The canonical identity engine does not hit it:
+it evaluates its random inputs in one family pass (identities._family_jets,
+on the kernels _poly_derivs, _exp_derivs and _conv) and builds its subset
+products by DP.
 Constants, prescribed-jet polynomials, products, exp-composites and
 expression functions evaluate a grid in one pass: they run their scalar
 derivative code on numpy rows, the same operations in the same order. Linear

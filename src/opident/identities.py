@@ -19,12 +19,15 @@ subset terms in ascending-bitmask order, inner[i] = D(fs[0]^(m-i)) of shape
 (m, P), and the (P,) values of fs[0]; for T tuples at once the canonical
 engine's arrays span T·P columns, tuple-major. The diagonal identity on
 fs[0] is formed from the last two, once per tuple. A black-box D sees only
-opaque SmoothFn products, built per tuple and evaluated per point. A
-canonical D is checked on a block of tuples over the whole grid at once:
-one family pass gives every input's grid jets; _subset_stacks builds every
-subset product and the powers of fs[0] by DP over each tuple's canonical
-order; apply_on_grid applies the closed form to them in one pass; and each
-term gathers its subset's outside value product and D of its complement's
+opaque SmoothFn products, evaluated per point: _subset_plan builds them by
+DP over the complement masks, each product's jet one _conv of a factor and
+the product that leaves it out, and _outside_products forms a point's
+outside value products by one multiply per rank bitmask. A canonical D is
+checked on a block of tuples over the whole grid at once: one family pass
+gives every input's grid jets; _subset_stacks builds every subset product
+and the powers of fs[0] by DP over each tuple's canonical order;
+apply_on_grid applies the closed form to them in one pass; and each term
+gathers its subset's outside value product and D of its complement's
 product. A block that raises is rerun tuple by tuple, so its error is the
 per-tuple loop's. Both engines fold the same terms in the same order, so
 they give bitwise the same arrays.
@@ -49,7 +52,7 @@ from .functions import (
     fn_monomial,
     fn_product,
 )
-from .jets import _conv, _exp_derivs, binomial_row, signed_sum, sorted_jet_order
+from .jets import Jet, _conv, _exp_derivs, binomial_row, signed_sum, sorted_jet_order
 from .operators import CanonicalOp, Operator, apply, apply_on_grid
 
 DEFAULT_TOL_ABS = 1e-9
@@ -165,24 +168,71 @@ def _require_tuple(m: int) -> None:
         raise StructuralError("the subset identity needs at least 2 functions")
 
 
+def _product_fn(descriptor: str, pairs) -> SmoothFn:
+    """A product of two or more factors from one DP step: pairs holds, per
+    factor in index order, (factor, product of the other factors). Its jet
+    at (x0, order) is one _conv: the product without the last factor whose
+    jet is maximal, times that factor. That factor is the one Python's
+    stable sort puts last, so by induction this is fn_product's sorted
+    fold, bitwise, at every point and order. The closure holds only the
+    pairs, so the products form no reference cycle."""
+
+    def jet_fn(x0: float, order: int) -> Jet:
+        top = None
+        for factor, rest in pairs:
+            jet = factor.eval_jet(x0, order).derivs
+            if top is None or jet >= top:
+                top, without = jet, rest
+        return Jet(x0, _conv(without.eval_jet(x0, order).derivs, top))
+
+    return SmoothFn(descriptor, jet_fn)
+
+
 def _subset_plan(fs: Sequence[SmoothFn]):
-    """Per-mask (inside indices, complement product, sign) — built once per
-    tuple so product functions are reused across grid points."""
+    """Per subset of subset_masks(m), (complement product, odd size), built
+    once per call so a product's jet is shared by the products above it.
+    The product over each complement mask c is built by DP over c with one
+    _product_fn, its descriptor fn_product's "*"-joined factor texts; a
+    one-function complement is the function itself."""
     m = len(fs)
     _require_tuple(m)
-    plan = []
-    for mask in subset_masks(m):
-        inside = tuple(j for j in range(m) if mask >> j & 1)
-        complement = [fs[j] for j in range(m) if not mask >> j & 1]
-        plan.append((inside, fn_product(complement), mask.bit_count() % 2))
-    return plan
+    size = 1 << m
+    prods: list = [None] * size
+    texts = [""] * size
+    for c in range(1, size):
+        top = c.bit_length() - 1
+        rest = c ^ (1 << top)
+        text = f"({fs[top].descriptor})"
+        if rest:
+            texts[c] = f"{texts[rest]}*{text}"
+            pairs = [(fs[j], prods[c ^ (1 << j)]) for j in range(m) if c >> j & 1]
+            prods[c] = _product_fn(texts[c], pairs)
+        else:
+            texts[c], prods[c] = text, fs[top]
+    return [(prods[size - 1 - mask], mask.bit_count() % 2) for mask in subset_masks(m)]
+
+
+def _outside_products(values: Sequence[float]) -> list[float]:
+    """math.prod(sorted(values[j] for j in mask)), bitwise, for every bitmask
+    of the values: one stable sort, then per rank bitmask R the product of
+    R without its top rank times the top-rank value, one multiply each."""
+    order = sorted(range(len(values)), key=values.__getitem__)
+    outside = [1.0] * (1 << len(values))
+    # by_rank[R]: the index bitmask of the functions with the ranks in R
+    by_rank = [0] * len(outside)
+    for ranks in range(1, len(outside)):
+        top = ranks.bit_length() - 1
+        rest = by_rank[ranks ^ (1 << top)]
+        by_rank[ranks] = mask = rest | 1 << order[top]
+        outside[mask] = outside[rest] * values[order[top]]
+    return outside
 
 
 def _terms_from_plan(op: Operator, plan, values, x: float) -> list[float]:
+    outside = _outside_products(values)
     terms = []
-    for inside, prod, odd in plan:
-        outside = math.prod(sorted(values[j] for j in inside))
-        signed = outside * apply(op, prod, x)
+    for mask, (prod, odd) in enumerate(plan):
+        signed = outside[mask] * apply(op, prod, x)
         terms.append(-signed if odd else signed)
     return terms
 
@@ -244,7 +294,11 @@ def _points_per_point(op: Operator, fs: Sequence[SmoothFn], grid):
     before the power applies, so an error names the first failing point."""
     plan = _subset_plan(fs)
     m = len(fs)
-    powers = [fn_product([fs[0]] * k) for k in range(1, m + 1)]
+    # f^k = f^(k-1) ⊛ f, fn_product([f] * k)'s fold of equal jets
+    text = f"({fs[0].descriptor})"
+    powers = [fs[0]]
+    for k in range(2, m + 1):
+        powers.append(_product_fn("*".join([text] * k), [(fs[0], powers[-1])]))
     terms = np.empty(((1 << m) - 1, len(grid)))
     inner = np.empty((m, len(grid)))
     values = np.empty(len(grid))

@@ -51,7 +51,14 @@ def signed_sum(terms: Sequence[float]) -> float:
 
 
 def _check_finite(values: Sequence) -> Sequence:
-    """values, once every entry (a float or a grid row) is finite."""
+    """values, once every entry (a float or a grid row) is finite: one C-level
+    pass over floats; the entry loop for grid rows (math.isfinite raises
+    TypeError on them) and to name the first bad value."""
+    try:
+        if all(map(math.isfinite, values)):
+            return values
+    except TypeError:
+        pass
     for v in values:
         if not (np.isfinite(v).all() if isinstance(v, np.ndarray) else math.isfinite(v)):
             raise NumericRangeError(f"non-finite jet coefficient: {v!r}")

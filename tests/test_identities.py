@@ -1,9 +1,11 @@
 """Identity engine: residuals, structural sanity, and the random suites."""
 
 import collections
+import gc
 import itertools
 import math
 import random
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +18,7 @@ from opident.functions import (
     fn_from_expr,
     fn_from_jet,
     fn_linear_combination,
+    fn_product,
 )
 from opident import identities
 from opident.identities import (
@@ -85,6 +88,148 @@ class TestSubsetResidual:
     def test_needs_two_functions(self):
         with pytest.raises(StructuralError):
             alternating_subset_residual(derivative_op(1), [X], 0.0)
+
+
+def _fn_product_terms(op, fs, x):
+    """The subset terms with one fn_product per complement and the outside
+    products by math.prod(sorted(...)): the reference for the DP plan."""
+    values = [f.value_at(x) for f in fs]
+    terms = []
+    for mask in subset_masks(len(fs)):
+        outside = math.prod(sorted(values[j] for j in range(len(fs)) if mask >> j & 1))
+        complement = [f for j, f in enumerate(fs) if not mask >> j & 1]
+        signed = outside * apply(op, fn_product(complement), x)
+        terms.append(-signed if mask.bit_count() % 2 else signed)
+    return terms
+
+
+def _first_error(terms_fn, op, fs, grid):
+    """(x, exception type) of the first grid point where terms_fn raises."""
+    for x in grid:
+        try:
+            terms_fn(op, fs, x)
+        except (EvalDomainError, NumericRangeError) as exc:
+            return x, type(exc)
+    return None
+
+
+# jets at x = 0 tied in value with ±0.0 entries, duplicates and sign changes
+PLAN_POOL = (
+    fn_constant(0.0),
+    fn_constant(-0.0),
+    fn_constant(1.0),
+    fn_from_expr("x"),
+    fn_from_expr("-x"),
+    fn_from_expr("x^2"),
+    fn_from_expr("sin(x)"),
+    fn_from_expr("-sin(x)"),
+    fn_from_expr("exp(x)-1"),
+    fn_from_jet(0.0, [1.0, -0.0, 2.0, -3.0]),
+    fn_from_jet(0.0, [1.0, 0.0, 2.0, -3.0]),
+)
+# the black boxes read orders 0, 1 and 3 at the call's point, and order 0
+# half a unit away
+PLAN_OPS = (
+    builtin_blackbox("square"),
+    BlackBoxOp(lambda f, x: f.eval_jet(x, 1).derivs[1], "f -> f'"),
+    builtin_blackbox("third-derivative"),
+    builtin_blackbox("translate"),
+    derivative_op(3),
+)
+
+
+class TestSubsetPlan:
+    """The DP plan against one fn_product per subset, bitwise."""
+
+    @pytest.mark.parametrize("m", range(2, 6))
+    def test_products_are_fn_products(self, m):
+        rng = random.Random(m)
+        for _ in range(12):
+            fs = [rng.choice(PLAN_POOL) for _ in range(m)]
+            for perm in [fs, fs[::-1], rng.sample(fs, m)]:
+                plan = identities._subset_plan(perm)
+                for mask, (prod, odd) in zip(subset_masks(m), plan):
+                    want = fn_product([f for j, f in enumerate(perm) if not mask >> j & 1])
+                    assert prod.descriptor == want.descriptor
+                    assert odd == mask.bit_count() % 2
+                    for x, order in itertools.product((0.0, 0.5), (0, 1, 3)):
+                        got = prod.eval_jet(x, order).derivs
+                        assert [d.hex() for d in got] == [
+                            d.hex() for d in want.eval_jet(x, order).derivs
+                        ]
+
+    @pytest.mark.parametrize("m", range(2, 6))
+    def test_terms_are_the_fn_product_terms(self, m):
+        rng = random.Random(10 + m)
+        for _ in range(6):
+            fs = [rng.choice(PLAN_POOL) for _ in range(m)]
+            for op, x in itertools.product(PLAN_OPS, (0.0, -0.3)):
+                got = alternating_subset_terms(op, fs, x)
+                want = _fn_product_terms(op, fs, x)
+                assert [t.hex() for t in got] == [float(t).hex() for t in want]
+            # the powers fs[0]^k of the per-point engine
+            _, inner, _ = _points_per_point(PLAN_OPS[2], fs, [0.0, -0.3])
+            for i, k in enumerate(range(m, 0, -1)):
+                want = [apply(PLAN_OPS[2], fn_product([fs[0]] * k), x) for x in (0.0, -0.3)]
+                assert [v.hex() for v in inner[i].tolist()] == [v.hex() for v in want]
+
+    def test_outside_products_are_sorted_products(self):
+        rng = random.Random(5)
+        pool = [0.0, -0.0, 1.0, -1.0, 1e200, -1e-200, 3.0]
+        for m in range(1, 7):
+            for _ in range(50):
+                values = [rng.choice(pool + [rng.uniform(-2.0, 2.0)]) for _ in range(m)]
+                got = identities._outside_products(values)
+                for mask in range(1 << m):
+                    inside = sorted(values[j] for j in range(m) if mask >> j & 1)
+                    assert got[mask].hex() == float(math.prod(inside)).hex()
+
+    def test_errors_are_the_fn_product_errors(self):
+        grid = default_grid(9)
+        big, ln = fn_constant(1e200), fn_from_expr("ln(x)")
+        tuples = (
+            [X, ln, X2],
+            [ln, fn_from_expr("1/x")],
+            [big, big, fn_constant(1.0)],
+            [fn_constant(-1e200), fn_constant(-1e200), fn_constant(0.0)],
+            [X, big, fn_from_expr("1e200*x"), X2],
+        )
+        for fs, op in itertools.product(tuples, PLAN_OPS):
+            error = _first_error(alternating_subset_terms, op, fs, grid)
+            assert error is not None
+            assert error == _first_error(_fn_product_terms, op, fs, grid)
+        # a failing factor raises its own error, message and all
+        with pytest.raises(EvalDomainError) as got:
+            alternating_subset_terms(PLAN_OPS[2], tuples[0], -0.5)
+        with pytest.raises(EvalDomainError) as want:
+            _fn_product_terms(PLAN_OPS[2], tuples[0], -0.5)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("m", range(2, 6))
+    def test_one_conv_per_product_and_no_cycle(self, m, monkeypatch):
+        calls = collections.Counter()
+        conv = identities._conv
+        monkeypatch.setattr(identities, "_conv", lambda a, b: calls.update(["conv"]) or conv(a, b))
+        product = identities.fn_product
+        monkeypatch.setattr(
+            identities, "fn_product", lambda fs: calls.update(["fn_product"]) or product(fs)
+        )
+        fs = [fn_from_expr(f"sin({j + 1}*x)+2") for j in range(m)]
+        products = []
+
+        def third(f, x):
+            if all(f is not g for g in fs):
+                products.append(weakref.ref(f._jet_fn))
+            return f.eval_jet(x, 3).derivs[3]
+
+        gc.disable()
+        try:
+            alternating_subset_terms(BlackBoxOp(third, "f -> f'''"), fs, 0.3)
+            assert calls == {"conv": 2**m - m - 1}
+            assert len(products) == 2**m - m - 1
+            assert all(ref() is None for ref in products)
+        finally:
+            gc.enable()
 
 
 def _diagonal_residual(op, f, n, x):
@@ -215,6 +360,20 @@ class TestChecks:
         for op in (box, canonical):
             with pytest.raises(NumericRangeError, match=r" at x=0\.95$"):
                 check_localization(op, f1, f2, (-1.0, 1.0), grid)
+
+    def test_localization_bound_is_rounding_level(self):
+        # (x+1)^2 and x^2+2*x+1 agree everywhere but round differently: the
+        # residual is nonzero and passes the 1e-12 bound; 1e-9·x apart fails
+        f1 = fn_from_expr("(x+1)^2")
+        grid = default_grid(9, -0.9, 0.9)
+        expanded = fn_from_expr("x^2+2*x+1")
+        rounding = check_localization(entropy_op(), f1, expanded, (-1.0, 1.0), grid)
+        assert 0.0 < rounding.max_abs_residual <= 1e-12 and rounding.passed
+        assert rounding.tol_abs == 1e-12
+        apart = fn_from_expr("(x+1)^2+1e-9*x")
+        for op in (entropy_op(), derivative_op(1)):
+            report = check_localization(op, f1, apart, (-1.0, 1.0), grid)
+            assert report.max_abs_residual > 1e-12 and not report.passed
 
     def test_localization_rejects_grid_outside(self):
         with pytest.raises(StructuralError):
