@@ -10,11 +10,15 @@ jet raises EvalDomainError.
 
 Evaluation is pure. eval_jet takes a point, giving a Jet, or a grid (a
 tuple of points), giving a read-only derivative-major (K+1, P) array whose
-column p is bitwise the jet at point p. Each SmoothFn memoizes per (point
-or grid, order) for repeated reads: black-box point sweeps, where each
+column p is bitwise the jet at point p. Each SmoothFn memoizes one entry per
+point or grid, the highest-order evaluation made there, and reads a lower
+order as its prefix. Every jet recurrence is triangular, so that prefix is
+bitwise the lower-order jet; a custom jet_fn or grid_fn must keep this
+contract. The memo serves repeated reads: black-box point sweeps, where each
 subset product of identities._subset_plan reads its factors' jets and the
-jet of the product that leaves one of them out, and grid reads of
-coefficients and holdouts. The canonical identity engine does not hit it:
+jet of the product that leaves one of them out, and the tuple's values are
+prefixes of those jets; and grid reads of coefficients and holdouts. The
+canonical identity engine does not hit it:
 it evaluates its random inputs in one family pass (identities._family_jets,
 on the kernels _poly_derivs, _exp_derivs and _conv) and builds its subset
 products by DP.
@@ -50,7 +54,9 @@ _CACHE_CAP = 8192
 
 
 class SmoothFn:
-    """A function on the real line, evaluable to a Jet of any order; it carries no flag."""
+    """A function on the real line, evaluable to a Jet of any order; it carries
+    no flag. Its jet_fn (and grid_fn) must be prefix-consistent: the memo
+    answers a lower-order read with a prefix of a higher-order result."""
 
     __slots__ = ("descriptor", "_jet_fn", "_grid_fn", "_cache")
 
@@ -63,23 +69,31 @@ class SmoothFn:
         self.descriptor = descriptor
         self._jet_fn = jet_fn
         self._grid_fn = grid_fn
-        self._cache: dict[tuple, Jet | np.ndarray] = {}
+        self._cache: dict[float | tuple, Jet | np.ndarray] = {}
 
     def eval_jet(self, x0, order: int):
         """The Jet of order `order` at the point x0 or, for a grid given as a
         tuple of points, a read-only (order+1, P) array whose column p is
-        bitwise the jet at x0[p]. Memoized per (point or grid, order)."""
-        key = (x0, order)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
+        bitwise the jet at x0[p]. Memoized per point or grid at the highest
+        order read there: a lower order is read as the prefix of that entry,
+        a higher one is evaluated and replaces it (unless it raises). A
+        negative order raises StructuralError."""
+        if order < 0:
+            raise StructuralError(f"jet order must be nonnegative, got {order}")
+        cached = self._cache.get(x0)
         if type(x0) is tuple:
+            if cached is not None and order < len(cached):
+                return cached if order + 1 == len(cached) else cached[: order + 1]
             out = self._eval_grid(x0, order)
         else:
+            if cached is not None and order < len(cached.derivs):
+                if order + 1 == len(cached.derivs):
+                    return cached
+                return Jet(cached.x0, cached.derivs[: order + 1])
             out = self._jet_fn(x0, order)
         if len(self._cache) >= _CACHE_CAP:
             self._cache.clear()
-        self._cache[key] = out
+        self._cache[x0] = out
         return out
 
     def _eval_grid(self, grid: tuple, order: int) -> np.ndarray:
@@ -107,7 +121,9 @@ class SmoothFn:
         return out
 
     def value_at(self, x: float) -> float:
-        return self.eval_jet(x, 0).value
+        """f(x): the order-0 entry of the memo's jet at x, else eval_jet(x, 0)'s."""
+        cached = self._cache.get(x)
+        return (cached if cached is not None else self.eval_jet(x, 0)).derivs[0]
 
     def __repr__(self) -> str:
         return f"SmoothFn({self.descriptor})"

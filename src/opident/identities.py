@@ -22,7 +22,9 @@ fs[0] is formed from the last two, once per tuple. A black-box D sees only
 opaque SmoothFn products, evaluated per point: _subset_plan builds them by
 DP over the complement masks, each product's jet one _conv of a factor and
 the product that leaves it out, and _outside_products forms a point's
-outside value products by one multiply per rank bitmask. A canonical D is
+outside value products by one multiply per rank bitmask. The tuple's values
+are read after D's applies, as prefixes of the jets those evaluated through
+the SmoothFn memo, so each input is evaluated once per point. A canonical D is
 checked on a block of tuples over the whole grid at once: one family pass
 gives every input's grid jets; _subset_stacks builds every subset product
 and the powers of fs[0] by DP over each tuple's canonical order;
@@ -228,11 +230,19 @@ def _outside_products(values: Sequence[float]) -> list[float]:
     return outside
 
 
-def _terms_from_plan(op: Operator, plan, values, x: float) -> list[float]:
+def _terms_from_plan(op: Operator, plan, fs: Sequence[SmoothFn], x: float) -> list[float]:
+    """The signed terms at x. D's applies run first, so the values of fs
+    read after them are prefixes of jets already evaluated. The values are
+    read even when an apply raises: a failing value's error then replaces
+    D's, as when the values were read first."""
+    try:
+        applied = [apply(op, prod, x) for prod, _ in plan]
+    finally:
+        values = [f.value_at(x) for f in fs]
     outside = _outside_products(values)
     terms = []
-    for mask, (prod, odd) in enumerate(plan):
-        signed = outside[mask] * apply(op, prod, x)
+    for mask, ((_, odd), d_value) in enumerate(zip(plan, applied)):
+        signed = outside[mask] * d_value
         terms.append(-signed if odd else signed)
     return terms
 
@@ -244,9 +254,10 @@ def alternating_subset_terms(
 
     Each term's float value is permutation-invariant: the outside value
     product and the product jets inside D fold in canonical sorted order.
+    The tuple's values are read after D's applies, as prefixes of the jets
+    they evaluated, so each input is evaluated once at x.
     """
-    values = [f.value_at(x) for f in fs]
-    return _terms_from_plan(op, _subset_plan(fs), values, x)
+    return _terms_from_plan(op, _subset_plan(fs), fs, x)
 
 
 def alternating_subset_residual(
@@ -290,8 +301,10 @@ def _power_terms_from_plan(op: Operator, powers, x: float) -> list[float]:
 def _points_per_point(op: Operator, fs: Sequence[SmoothFn], grid):
     """(terms, inner, values), the engine arrays of the module docstring,
     through opaque product functions: the path a black-box D needs, and the
-    reference for _points_batched. At each point the subset applies run
-    before the power applies, so an error names the first failing point."""
+    reference for _points_batched. At each point the subset applies run,
+    then the values are read (as prefixes of the jets the applies
+    evaluated), then the power applies, so an error names the first failing
+    point and, there, the values' error comes before D's."""
     plan = _subset_plan(fs)
     m = len(fs)
     # f^k = f^(k-1) ⊛ f, fn_product([f] * k)'s fold of equal jets
@@ -303,10 +316,9 @@ def _points_per_point(op: Operator, fs: Sequence[SmoothFn], grid):
     inner = np.empty((m, len(grid)))
     values = np.empty(len(grid))
     for p, x in enumerate(grid):
-        point_values = [f.value_at(x) for f in fs]
-        terms[:, p] = _terms_from_plan(op, plan, point_values, x)
+        terms[:, p] = _terms_from_plan(op, plan, fs, x)
         inner[:, p] = _power_terms_from_plan(op, powers, x)
-        values[p] = point_values[0]
+        values[p] = fs[0].value_at(x)
     return terms, inner, values
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from opident.errors import EvalDomainError, NumericRangeError, ParseError, StructuralError
 from opident.functions import (
+    SmoothFn,
     fn_bump,
     fn_constant,
     fn_exp_of,
@@ -19,7 +20,8 @@ from opident.functions import (
     fn_linear_combination,
 )
 from opident.exprs import BinOp, Const, Pow, Var, parse, to_text
-from opident.identities import default_grid, random_function
+from opident.identities import _subset_plan, default_grid, random_function
+from opident.jets import Jet
 from opident.operators import CanonicalOp
 from test_exprs import random_expr
 
@@ -188,10 +190,13 @@ class TestCombinators:
         assert fn_monomial(0).eval_jet(1.0, 2).derivs == (1.0, 0.0, 0.0)
 
     def test_jet_consistency(self):
-        f = fn_exp_of(fn_from_expr("sin(x)+x^2"))
-        full = f.eval_jet(0.4, 6)
+        # a fresh function per order, so no read is served by the memo
+        def fresh():
+            return fn_exp_of(fn_from_expr("sin(x)+x^2"))
+
+        full = fresh().eval_jet(0.4, 6)
         for k in range(6):
-            assert f.eval_jet(0.4, k).derivs == full.derivs[: k + 1]
+            assert fresh().eval_jet(0.4, k).derivs == full.derivs[: k + 1]
 
     def test_determinism(self):
         f = fn_from_expr("exp(x)*sin(x)")
@@ -403,3 +408,132 @@ class TestGridEval:
     def test_empty_grid(self):
         for f in (fn_from_expr("x"), fn_monomial(2)):
             assert f.eval_jet((), 3).shape == (4, 0)
+
+
+def hexes(jet):
+    return [d.hex() for d in jet.derivs]
+
+
+# Fresh-function factories: every constructor, the subset plan's DP
+# product, and fn_from_expr on every DSL node.
+FRESH = {
+    "constant": lambda: fn_constant(-2.5),
+    "from_jet": lambda: fn_from_jet(0.3, [0.5, -1.0, 3.0, 2.0, -0.25, 1.5, -4.0, 0.125]),
+    "monomial": lambda: fn_monomial(4),
+    "exp_of": lambda: fn_exp_of(fn_from_jet(0.0, [0.1, 1.5, -2.0, 0.7])),
+    "product": lambda: fn_product(
+        [fn_from_jet(0.0, [1.0, 2.0, -1.0]), fn_exp_of(fn_from_expr("x")), fn_from_expr("cos(x)")]
+    ),
+    "linear_combination": lambda: fn_linear_combination(
+        [(2.0, fn_from_expr("x^2")), (-3.0, fn_from_expr("sin(x)"))]
+    ),
+    "bump": lambda: fn_bump((-0.9, 0.8), (-0.25, 0.35)),
+    "plan_product": lambda: _subset_plan(
+        [fn_from_expr("sin(x)+2"), fn_from_expr("x^2"), fn_from_jet(0.0, [1.0, 0.5, -0.3])]
+    )[0][0],
+    **{
+        to_text(tree): (lambda tree=tree: fn_from_expr(tree))
+        for tree in (
+            parse("3"),
+            parse("x"),
+            parse("-x"),
+            parse("abs(x-0.31)"),
+            parse("ln(x+4)"),
+            parse("1/(x+4)"),
+            parse("-sin(x)/(2+cos(x))"),
+            parse("(x+4)^3"),
+            Pow(BinOp("+", Var(), Const(4.0)), -2.0),
+            parse("(x+4)^2.5"),
+            parse("sin(3*x)"),
+            parse("cos(x^2)"),
+            parse("exp(-x)"),
+            parse("x*cos(x)-x^2"),
+        )
+    },
+}
+# the bump's rising ramp, plateau and falling ramp, and a point outside it
+POINTS = (-0.7, -0.1, 0.0, 0.3, 0.5, 0.95)
+TOP = 6
+
+
+class TestPrefixContract:
+    """An order-k jet is bitwise the first k+1 entries of the order-K jet,
+    k < K, for fresh functions: what lets the memo answer lower orders."""
+
+    @pytest.mark.parametrize("fresh", FRESH.values(), ids=list(FRESH))
+    def test_at_points(self, fresh):
+        for x in POINTS:
+            top = hexes(fresh().eval_jet(x, TOP))
+            for k in range(TOP):
+                assert hexes(fresh().eval_jet(x, k)) == top[: k + 1], (x, k)
+
+    @pytest.mark.parametrize("fresh", FRESH.values(), ids=list(FRESH))
+    def test_on_a_grid(self, fresh):
+        top = fresh().eval_jet(POINTS, TOP)
+        for k in range(TOP):
+            assert fresh().eval_jet(POINTS, k).tobytes() == top[: k + 1].tobytes(), k
+
+    @pytest.mark.parametrize("fresh", FRESH.values(), ids=list(FRESH))
+    def test_negative_order_is_a_structural_error(self, fresh):
+        for x, order in itertools.product((0.3, (0.3, 0.5)), (-1, -2)):
+            f = fresh()
+            with pytest.raises(StructuralError, match="order must be nonnegative"):
+                f.eval_jet(x, order)
+            f.eval_jet(x, 2)  # and with a memo entry to read a prefix of
+            with pytest.raises(StructuralError, match="order must be nonnegative"):
+                f.eval_jet(x, order)
+
+
+def counted(top: int = TOP):
+    """A SmoothFn with jets (1, 2, ..., order+1) up to order `top`, above
+    which it raises NumericRangeError, and the list of its evaluations."""
+    calls = []
+
+    def jet_fn(x0, order):
+        calls.append((x0, order))
+        if order > top:
+            raise NumericRangeError(f"order {order} overflows")
+        return Jet(x0, [float(k + 1) for k in range(order + 1)])
+
+    return SmoothFn("counted", jet_fn), calls
+
+
+class TestMemo:
+    """One entry per point or grid: the highest order evaluated there."""
+
+    def test_lower_orders_read_the_entry_at_a_point(self):
+        f, calls = counted()
+        f.eval_jet(0.3, 1)
+        top = f.eval_jet(0.3, 4)
+        assert f.eval_jet(0.3, 4) is top
+        assert f.eval_jet(0.3, 2).derivs == (1.0, 2.0, 3.0)
+        assert f.eval_jet(0.3, 0).derivs == (1.0,)
+        assert f.value_at(0.3) == 1.0
+        assert calls == [(0.3, 1), (0.3, 4)]
+        f.value_at(0.5)
+        f.eval_jet(0.5, 2)
+        assert calls[2:] == [(0.5, 0), (0.5, 2)]
+
+    def test_lower_orders_read_the_entry_on_a_grid(self):
+        f, calls = counted()
+        grid = (0.0, 0.5)
+        top = f.eval_jet(grid, 3)
+        low = f.eval_jet(grid, 1)
+        assert low.base is top and not low.flags.writeable
+        assert low.tolist() == [[1.0, 1.0], [2.0, 2.0]]
+        assert f.eval_jet(grid, 3) is top
+        assert calls == [(0.0, 3), (0.5, 3)]
+
+    def test_a_failed_upgrade_keeps_the_entry(self):
+        f, calls = counted(top=2)
+        kept = f.eval_jet(0.3, 2)
+        with pytest.raises(NumericRangeError):
+            f.eval_jet(0.3, 5)
+        assert f.eval_jet(0.3, 2) is kept
+        assert f.eval_jet(0.3, 1).derivs == (1.0, 2.0)
+        grid = (0.0, 0.5)
+        kept = f.eval_jet(grid, 1)
+        with pytest.raises(NumericRangeError):
+            f.eval_jet(grid, 3)
+        assert f.eval_jet(grid, 1) is kept
+        assert calls == [(0.3, 2), (0.3, 5), (0.0, 1), (0.5, 1), (0.0, 3)]

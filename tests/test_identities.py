@@ -13,6 +13,7 @@ import pytest
 
 from opident.errors import EvalDomainError, NumericRangeError, StructuralError
 from opident.functions import (
+    SmoothFn,
     fn_bump,
     fn_constant,
     fn_from_expr,
@@ -230,6 +231,86 @@ class TestSubsetPlan:
             assert all(ref() is None for ref in products)
         finally:
             gc.enable()
+
+
+def _counted(f):
+    """f behind a SmoothFn whose jet_fn records the point of every call."""
+    calls = []
+
+    def jet_fn(x0, order):
+        calls.append(x0)
+        return f.eval_jet(x0, order)
+
+    return SmoothFn(f.descriptor, jet_fn), calls
+
+
+class TestOncePerPoint:
+    """The tuple's values are read after D's applies, as prefixes of the
+    jets they evaluated: each input is evaluated once per point."""
+
+    SOURCES = ("sin(x)+2", "x^2+1", "exp(x)", "1/(3+x)")
+
+    @pytest.mark.parametrize("name", ("third-derivative", "km-entropy", "square"))
+    def test_subset_terms(self, name):
+        op = builtin_blackbox(name)
+        fs, calls = zip(*(_counted(fn_from_expr(s)) for s in self.SOURCES))
+        got = alternating_subset_terms(op, fs, 0.3)
+        assert list(calls) == [[0.3]] * len(fs)
+        want = _fn_product_terms(op, [fn_from_expr(s) for s in self.SOURCES], 0.3)
+        assert [t.hex() for t in got] == [float(t).hex() for t in want]
+
+    def test_suite(self, monkeypatch):
+        op, n = builtin_blackbox("third-derivative"), 3
+        cfg = SamplingConfig(seed=3, tuples=2, grid=default_grid(5))
+        want = run_check_suite_full(op, n, cfg)
+        counts = []
+        draw = identities._draw_function
+
+        def counted_draw(rng):
+            f, p, q = draw(rng)
+            f, calls = _counted(f)
+            counts.append(calls)
+            return f, p, q
+
+        monkeypatch.setattr(identities, "_draw_function", counted_draw)
+        got = run_check_suite_full(op, n, cfg)
+        assert counts == [list(cfg.grid)] * (cfg.tuples * (n + 1))
+        assert got.report.to_json() == want.report.to_json()
+        assert got.diagonal_gap.to_json() == want.diagonal_gap.to_json()
+
+
+class TestValueErrorsFirst:
+    """Values are read last, yet a failing value still raises its error
+    before any error of D's, as when the values were read first."""
+
+    def _value_error(self, f, x):
+        with pytest.raises(EvalDomainError) as error:
+            f.value_at(x)
+        return str(error.value)
+
+    def test_a_box_that_reads_nothing(self):
+        op = BlackBoxOp(lambda f, x: 0.0, "f -> 0")
+        with pytest.raises(EvalDomainError) as got:
+            alternating_subset_terms(op, [X2, fn_from_expr("ln(x)")], -0.5)
+        assert str(got.value) == self._value_error(fn_from_expr("ln(x)"), -0.5)
+        # the first failing grid point is named, -0.5, not -1.0
+        with pytest.raises(EvalDomainError) as got:
+            _points_per_point(op, [X2, fn_from_expr("ln(x)")], (0.5, -0.5, -1.0))
+        assert str(got.value) == self._value_error(fn_from_expr("ln(x)"), -0.5)
+
+    def test_a_value_error_comes_before_an_apply_error(self):
+        # abs(x) has a value at 0 but no third derivative; ln(x) has neither
+        op = builtin_blackbox("third-derivative")
+        with pytest.raises(EvalDomainError, match="abs is not differentiable"):
+            alternating_subset_terms(op, [fn_from_expr("abs(x)"), X2], 0.0)
+        for fs in ([fn_from_expr("abs(x)"), fn_from_expr("ln(x)")],
+                   [fn_from_expr("ln(x)"), fn_from_expr("abs(x)")]):
+            with pytest.raises(EvalDomainError) as got:
+                alternating_subset_terms(op, fs, 0.0)
+            assert str(got.value) == self._value_error(fn_from_expr("ln(x)"), 0.0)
+            with pytest.raises(EvalDomainError) as got:
+                _points_per_point(op, fs, (0.5, 0.0))
+            assert str(got.value) == self._value_error(fn_from_expr("ln(x)"), 0.0)
 
 
 def _diagonal_residual(op, f, n, x):
