@@ -1,33 +1,36 @@
 """Jet-evaluable functions on the real line.
 
-A SmoothFn bundles a deterministic jet evaluator with a human-readable
-descriptor and carries no flag: whether it is zero is read from its values.
-Constructors cover everything the identity and recovery machinery needs:
-pointwise products, linear combinations, exp-composites, polynomials with a
-prescribed jet, compact-support bumps, and expression-backed functions.
-Where one is undefined (ln of a value <= 0, division by zero, a kink), its
-jet raises EvalDomainError.
+A SmoothFn bundles one jet rule with a human-readable descriptor and carries
+no flag: whether it is zero is read from its values. Constructors cover
+everything the identity and recovery machinery needs: pointwise products,
+linear combinations, exp-composites, polynomials with a prescribed jet,
+compact-support bumps, and expression-backed functions. Where one is
+undefined (ln of a value <= 0, division by zero, a kink), its jet raises
+EvalDomainError.
 
 Evaluation is pure. eval_jet takes a point, giving a Jet, or a grid (a
 tuple of points), giving a read-only derivative-major (K+1, P) array whose
-column p is bitwise the jet at point p. Each SmoothFn memoizes one entry per
-point or grid, the highest-order evaluation made there, and reads a lower
-order as its prefix. Every jet recurrence is triangular, so that prefix is
-bitwise the lower-order jet; a custom jet_fn or grid_fn must keep this
-contract. The memo serves repeated reads: black-box point sweeps, where each
-subset product of identities._subset_plan reads its factors' jets and the
-jet of the product that leaves one of them out, and the tuple's values are
-prefixes of those jets; and grid reads of coefficients and holdouts. The
-canonical identity engine does not hit it:
-it evaluates its random inputs in one family pass (identities._family_jets,
-on the kernels _poly_derivs, _exp_derivs and _conv) and builds its subset
-products by DP.
-Constants, prescribed-jet polynomials, products, exp-composites and
-expression functions evaluate a grid in one pass: they run their scalar
-derivative code on numpy rows, the same operations in the same order. Linear
-combinations and bumps stack their per-point jets. A grid pass that raises
-EvalDomainError or NumericRangeError is re-run point by point, which
-raises the error of the first failing point.
+column p is bitwise the jet at point p. A jet rule derivs(x0, order) gives
+the derivatives 0..order at a finite point x0 (floats), or on a grid x0
+(rows, or floats where a derivative is the same at every point) by running
+its point code on numpy rows: Taylor recurrences are the same operations on
+a float and on a row, so the rows are bitwise the per-point values. A rule
+whose point code has no row form (a sorted fold, an fsum per entry, a
+branch per point) returns None for a grid, and SmoothFn stacks its points.
+A grid pass that raises EvalDomainError or NumericRangeError is rerun point
+by point, which raises the error of the first failing point.
+
+Each SmoothFn memoizes one entry per point or grid (0.0 and -0.0 apart),
+the highest-order evaluation made there, and reads a lower order as its
+prefix. Every jet recurrence is triangular, so that prefix is bitwise the
+lower-order jet; a custom rule must keep this contract. The memo serves
+repeated reads: black-box point sweeps, where each subset product of
+identities._subset_plan reads its factors' jets and the jet of the product
+that leaves one of them out, and the tuple's values are prefixes of those
+jets; and grid reads of coefficients and holdouts. The canonical identity
+engine does not hit it: it evaluates its random inputs in one family pass
+(identities._family_jets, on the kernels _poly_derivs, _exp_derivs and
+_conv) and builds its subset products by DP.
 """
 
 from __future__ import annotations
@@ -39,81 +42,92 @@ import numpy as np
 
 from . import exprs
 from .errors import EvalDomainError, NumericRangeError, StructuralError
-from .jets import (
-    Jet,
-    _conv,
-    _exp_derivs,
-    _reciprocal_derivs,
-    jet_constant,
-    jet_exp,
-    signed_sum,
-    sorted_jet_order,
-)
+from .jets import Jet, _conv, _exp_derivs, _reciprocal_derivs, signed_sum
 
 _CACHE_CAP = 8192
 
 
+def _grid_key(grid: tuple):
+    """The memo key of a grid. 0.0 and -0.0 compare and hash equal, so unless
+    its only zero is 0.0, a grid holding a zero is paired with the text of
+    its zeros, which no grid equals."""
+    zeros = grid.count(0.0)
+    if not zeros or zeros == 1 and math.copysign(1.0, grid[grid.index(0.0)]) > 0:
+        return grid
+    return grid, repr([v for v in grid if not v])
+
+
+def _row(x0):
+    """A point as a float, a grid as a numpy row: what a row rule computes on."""
+    return np.array(x0, dtype=float) if type(x0) is tuple else float(x0)
+
+
 class SmoothFn:
     """A function on the real line, evaluable to a Jet of any order; it carries
-    no flag. Its jet_fn (and grid_fn) must be prefix-consistent: the memo
-    answers a lower-order read with a prefix of a higher-order result."""
+    no flag. Its rule derivs(x0, order) gives the derivatives 0..order at a
+    point x0, or on a grid tuple x0 as rows or floats, or None on a grid if
+    it has no row form; SmoothFn alone wraps them. The rule must be
+    prefix-consistent: the memo answers a lower-order read with a prefix of
+    a higher-order result."""
 
-    __slots__ = ("descriptor", "_jet_fn", "_grid_fn", "_cache")
+    __slots__ = ("descriptor", "_derivs", "_cache")
 
-    def __init__(
-        self,
-        descriptor: str,
-        jet_fn: Callable[[float, int], Jet],
-        grid_fn: Callable[[tuple, int], Sequence] | None = None,
-    ):
+    def __init__(self, descriptor: str, derivs: Callable[[float | tuple, int], Sequence | None]):
         self.descriptor = descriptor
-        self._jet_fn = jet_fn
-        self._grid_fn = grid_fn
+        self._derivs = derivs
         self._cache: dict[float | tuple, Jet | np.ndarray] = {}
 
     def eval_jet(self, x0, order: int):
         """The Jet of order `order` at the point x0 or, for a grid given as a
         tuple of points, a read-only (order+1, P) array whose column p is
-        bitwise the jet at x0[p]. Memoized per point or grid at the highest
-        order read there: a lower order is read as the prefix of that entry,
-        a higher one is evaluated and replaces it (unless it raises). A
-        negative order raises StructuralError."""
+        bitwise the jet at x0[p]. Memoized per point or grid (0.0 and -0.0
+        apart) at the highest order read there: a lower order is read as
+        the prefix of that entry, a higher one is evaluated and replaces it
+        (unless it raises). A negative order, or a point that is not finite,
+        raises StructuralError."""
         if order < 0:
             raise StructuralError(f"jet order must be nonnegative, got {order}")
-        cached = self._cache.get(x0)
         if type(x0) is tuple:
+            key = _grid_key(x0)
+            cached = self._cache.get(key)
             if cached is not None and order < len(cached):
                 return cached if order + 1 == len(cached) else cached[: order + 1]
             out = self._eval_grid(x0, order)
         else:
+            key = x0 if x0 or math.copysign(1.0, x0) > 0 else (x0, "-0.0")
+            cached = self._cache.get(key)
             if cached is not None and order < len(cached.derivs):
                 if order + 1 == len(cached.derivs):
                     return cached
                 return Jet(cached.x0, cached.derivs[: order + 1])
-            out = self._jet_fn(x0, order)
+            if not math.isfinite(x0):
+                raise StructuralError("jet base point must be finite")
+            out = Jet(x0, self._derivs(x0, order))
         if len(self._cache) >= _CACHE_CAP:
             self._cache.clear()
-        self._cache[x0] = out
+        self._cache[key] = out
         return out
 
     def _eval_grid(self, grid: tuple, order: int) -> np.ndarray:
         if not all(map(math.isfinite, grid)):
             raise StructuralError("jet base point must be finite")
-        derivs = None
-        with np.errstate(all="ignore"):
-            if self._grid_fn is not None:
-                try:
-                    derivs = self._grid_fn(grid, order)
-                except (EvalDomainError, NumericRangeError):
-                    pass  # the per-point loop raises the first point's error
-            if derivs is None:
-                derivs = np.array(
-                    [self._jet_fn(x0, order).derivs for x0 in grid], dtype=float
-                ).reshape(len(grid), order + 1).T
-        # entries may be rows or, for a derivative constant on the grid, floats
         out = np.empty((order + 1, len(grid)))
-        for k, row in enumerate(derivs):
-            out[k] = row
+        with np.errstate(all="ignore"):
+            try:
+                derivs = self._derivs(grid, order)
+            except (EvalDomainError, NumericRangeError):
+                derivs = None  # the per-point loop raises the first point's error
+            if derivs is None:
+                # up to the first point that raises or, as the check below
+                # then says, whose jet is not finite
+                for p, x0 in enumerate(grid):
+                    out[:, p] = self._derivs(x0, order)
+                    if not np.isfinite(out[:, p]).all():
+                        break
+            else:
+                # entries may be rows or, for a derivative constant on the grid, floats
+                for k, row in enumerate(derivs):
+                    out[k] = row
         if not np.isfinite(out).all():
             x = grid[int(np.argmin(np.isfinite(out).all(axis=0)))]
             raise NumericRangeError(f"non-finite jet of {self.descriptor} at x={x}")
@@ -122,7 +136,7 @@ class SmoothFn:
 
     def value_at(self, x: float) -> float:
         """f(x): the order-0 entry of the memo's jet at x, else eval_jet(x, 0)'s."""
-        cached = self._cache.get(x)
+        cached = self._cache.get(x if x or math.copysign(1.0, x) > 0 else (x, "-0.0"))
         return (cached if cached is not None else self.eval_jet(x, 0)).derivs[0]
 
     def __repr__(self) -> str:
@@ -135,21 +149,13 @@ def fn_constant(c: float) -> SmoothFn:
     if not math.isfinite(c):
         raise NumericRangeError(f"constant {c} is not finite")
     desc = exprs.format_number(c) if c >= 0 else "-" + exprs.format_number(-c)
-    return SmoothFn(
-        desc,
-        lambda x0, order: jet_constant(x0, c, order),
-        grid_fn=lambda grid, order: (c,) + (0.0,) * order,
-    )
+    return SmoothFn(desc, lambda x0, order: [c] + [0.0] * order)
 
 
 def fn_from_expr(source) -> SmoothFn:
     """Function denoted by a DSL string or parsed AST."""
     tree = exprs.parse(source) if isinstance(source, str) else source
-    return SmoothFn(
-        exprs.to_text(tree),
-        lambda x0, order: exprs.eval_jet(tree, x0, order),
-        grid_fn=lambda grid, order: exprs.eval_derivs(tree, np.array(grid, dtype=float), order),
-    )
+    return SmoothFn(exprs.to_text(tree), lambda x0, order: exprs.eval_derivs(tree, _row(x0), order))
 
 
 def _poly_derivs(v: Sequence, t, order: int) -> list:
@@ -175,11 +181,7 @@ def fn_from_jet(x0: float, v: Sequence[float]) -> SmoothFn:
     x0 = float(x0)
     coeffs = tuple(float(c) for c in v)
     desc = f"jetpoly@{x0}{list(coeffs)}"
-    return SmoothFn(
-        desc,
-        lambda y, order: Jet(y, _poly_derivs(coeffs, y - x0, order)),
-        grid_fn=lambda grid, order: _poly_derivs(coeffs, np.array(grid, dtype=float) - x0, order),
-    )
+    return SmoothFn(desc, lambda y, order: _poly_derivs(coeffs, _row(y) - x0, order))
 
 
 def fn_product(fs: Sequence[SmoothFn]) -> SmoothFn:
@@ -190,27 +192,19 @@ def fn_product(fs: Sequence[SmoothFn]) -> SmoothFn:
     if len(factors) == 1:
         return factors[0]
 
-    def jet_fn(x0: float, order: int) -> Jet:
+    def derivs(x0, order: int) -> list | None:
+        if type(x0) is tuple:
+            return None  # the sort is per point
         # canonical fold order: the product jet is then bitwise identical
         # under any permutation of the factor list
-        jets = [f.eval_jet(x0, order).derivs for f in factors]
-        jets.sort()
+        jets = sorted(f.eval_jet(x0, order).derivs for f in factors)
         acc = jets[0]
         for d in jets[1:]:
             acc = _conv(acc, d)
-        return Jet(x0, acc)
-
-    def grid_fn(grid: tuple, order: int) -> list:
-        # jet_fn's sorted fold at every point at once
-        jets = np.stack([f.eval_jet(grid, order) for f in factors], axis=1)
-        ranked = np.take_along_axis(jets, sorted_jet_order(jets)[None], axis=1)
-        acc = ranked[:, 0]
-        for i in range(1, len(factors)):
-            acc = _conv(acc, ranked[:, i])
         return acc
 
     desc = "*".join(f"({f.descriptor})" for f in factors)
-    return SmoothFn(desc, jet_fn, grid_fn=grid_fn)
+    return SmoothFn(desc, derivs)
 
 
 def fn_linear_combination(terms: Sequence[tuple[float, SmoothFn]]) -> SmoothFn:
@@ -223,21 +217,24 @@ def fn_linear_combination(terms: Sequence[tuple[float, SmoothFn]]) -> SmoothFn:
     if len(pairs) == 1 and pairs[0][0] == 1.0:
         return pairs[0][1]
 
-    def jet_fn(x0: float, order: int) -> Jet:
+    def derivs(x0, order: int) -> list | None:
+        if type(x0) is tuple:
+            return None  # signed_sum sums floats
         jets = [(c, f.eval_jet(x0, order).derivs) for c, f in pairs]
-        return Jet(x0, [signed_sum([c * d[k] for c, d in jets]) for k in range(order + 1)])
+        return [signed_sum([c * d[k] for c, d in jets]) for k in range(order + 1)]
 
     desc = "+".join(f"{c}*({f.descriptor})" for c, f in pairs)
-    return SmoothFn(desc, jet_fn)
+    return SmoothFn(desc, derivs)
 
 
 def fn_exp_of(g: SmoothFn) -> SmoothFn:
     """exp∘g."""
-    return SmoothFn(
-        f"exp({g.descriptor})",
-        lambda x0, order: jet_exp(g.eval_jet(x0, order)),
-        grid_fn=lambda grid, order: _exp_derivs(g.eval_jet(grid, order)),
-    )
+
+    def derivs(x0, order: int) -> list:
+        inner = g.eval_jet(x0, order)
+        return _exp_derivs(inner if type(x0) is tuple else inner.derivs)
+
+    return SmoothFn(f"exp({g.descriptor})", derivs)
 
 
 def fn_monomial(m: int) -> SmoothFn:
@@ -253,7 +250,7 @@ def fn_monomial(m: int) -> SmoothFn:
 def _smoothstep_derivs(t: list) -> list:
     """Derivatives of s(t) = e(t)/(e(t)+e(1-t)) with e(u)=exp(-1/u), for t in
     (0,1), from those of t. A step that overflows leaves a non-finite entry
-    in the result, which the Jet around it rejects."""
+    in the result, which SmoothFn rejects."""
     num = _exp_derivs([-v for v in _reciprocal_derivs(t)])
     # 1 - t with 0.0 - v, not -v, so that t's zero entries give +0.0
     rest = [1.0 - t[0]] + [0.0 - v for v in t[1:]]
@@ -271,11 +268,13 @@ def fn_bump(support: tuple[float, float], plateau: tuple[float, float]) -> Smoot
             f"plateau [{p}, {q}] must lie strictly inside the support ({a}, {b})"
         )
 
-    def jet_fn(x0: float, order: int) -> Jet:
+    def derivs(x0, order: int) -> list | None:
+        if type(x0) is tuple:
+            return None  # the branches are per point
         if x0 <= a or x0 >= b:
-            return jet_constant(x0, 0.0, order)
+            return [0.0] * (order + 1)
         if p <= x0 <= q:
-            return jet_constant(x0, 1.0, order)
+            return [1.0] + [0.0] * order
         if x0 < p:  # rising ramp on (a, p)
             scale = 1.0 / (p - a)
             value = (x0 - a) * scale
@@ -285,12 +284,12 @@ def fn_bump(support: tuple[float, float], plateau: tuple[float, float]) -> Smoot
         if value >= 1.0:
             # next to the plateau the ramp rounds to its end, where the
             # smoothstep's flat limit is the constant 1
-            return jet_constant(x0, 1.0, order)
+            return [1.0] + [0.0] * order
         if value == 0.0 or math.exp(-1.0 / value) == 0.0:
             # next to the support end exp(-1/t) underflows, and the jet of
             # -1/t would overflow first: the flat limit there is 0
-            return jet_constant(x0, 0.0, order)
+            return [0.0] * (order + 1)
         t = [value, scale] + [0.0] * (order - 1)
-        return Jet(x0, _smoothstep_derivs(t[: order + 1]))
+        return _smoothstep_derivs(t[: order + 1])
 
-    return SmoothFn(f"bump({a},{b};[{p},{q}])", jet_fn)
+    return SmoothFn(f"bump({a},{b};[{p},{q}])", derivs)

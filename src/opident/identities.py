@@ -54,7 +54,7 @@ from .functions import (
     fn_monomial,
     fn_product,
 )
-from .jets import Jet, _conv, _exp_derivs, binomial_row, signed_sum, sorted_jet_order
+from .jets import _conv, _exp_derivs, binomial_row, signed_sum, sorted_jet_order
 from .operators import CanonicalOp, Operator, apply, apply_on_grid
 
 DEFAULT_TOL_ABS = 1e-9
@@ -176,18 +176,21 @@ def _product_fn(descriptor: str, pairs) -> SmoothFn:
     at (x0, order) is one _conv: the product without the last factor whose
     jet is maximal, times that factor. That factor is the one Python's
     stable sort puts last, so by induction this is fn_product's sorted
-    fold, bitwise, at every point and order. The closure holds only the
-    pairs, so the products form no reference cycle."""
+    fold, bitwise, at every point and order; on a grid SmoothFn stacks its
+    points. The closure holds only the pairs, so the products form no
+    reference cycle."""
 
-    def jet_fn(x0: float, order: int) -> Jet:
+    def derivs(x0, order: int) -> list | None:
+        if type(x0) is tuple:
+            return None  # the factor is picked per point
         top = None
         for factor, rest in pairs:
             jet = factor.eval_jet(x0, order).derivs
             if top is None or jet >= top:
                 top, without = jet, rest
-        return Jet(x0, _conv(without.eval_jet(x0, order).derivs, top))
+        return _conv(without.eval_jet(x0, order).derivs, top)
 
-    return SmoothFn(descriptor, jet_fn)
+    return SmoothFn(descriptor, derivs)
 
 
 def _subset_plan(fs: Sequence[SmoothFn]):

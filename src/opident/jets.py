@@ -121,11 +121,6 @@ class Jet:
         return f"Jet(x0={self.x0}, derivs={list(self.derivs)})"
 
 
-def jet_constant(x0: float, value: float, order: int) -> Jet:
-    """Jet of the constant function `value` at x0."""
-    return Jet(x0, (float(value),) + (0.0,) * order)
-
-
 def _require_aligned(j1: Jet, j2: Jet) -> None:
     if j1.x0 != j2.x0:
         raise StructuralError(

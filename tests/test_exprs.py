@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from opident.errors import EvalDomainError, NumericRangeError, ParseError
+from opident.errors import EvalDomainError, NumericRangeError, ParseError, StructuralError
 from opident.exprs import (
     BinOp,
     Const,
@@ -186,6 +186,13 @@ class TestEvalJet:
     def test_abs_of_negative_branch(self):
         j = eval_jet(parse("abs(x-2)"), 1.0, 1)
         assert j.derivs == (1.0, -1.0)
+
+    @pytest.mark.parametrize("text", ["ln(x)", "exp(x)", "x^2"])
+    @pytest.mark.parametrize("x0", [math.inf, -math.inf, math.nan])
+    def test_non_finite_point_is_structural(self, text, x0):
+        # checked before the expression runs, whatever it would raise there
+        with pytest.raises(StructuralError, match="jet base point must be finite"):
+            eval_jet(parse(text), x0, 2)
 
 
 SMOOTH_SAMPLES = [

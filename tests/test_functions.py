@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+from opident import exprs, functions
 from opident.errors import EvalDomainError, NumericRangeError, ParseError, StructuralError
 from opident.functions import (
     SmoothFn,
@@ -21,7 +22,6 @@ from opident.functions import (
 )
 from opident.exprs import BinOp, Const, Pow, Var, parse, to_text
 from opident.identities import _subset_plan, default_grid, random_function
-from opident.jets import Jet
 from opident.operators import CanonicalOp
 from test_exprs import random_expr
 
@@ -387,14 +387,68 @@ class TestGridEval:
         with pytest.raises(NumericRangeError, match=r" at x=-1\.0$"):
             f.eval_jet((0.0, 1e-150, -1.0, 1.0), 0)
 
+    def test_first_failing_point_wins(self):
+        # a stacked rule, and a row rule rerun per point, stop at the first
+        # point that raises or whose jet is not finite
+        overflow = fn_from_jet(0.0, [0.0, 1e200])  # its square overflows at 2, not at 1e-150
+        f = fn_product([overflow, overflow, fn_from_expr("ln(x)")])
+        with pytest.raises(NumericRangeError, match=r" at x=2\.0$"):
+            f.eval_jet((1e-150, 2.0, -1.0), 1)
+        with pytest.raises(EvalDomainError) as per_point:
+            f.eval_jet(-1.0, 1)
+        with pytest.raises(EvalDomainError) as on_grid:
+            f.eval_jet((1e-150, -1.0, 2.0), 1)
+        assert str(on_grid.value) == str(per_point.value)
+        # exp's derivative overflows at 0, its value at 1
+        g = fn_exp_of(fn_from_jet(0.0, [700.0, 1e200]))
+        with pytest.raises(NumericRangeError, match=r" at x=0\.0$"):
+            g.eval_jet((0.0, 1.0), 1)
+
     def test_non_finite_point_is_the_per_point_error(self):
-        f = fn_constant(2.0)
-        for bad in (math.inf, math.nan):
-            with pytest.raises(StructuralError) as per_point:
-                f.eval_jet(bad, 1)
-            with pytest.raises(StructuralError) as grid:
-                f.eval_jet((0.0, bad), 1)
-            assert str(grid.value) == str(per_point.value)
+        # every constructor raises before its rule runs, so no rule's
+        # NumericRangeError or EvalDomainError can come first
+        for name, fresh in FRESH.items():
+            for bad in (math.inf, -math.inf, math.nan):
+                f = fresh()
+                calls = recorded(f)
+                with pytest.raises(StructuralError) as per_point:
+                    f.eval_jet(bad, 1)
+                with pytest.raises(StructuralError) as grid:
+                    f.eval_jet((0.0, bad), 1)
+                assert str(grid.value) == str(per_point.value), name
+                assert calls == [], name
+
+    @pytest.mark.parametrize(
+        "fresh, kernel",
+        [
+            (lambda: fn_constant(-2.5), None),
+            (lambda: fn_from_expr("sin(2*x)*exp(x)-ln(x+4)"), (exprs, "eval_derivs")),
+            (lambda: fn_from_jet(0.3, [0.5, -1.0, 3.0, 2.0]), (functions, "_poly_derivs")),
+            (lambda: fn_monomial(4), (functions, "_poly_derivs")),
+            (lambda: fn_exp_of(fn_from_jet(0.0, [0.1, 1.5, -2.0])), (functions, "_exp_derivs")),
+        ],
+        ids=["constant", "from_expr", "from_jet", "monomial", "exp_of"],
+    )
+    def test_row_rules_run_once_per_grid(self, fresh, kernel, monkeypatch):
+        # a rule that stacked its points instead would still be bitwise
+        # right, only about 7 times slower
+        want = stacked(fresh(), GRID, 4)
+        on_rows = []
+        if kernel is not None:
+            module, name = kernel
+            inner = getattr(module, name)
+
+            def spy(*args):
+                on_rows.append(any(isinstance(a, np.ndarray) for a in args))
+                return inner(*args)
+
+            monkeypatch.setattr(module, name, spy)
+        f = fresh()
+        calls = recorded(f)
+        assert f.eval_jet(GRID, 4).tobytes() == want.tobytes()
+        assert calls == [GRID]
+        if kernel is not None:
+            assert on_rows and all(on_rows)  # the kernel runs, and only on rows
 
     def test_read_only_and_memoized(self):
         f = fn_exp_of(fn_from_jet(0.0, [0.1, 1.5, -2.0]))
@@ -408,6 +462,14 @@ class TestGridEval:
     def test_empty_grid(self):
         for f in (fn_from_expr("x"), fn_monomial(2)):
             assert f.eval_jet((), 3).shape == (4, 0)
+
+
+def recorded(f):
+    """The points and grids f's rule is called on from now on."""
+    calls = []
+    rule = f._derivs
+    f._derivs = lambda x0, order: calls.append(x0) or rule(x0, order)
+    return calls
 
 
 def hexes(jet):
@@ -489,13 +551,15 @@ def counted(top: int = TOP):
     which it raises NumericRangeError, and the list of its evaluations."""
     calls = []
 
-    def jet_fn(x0, order):
+    def derivs(x0, order):
+        if type(x0) is tuple:
+            return None  # stacked per point
         calls.append((x0, order))
         if order > top:
             raise NumericRangeError(f"order {order} overflows")
-        return Jet(x0, [float(k + 1) for k in range(order + 1)])
+        return [float(k + 1) for k in range(order + 1)]
 
-    return SmoothFn("counted", jet_fn), calls
+    return SmoothFn("counted", derivs), calls
 
 
 class TestMemo:
@@ -537,3 +601,23 @@ class TestMemo:
             f.eval_jet(grid, 3)
         assert f.eval_jet(grid, 1) is kept
         assert calls == [(0.3, 2), (0.3, 5), (0.0, 1), (0.5, 1), (0.0, 3)]
+
+    @pytest.mark.parametrize("source", ["x", "-x", "sin(x)"])
+    def test_signed_zeros_are_read_apart(self, source):
+        # 0.0 and -0.0 compare and hash equal, yet these functions keep the
+        # sign: every read is what a fresh function reads, whatever came first
+        def signs(values):
+            return [math.copysign(1.0, v) for v in values]
+
+        def reads(f, x):
+            if type(x) is tuple:
+                return signs(f.eval_jet(x, 0).ravel()) + signs(f.eval_jet(x, 1).ravel())
+            return signs([f.value_at(x)]) + signs(f.eval_jet(x, 1).derivs)
+
+        grids = [(0.0, 1.0), (-0.0, 1.0), (0.0, -0.0), (-0.0, 0.0), (0.0, 0.0)]
+        for first, then in itertools.permutations([0.0, -0.0, *grids], 2):
+            f = fn_from_expr(source)
+            f.eval_jet(first, 3)
+            f.value_at(first[0] if type(first) is tuple else first)
+            assert reads(f, then) == reads(fn_from_expr(source), then), (first, then)
+        assert reads(fn_from_expr(source), -0.0) != reads(fn_from_expr(source), 0.0)

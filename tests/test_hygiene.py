@@ -214,6 +214,7 @@ def test_definitions_only_the_benchmark_calls():
     assert uncalled_definitions(sources, set()) == [
         "jets.jet_linear_combine",
         "jets.jet_product",
+        "jets.jet_exp",
         "jets.jet_ln_abs",
         "jets.jet_reciprocal",
         "jets.jet_sin_cos",

@@ -13,7 +13,6 @@ from opident.errors import EvalDomainError, NumericRangeError, StructuralError
 from opident.jets import (
     Jet,
     _abs_derivs,
-    jet_constant,
     jet_exp,
     jet_linear_combine,
     jet_ln_abs,
@@ -56,6 +55,11 @@ def poly_jet(coeffs, x0, order):
         derivs.append(poly_eval(cur, x0))
         cur = poly_diff(cur)
     return Jet(x0, derivs)
+
+
+def jet_constant(x0, value, order):
+    """Jet of the constant function `value` at x0."""
+    return Jet(x0, (float(value),) + (0.0,) * order)
 
 
 def rel_close(a, b, tol):
