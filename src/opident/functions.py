@@ -1,4 +1,4 @@
-"""Jet-evaluable functions on the real line.
+"""Functions on the real line, evaluable to their derivatives at any order.
 
 A SmoothFn bundles one jet rule with a human-readable descriptor and carries
 no flag: whether it is zero is read from its values. Constructors cover
@@ -8,17 +8,20 @@ compact-support bumps, and expression-backed functions. Where one is
 undefined (ln of a value <= 0, division by zero, a kink), its jet raises
 EvalDomainError.
 
-Evaluation is pure. eval_jet takes a point, giving a Jet, or a grid (a
-tuple of points), giving a read-only derivative-major (K+1, P) array whose
-column p is bitwise the jet at point p. A jet rule derivs(x0, order) gives
-the derivatives 0..order at a finite point x0 (floats), or on a grid x0
-(rows, or floats where a derivative is the same at every point) by running
-its point code on numpy rows: Taylor recurrences are the same operations on
-a float and on a row, so the rows are bitwise the per-point values. A rule
-whose point code has no row form (a sorted fold, an fsum per entry, a
-branch per point) returns None for a grid, and SmoothFn stacks its points.
-A grid pass that raises EvalDomainError or NumericRangeError is rerun point
-by point, which raises the error of the first failing point.
+Evaluation is pure. eval_jet takes a point, giving the derivatives 0..K as
+a tuple of floats, or a grid (a tuple of points), giving a read-only
+derivative-major (K+1, P) array whose column p is bitwise the tuple at
+point p: the jet representation that the kernels of jets.py run on. A jet
+rule derivs(x0, order) gives the derivatives 0..order at a finite point x0
+(floats), or on a grid x0 (rows, or floats where a derivative is the same
+at every point) by running its point code on numpy rows: Taylor recurrences
+are the same operations on a float and on a row, so the rows are bitwise
+the per-point values. A rule that gives other than order+1 entries raises
+StructuralError. A rule whose point code has no row form (a sorted fold, an
+fsum per entry, a branch per point) returns None for a grid, and SmoothFn
+stacks its points. A grid pass that raises EvalDomainError or
+NumericRangeError is rerun point by point, which raises the error of the
+first failing point.
 
 Each SmoothFn memoizes one entry per point or grid (0.0 and -0.0 apart),
 the highest-order evaluation made there, and reads a lower order as its
@@ -42,19 +45,21 @@ import numpy as np
 
 from . import exprs
 from .errors import EvalDomainError, NumericRangeError, StructuralError
-from .jets import Jet, _conv, _exp_derivs, _reciprocal_derivs, signed_sum
+from .jets import _check_finite, _conv, _exp_derivs, _reciprocal_derivs, signed_sum
 
 _CACHE_CAP = 8192
 
 
-def _grid_key(grid: tuple):
-    """The memo key of a grid. 0.0 and -0.0 compare and hash equal, so unless
-    its only zero is 0.0, a grid holding a zero is paired with the text of
-    its zeros, which no grid equals."""
-    zeros = grid.count(0.0)
-    if not zeros or zeros == 1 and math.copysign(1.0, grid[grid.index(0.0)]) > 0:
-        return grid
-    return grid, repr([v for v in grid if not v])
+def _memo_key(x0):
+    """The memo key of a point or grid. 0.0 and -0.0 compare and hash equal,
+    so -0.0, or a grid holding a zero unless its only zero is 0.0, is paired
+    with the text of its zeros, which no point or grid equals."""
+    if type(x0) is not tuple:
+        return x0 if x0 or math.copysign(1.0, x0) > 0 else (x0, "-0.0")
+    zeros = x0.count(0.0)
+    if not zeros or zeros == 1 and math.copysign(1.0, x0[x0.index(0.0)]) > 0:
+        return x0
+    return x0, repr([v for v in x0 if not v])
 
 
 def _row(x0):
@@ -63,10 +68,8 @@ def _row(x0):
 
 
 class SmoothFn:
-    """A function on the real line, evaluable to a Jet of any order; it carries
-    no flag. Its rule derivs(x0, order) gives the derivatives 0..order at a
-    point x0, or on a grid tuple x0 as rows or floats, or None on a grid if
-    it has no row form; SmoothFn alone wraps them. The rule must be
+    """A function on the real line: a descriptor and a jet rule, whose
+    derivatives SmoothFn alone checks and memoizes. The rule must be
     prefix-consistent: the memo answers a lower-order read with a prefix of
     a higher-order result."""
 
@@ -75,53 +78,57 @@ class SmoothFn:
     def __init__(self, descriptor: str, derivs: Callable[[float | tuple, int], Sequence | None]):
         self.descriptor = descriptor
         self._derivs = derivs
-        self._cache: dict[float | tuple, Jet | np.ndarray] = {}
+        self._cache: dict[float | tuple, tuple[float, ...] | np.ndarray] = {}
 
     def eval_jet(self, x0, order: int):
-        """The Jet of order `order` at the point x0 or, for a grid given as a
-        tuple of points, a read-only (order+1, P) array whose column p is
-        bitwise the jet at x0[p]. Memoized per point or grid (0.0 and -0.0
-        apart) at the highest order read there: a lower order is read as
-        the prefix of that entry, a higher one is evaluated and replaces it
-        (unless it raises). A negative order, or a point that is not finite,
-        raises StructuralError."""
+        """The derivatives 0..order at the point x0, a tuple of finite floats,
+        or, for a grid given as a tuple of points, a read-only (order+1, P)
+        array whose column p is bitwise the tuple at x0[p]. Memoized per point
+        or grid (0.0 and -0.0 apart) at the highest order read there: a lower
+        order is read as the prefix of that entry, a higher one is evaluated
+        and replaces it (unless it raises). A negative order, a point that is
+        not finite, or a rule giving other than order+1 entries raises
+        StructuralError; a non-finite derivative, NumericRangeError."""
         if order < 0:
             raise StructuralError(f"jet order must be nonnegative, got {order}")
-        if type(x0) is tuple:
-            key = _grid_key(x0)
-            cached = self._cache.get(key)
-            if cached is not None and order < len(cached):
-                return cached if order + 1 == len(cached) else cached[: order + 1]
+        key = _memo_key(x0)
+        cached = self._cache.get(key)
+        if cached is not None and order < len(cached):
+            return cached if order + 1 == len(cached) else cached[: order + 1]
+        grid = type(x0) is tuple
+        if not all(map(math.isfinite, x0 if grid else (x0,))):
+            raise StructuralError("jet base point must be finite")
+        if grid:
             out = self._eval_grid(x0, order)
         else:
-            key = x0 if x0 or math.copysign(1.0, x0) > 0 else (x0, "-0.0")
-            cached = self._cache.get(key)
-            if cached is not None and order < len(cached.derivs):
-                if order + 1 == len(cached.derivs):
-                    return cached
-                return Jet(cached.x0, cached.derivs[: order + 1])
-            if not math.isfinite(x0):
-                raise StructuralError("jet base point must be finite")
-            out = Jet(x0, self._derivs(x0, order))
+            out = _check_finite(tuple(map(float, self._rule(x0, order))))
         if len(self._cache) >= _CACHE_CAP:
             self._cache.clear()
         self._cache[key] = out
         return out
 
+    def _rule(self, x0, order: int) -> Sequence | None:
+        """The rule's derivatives at x0, once it gave exactly order+1 of them."""
+        derivs = self._derivs(x0, order)
+        if derivs is not None and len(derivs) != order + 1:
+            raise StructuralError(
+                f"the jet rule of {self.descriptor} gave {len(derivs)} entries"
+                f" for order {order}, not {order + 1}"
+            )
+        return derivs
+
     def _eval_grid(self, grid: tuple, order: int) -> np.ndarray:
-        if not all(map(math.isfinite, grid)):
-            raise StructuralError("jet base point must be finite")
         out = np.empty((order + 1, len(grid)))
         with np.errstate(all="ignore"):
             try:
-                derivs = self._derivs(grid, order)
+                derivs = self._rule(grid, order)
             except (EvalDomainError, NumericRangeError):
                 derivs = None  # the per-point loop raises the first point's error
             if derivs is None:
                 # up to the first point that raises or, as the check below
                 # then says, whose jet is not finite
                 for p, x0 in enumerate(grid):
-                    out[:, p] = self._derivs(x0, order)
+                    out[:, p] = self._rule(x0, order)
                     if not np.isfinite(out[:, p]).all():
                         break
             else:
@@ -135,9 +142,9 @@ class SmoothFn:
         return out
 
     def value_at(self, x: float) -> float:
-        """f(x): the order-0 entry of the memo's jet at x, else eval_jet(x, 0)'s."""
-        cached = self._cache.get(x if x or math.copysign(1.0, x) > 0 else (x, "-0.0"))
-        return (cached if cached is not None else self.eval_jet(x, 0)).derivs[0]
+        """f(x): entry 0 of the memo's derivatives at x, else of eval_jet(x, 0)."""
+        cached = self._cache.get(_memo_key(x))
+        return (cached if cached is not None else self.eval_jet(x, 0))[0]
 
     def __repr__(self) -> str:
         return f"SmoothFn({self.descriptor})"
@@ -197,7 +204,7 @@ def fn_product(fs: Sequence[SmoothFn]) -> SmoothFn:
             return None  # the sort is per point
         # canonical fold order: the product jet is then bitwise identical
         # under any permutation of the factor list
-        jets = sorted(f.eval_jet(x0, order).derivs for f in factors)
+        jets = sorted(f.eval_jet(x0, order) for f in factors)
         acc = jets[0]
         for d in jets[1:]:
             acc = _conv(acc, d)
@@ -220,7 +227,7 @@ def fn_linear_combination(terms: Sequence[tuple[float, SmoothFn]]) -> SmoothFn:
     def derivs(x0, order: int) -> list | None:
         if type(x0) is tuple:
             return None  # signed_sum sums floats
-        jets = [(c, f.eval_jet(x0, order).derivs) for c, f in pairs]
+        jets = [(c, f.eval_jet(x0, order)) for c, f in pairs]
         return [signed_sum([c * d[k] for c, d in jets]) for k in range(order + 1)]
 
     desc = "+".join(f"{c}*({f.descriptor})" for c, f in pairs)
@@ -230,11 +237,7 @@ def fn_linear_combination(terms: Sequence[tuple[float, SmoothFn]]) -> SmoothFn:
 def fn_exp_of(g: SmoothFn) -> SmoothFn:
     """exp∘g."""
 
-    def derivs(x0, order: int) -> list:
-        inner = g.eval_jet(x0, order)
-        return _exp_derivs(inner if type(x0) is tuple else inner.derivs)
-
-    return SmoothFn(f"exp({g.descriptor})", derivs)
+    return SmoothFn(f"exp({g.descriptor})", lambda x0, order: _exp_derivs(g.eval_jet(x0, order)))
 
 
 def fn_monomial(m: int) -> SmoothFn:

@@ -185,10 +185,10 @@ def _product_fn(descriptor: str, pairs) -> SmoothFn:
             return None  # the factor is picked per point
         top = None
         for factor, rest in pairs:
-            jet = factor.eval_jet(x0, order).derivs
+            jet = factor.eval_jet(x0, order)
             if top is None or jet >= top:
                 top, without = jet, rest
-        return _conv(without.eval_jet(x0, order).derivs, top)
+        return _conv(without.eval_jet(x0, order), top)
 
     return SmoothFn(descriptor, derivs)
 

@@ -1,10 +1,11 @@
 """Truncated Taylor-jet arithmetic.
 
-A jet stores the raw derivatives f(x0), f'(x0), ..., f^(K)(x0) of a real
-function at a base point. Products follow the binomial convolution of the
-higher-order product rule; exp, ln, reciprocal, sin/cos and powers are
-computed by the standard triangular recurrences, so every coefficient is
-exact up to floating-point rounding (no series truncation error enters
+A jet is the sequence of raw derivatives f(x0), f'(x0), ..., f^(K)(x0) of
+a real function at a base point, in the package a plain sequence of floats
+(SmoothFn.eval_jet gives a tuple). Products follow the binomial convolution
+of the higher-order product rule; exp, ln, reciprocal, sin/cos and powers
+are computed by the standard triangular recurrences, so every coefficient
+is exact up to floating-point rounding (no series truncation error enters
 below order K).
 
 Raw derivatives, not Taylor coefficients f^(i)/i!, are stored: the product
@@ -14,9 +15,13 @@ A grid of jets is stored derivative-major: entry k holds the k-th
 derivatives at every point, as a numpy row or (..., P) array, or as a float
 where it is the same at every point. The derivs kernels _conv,
 _exp_derivs, _ln_abs_derivs, _reciprocal_derivs, _sin_cos_derivs,
-_abs_derivs and _power_derivs (which jet_* wrap around a Jet) index
-entries only, so they run on a point's derivs or a grid's with the same
-operations in the same order, and hence give bitwise the per-point results.
+_abs_derivs and _power_derivs index entries only, so they run on a
+point's derivatives or a grid's with the same operations in the same order,
+and hence give bitwise the per-point results.
+
+Jet, a checked (base point, finite derivatives) wrapper, is returned only
+by the jet_* wrappers of the kernels and exprs.eval_jet, which the
+benchmark names; no other package code builds or reads one.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ def binomial_row(k: int) -> tuple[float, ...]:
 def signed_sum(terms: Sequence[float]) -> float:
     """math.fsum of terms: their exact sum rounded once, in any order. Where
     fsum has no value (+inf beside -inf, or a partial sum past the float
-    range) it is nan, so the sample fails its bound and a Jet rejects it."""
+    range) it is nan: the sample fails its bound and _check_finite rejects it."""
     try:
         return math.fsum(terms)
     except (ValueError, OverflowError):

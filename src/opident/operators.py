@@ -70,7 +70,9 @@ class CanonicalOp:
 
 
 class BlackBoxOp:
-    """Opaque deterministic mapping (SmoothFn, x) -> real."""
+    """Opaque deterministic mapping (SmoothFn, x) -> real. The rule reads f
+    only through its values and derivatives at points: f.value_at(x) for
+    f(x), and f.eval_jet(x, k)[k] for f^(k)(x)."""
 
     __slots__ = ("fn", "descriptor")
 
@@ -128,7 +130,7 @@ def apply(op: Operator, f: SmoothFn, x):
             )
         return out
     c_vals, d_vals = op.coefficient_values(x)
-    total = apply_canonical_values(c_vals, d_vals, f.eval_jet(x, op.n).derivs)
+    total = apply_canonical_values(c_vals, d_vals, f.eval_jet(x, op.n))
     if not math.isfinite(total):
         raise NumericRangeError(
             f"{op.descriptor} produced a non-finite value at x={x}"
@@ -193,7 +195,7 @@ def builtin_blackbox(name: str) -> BlackBoxOp:
             lambda f, x: f.value_at(x + 0.5), "translate: f -> f(x+0.5)"
         )
     if name == "third-derivative":
-        return BlackBoxOp(lambda f, x: f.eval_jet(x, 3).derivs[3], "f -> f'''")
+        return BlackBoxOp(lambda f, x: f.eval_jet(x, 3)[3], "f -> f'''")
     if name == "km-entropy":
         def entropy(f: SmoothFn, x: float) -> float:
             v = f.value_at(x)

@@ -100,7 +100,7 @@ def _grid_responses(op: CanonicalOp, n: int, grid: tuple) -> np.ndarray:
     probes = default_probes(n)
     values = [math.exp(p) for p in probes]
     fns = [exp_probe(0.0, p) for p in probes] + [fn_constant(v) for v in values]
-    jets = np.array([fn.eval_jet(0.0, op.n).derivs for fn in fns]).T[:, :, None]
+    jets = np.array([fn.eval_jet(0.0, op.n) for fn in fns]).T[:, :, None]
     out = apply_on_grid(op, grid, jets)
     out[n:] /= np.array(values)[:, None]
     return out.reshape(2, n, len(grid)).transpose(1, 2, 0).reshape(n, -1)

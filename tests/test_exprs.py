@@ -175,11 +175,11 @@ class TestEvalJet:
         j = fn_from_expr("x^1000").eval_jet(0.5, 4)
         assert len(calls) <= 20
         # every partial product is an integer times a power of 2, so exact
-        assert j.derivs == tuple(math.perm(1000, k) * 0.5 ** (1000 - k) for k in range(5))
+        assert j == tuple(math.perm(1000, k) * 0.5 ** (1000 - k) for k in range(5))
 
     def test_huge_integer_power(self):
         # |x| < 1 underflows to 0 in about 2,000 products; |x| > 1 overflows
-        assert fn_from_expr("x^1e308").eval_jet(0.5, 4).derivs == (0.0,) * 5
+        assert fn_from_expr("x^1e308").eval_jet(0.5, 4) == (0.0,) * 5
         with pytest.raises(NumericRangeError):
             fn_from_expr("x^1e308").eval_jet(2.0, 4)
 

@@ -31,7 +31,7 @@ E = math.e
 class TestProduct:
     def test_x_times_x_squared(self):
         f = fn_product([fn_from_expr("x"), fn_from_expr("x^2")])
-        assert f.eval_jet(1.0, 2).derivs == (1.0, 3.0, 6.0)
+        assert f.eval_jet(1.0, 2) == (1.0, 3.0, 6.0)
 
     def test_one_is_identity(self):
         g = fn_from_expr("x^2-1")
@@ -41,7 +41,7 @@ class TestProduct:
 
     def test_all_ones(self):
         f = fn_product([fn_constant(1.0)] * 4)
-        assert f.eval_jet(0.7, 5).derivs == (1.0,) + (0.0,) * 5
+        assert f.eval_jet(0.7, 5) == (1.0,) + (0.0,) * 5
 
     def test_empty_is_structural_error(self):
         with pytest.raises(StructuralError):
@@ -59,40 +59,40 @@ class TestProduct:
 class TestFromJet:
     def test_zero(self):
         f = fn_from_jet(0.0, [0.0, 0.0, 0.0])
-        assert f.eval_jet(1.3, 2).derivs == (0.0, 0.0, 0.0)
+        assert f.eval_jet(1.3, 2) == (0.0, 0.0, 0.0)
 
     def test_prescribed_jet_roundtrip_exact(self):
         v = [1.0, 2.0, 2.0]
         f = fn_from_jet(0.0, v)
-        assert f.eval_jet(0.0, 2).derivs == tuple(v)
+        assert f.eval_jet(0.0, 2) == tuple(v)
         # p(x) = 1 + 2x + x^2
-        assert f.eval_jet(2.0, 0).value == 9.0
+        assert f.eval_jet(2.0, 0)[0] == 9.0
 
     def test_linear_case(self):
         f = fn_from_jet(3.0, [0.0, 1.0])
-        assert f.eval_jet(5.0, 0).value == 2.0
+        assert f.eval_jet(5.0, 0)[0] == 2.0
 
     def test_roundtrip_high_order(self):
         v = [0.5, -1.0, 3.0, 2.0, -0.25]
         f = fn_from_jet(-0.7, v)
-        assert f.eval_jet(-0.7, 4).derivs == tuple(v)
+        assert f.eval_jet(-0.7, 4) == tuple(v)
 
 
 class TestBump:
     def test_plateau_jet(self):
         f = fn_bump((0.0, 3.0), (1.0, 2.0))
-        assert f.eval_jet(1.5, 4).derivs == (1.0, 0.0, 0.0, 0.0, 0.0)
+        assert f.eval_jet(1.5, 4) == (1.0, 0.0, 0.0, 0.0, 0.0)
 
     def test_outside_support(self):
         f = fn_bump((0.0, 3.0), (1.0, 2.0))
-        assert f.eval_jet(-1.0, 4).derivs == (0.0,) * 5
-        assert f.eval_jet(5.0, 2).derivs == (0.0,) * 3
+        assert f.eval_jet(-1.0, 4) == (0.0,) * 5
+        assert f.eval_jet(5.0, 2) == (0.0,) * 3
 
     def test_range(self):
         f = fn_bump((0.0, 3.0), (1.0, 2.0))
         for i in range(101):
             x = -0.5 + 4.0 * i / 100
-            v = f.eval_jet(x, 0).value
+            v = f.eval_jet(x, 0)[0]
             assert 0.0 <= v <= 1.0
 
     def test_flat_next_to_the_plateau(self):
@@ -101,17 +101,17 @@ class TestBump:
         f = fn_bump((-0.9, 0.8), (-0.2, 0.3))
         for x in (math.nextafter(-0.2, -1.0), math.nextafter(0.3, 1.0)):
             for order in range(5):
-                assert f.eval_jet(x, order).derivs == (1.0,) + (0.0,) * order
+                assert f.eval_jet(x, order) == (1.0,) + (0.0,) * order
 
     def test_flat_next_to_the_support_end(self):
         # next to a support end exp(-1/t) underflows to 0 while the jet of
         # -1/t overflows; the bump is flat there
         f = fn_bump((0.0, 3.0), (1.0, 2.0))
         for x, order in ((1e-62, 4), (1e-103, 2), (1e-155, 1), (1e-309, 0), (1e-20, 4)):
-            assert f.eval_jet(x, order).derivs == (0.0,) * (order + 1)
+            assert f.eval_jet(x, order) == (0.0,) * (order + 1)
         # the ramp parameter itself rounds to 0, where 1/t is undefined
         wide = fn_bump((0.0, 3e300), (1e300, 2e300))
-        assert wide.eval_jet(1e-30, 2).derivs == (0.0,) * 3
+        assert wide.eval_jet(1e-30, 2) == (0.0,) * 3
 
     def test_bad_plateau(self):
         with pytest.raises(StructuralError):
@@ -122,15 +122,15 @@ class TestBump:
         h = 1e-6
         for i in range(1, 100):
             x = 3.0 * i / 100
-            fd = (f.eval_jet(x + h, 0).value - f.eval_jet(x - h, 0).value) / (2 * h)
-            assert abs(fd - f.eval_jet(x, 1).derivs[1]) < 1e-4
+            fd = (f.eval_jet(x + h, 0)[0] - f.eval_jet(x - h, 0)[0]) / (2 * h)
+            assert abs(fd - f.eval_jet(x, 1)[1]) < 1e-4
 
     def test_continuity_at_joints(self):
         f = fn_bump((0.0, 3.0), (1.0, 2.0))
         for joint in (0.0, 1.0, 2.0, 3.0):
             near = [joint - 1e-9, joint + 1e-9]
-            vals = [f.eval_jet(x, 0).value for x in near]
-            ref = f.eval_jet(joint, 0).value if 0.0 < joint < 3.0 else 0.0
+            vals = [f.eval_jet(x, 0)[0] for x in near]
+            ref = f.eval_jet(joint, 0)[0] if 0.0 < joint < 3.0 else 0.0
             for v in vals:
                 assert abs(v - ref) < 1e-6
 
@@ -138,11 +138,11 @@ class TestBump:
 class TestCombinators:
     def test_exp_of_zero(self):
         f = fn_exp_of(fn_constant(0.0))
-        assert f.eval_jet(0.3, 3).derivs == (1.0, 0.0, 0.0, 0.0)
+        assert f.eval_jet(0.3, 3) == (1.0, 0.0, 0.0, 0.0)
 
     def test_constant_minus_one(self):
         f = fn_constant(-1.0)
-        assert f.eval_jet(0.0, 3).derivs == (-1.0, 0.0, 0.0, 0.0)
+        assert f.eval_jet(0.0, 3) == (-1.0, 0.0, 0.0, 0.0)
 
     @pytest.mark.parametrize("c", [math.inf, -math.inf, math.nan])
     def test_non_finite_constant_is_a_range_error(self, c):
@@ -157,13 +157,13 @@ class TestCombinators:
     def test_exp_of_x_squared(self):
         f = fn_exp_of(fn_from_expr("x^2"))
         j = f.eval_jet(1.0, 2)
-        assert math.isclose(j.derivs[0], E, rel_tol=1e-14)
-        assert math.isclose(j.derivs[1], 2 * E, rel_tol=1e-14)
-        assert math.isclose(j.derivs[2], 6 * E, rel_tol=1e-14)
+        assert math.isclose(j[0], E, rel_tol=1e-14)
+        assert math.isclose(j[1], 2 * E, rel_tol=1e-14)
+        assert math.isclose(j[2], 6 * E, rel_tol=1e-14)
 
     def test_scale_add(self):
         f = fn_linear_combination([(2.0, fn_from_expr("x")), (-3.0, fn_constant(1.0))])
-        assert f.eval_jet(2.0, 1).derivs == (1.0, 2.0)
+        assert f.eval_jet(2.0, 1) == (1.0, 2.0)
 
     def test_scale_add_zero_detection(self):
         # a zero combination used as d leaves the d-row empty
@@ -181,13 +181,13 @@ class TestCombinators:
     def test_sum(self):
         fs = [fn_from_expr("x"), fn_from_expr("x^2"), fn_constant(1.0)]
         f = fn_linear_combination([(1.0, g) for g in fs])
-        assert f.eval_jet(2.0, 2).derivs == (7.0, 5.0, 2.0)
+        assert f.eval_jet(2.0, 2) == (7.0, 5.0, 2.0)
 
     def test_monomial(self):
         f = fn_monomial(3)
         assert f.descriptor == "x^3"
-        assert f.eval_jet(2.0, 4).derivs == (8.0, 12.0, 12.0, 6.0, 0.0)
-        assert fn_monomial(0).eval_jet(1.0, 2).derivs == (1.0, 0.0, 0.0)
+        assert f.eval_jet(2.0, 4) == (8.0, 12.0, 12.0, 6.0, 0.0)
+        assert fn_monomial(0).eval_jet(1.0, 2) == (1.0, 0.0, 0.0)
 
     def test_jet_consistency(self):
         # a fresh function per order, so no read is served by the memo
@@ -196,7 +196,7 @@ class TestCombinators:
 
         full = fresh().eval_jet(0.4, 6)
         for k in range(6):
-            assert fresh().eval_jet(0.4, k).derivs == full.derivs[: k + 1]
+            assert fresh().eval_jet(0.4, k) == full[: k + 1]
 
     def test_determinism(self):
         f = fn_from_expr("exp(x)*sin(x)")
@@ -210,7 +210,7 @@ BUMP = fn_bump((-0.9, 0.8), (-0.25, 0.35))
 
 def stacked(f, grid, order):
     """The reference: the per-point jets as columns."""
-    return np.array([f.eval_jet(x, order).derivs for x in grid], dtype=float).T
+    return np.array([f.eval_jet(x, order) for x in grid], dtype=float).T
 
 
 def outcome(evaluate):
@@ -473,7 +473,7 @@ def recorded(f):
 
 
 def hexes(jet):
-    return [d.hex() for d in jet.derivs]
+    return [d.hex() for d in jet]
 
 
 # Fresh-function factories: every constructor, the subset plan's DP
@@ -570,8 +570,8 @@ class TestMemo:
         f.eval_jet(0.3, 1)
         top = f.eval_jet(0.3, 4)
         assert f.eval_jet(0.3, 4) is top
-        assert f.eval_jet(0.3, 2).derivs == (1.0, 2.0, 3.0)
-        assert f.eval_jet(0.3, 0).derivs == (1.0,)
+        assert f.eval_jet(0.3, 2) == (1.0, 2.0, 3.0)
+        assert f.eval_jet(0.3, 0) == (1.0,)
         assert f.value_at(0.3) == 1.0
         assert calls == [(0.3, 1), (0.3, 4)]
         f.value_at(0.5)
@@ -594,7 +594,7 @@ class TestMemo:
         with pytest.raises(NumericRangeError):
             f.eval_jet(0.3, 5)
         assert f.eval_jet(0.3, 2) is kept
-        assert f.eval_jet(0.3, 1).derivs == (1.0, 2.0)
+        assert f.eval_jet(0.3, 1) == (1.0, 2.0)
         grid = (0.0, 0.5)
         kept = f.eval_jet(grid, 1)
         with pytest.raises(NumericRangeError):
@@ -612,7 +612,7 @@ class TestMemo:
         def reads(f, x):
             if type(x) is tuple:
                 return signs(f.eval_jet(x, 0).ravel()) + signs(f.eval_jet(x, 1).ravel())
-            return signs([f.value_at(x)]) + signs(f.eval_jet(x, 1).derivs)
+            return signs([f.value_at(x)]) + signs(f.eval_jet(x, 1))
 
         grids = [(0.0, 1.0), (-0.0, 1.0), (0.0, -0.0), (-0.0, 0.0), (0.0, 0.0)]
         for first, then in itertools.permutations([0.0, -0.0, *grids], 2):
@@ -621,3 +621,38 @@ class TestMemo:
             f.value_at(first[0] if type(first) is tuple else first)
             assert reads(f, then) == reads(fn_from_expr(source), then), (first, then)
         assert reads(fn_from_expr(source), -0.0) != reads(fn_from_expr(source), 0.0)
+
+
+class TestRuleOutput:
+    """SmoothFn checks what a rule gives: order+1 finite entries, stored at a
+    point as a tuple of floats."""
+
+    def test_a_point_reads_a_tuple_of_floats(self):
+        f = SmoothFn("mixed", lambda x0, order: [1] + [np.float64(2.5)] * order)
+        got = f.eval_jet(0.3, 3)
+        assert got == (1.0, 2.5, 2.5, 2.5)
+        assert type(got) is tuple and all(type(v) is float for v in got)
+        assert f.eval_jet(0.3, 1) == (1.0, 2.5) and type(f.eval_jet(0.3, 1)) is tuple
+
+    def test_a_non_finite_entry_is_a_range_error(self):
+        f = SmoothFn("overflow", lambda x0, order: [1.0] + [math.inf] * order)
+        with pytest.raises(NumericRangeError, match=r"^non-finite jet coefficient: inf$"):
+            f.eval_jet(0.3, 2)
+        assert f._cache == {}
+
+    @pytest.mark.parametrize("entries", [1, 0, 6], ids=["too-few", "zero", "too-many"])
+    @pytest.mark.parametrize(
+        "x0, rows",
+        [(0.3, True), ((0.0, 0.5, 1.0), True), ((0.0, 0.5, 1.0), False)],
+        ids=["point", "row-rule", "stacked"],
+    )
+    def test_a_wrong_entry_count_is_a_structural_error(self, entries, x0, rows):
+        # a row rule's float entries stand for rows constant on the grid
+        def derivs(x, order):
+            return None if type(x) is tuple and not rows else [1.0] * entries
+
+        f = SmoothFn("short", derivs)
+        want = f"the jet rule of short gave {entries} entries for order 3, not 4"
+        with pytest.raises(StructuralError, match=f"^{want}$"):
+            f.eval_jet(x0, 3)
+        assert f._cache == {}

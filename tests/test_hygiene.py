@@ -1,7 +1,7 @@
 """Source hygiene: no module imports a name it never uses, no package
 module catches every exception, the package keeps one memo dict and no
-functools cache, and every module-level definition in the package has a
-caller."""
+functools cache, only jets.py and exprs.py handle the Jet wrapper, and every
+module-level definition in the package has a caller."""
 
 import ast
 import re
@@ -179,6 +179,32 @@ def references(node: ast.AST) -> set[str]:
         elif isinstance(sub, ast.alias):
             found.add(sub.name)
     return found
+
+
+def jet_reads(source: str) -> set[str]:
+    """"Jet" if the source names it, and "derivs" if it reads an attribute
+    of that name."""
+    tree = ast.parse(source)
+    attributes = {sub.attr for sub in ast.walk(tree) if isinstance(sub, ast.Attribute)}
+    return references(tree) & {"Jet"} | attributes & {"derivs"}
+
+
+def test_one_jet_representation():
+    # the package's jets are derivative sequences; the Jet wrapper lives on
+    # only for jets.jet_* and exprs.eval_jet, which the benchmark names
+    assert {"functions.py", "identities.py"} <= {path.name for path in PACKAGE}
+    found = {
+        path.name: sorted(jet_reads(path.read_text()))
+        for path in PACKAGE
+        if path.name not in {"jets.py", "exprs.py"}
+    }
+    assert {name: reads for name, reads in found.items() if reads} == {}
+
+
+def test_detects_a_jet_read():
+    assert jet_reads("from .jets import Jet\n") == {"Jet"}
+    assert jet_reads("import jets\nv = jets.Jet(0.0, [1.0]).derivs[0]\n") == {"Jet", "derivs"}
+    assert jet_reads("def derivs(x0, order):\n    return x0.derivs_of(order)\n") == set()
 
 
 def uncalled_definitions(sources: dict[str, str], mentioned: set[str]) -> list[str]:

@@ -13,6 +13,8 @@ from opident.errors import EvalDomainError, NumericRangeError, StructuralError
 from opident.jets import (
     Jet,
     _abs_derivs,
+    _exp_derivs,
+    _ln_abs_derivs,
     jet_exp,
     jet_linear_combine,
     jet_ln_abs,
@@ -216,6 +218,30 @@ class TestLnAbs:
     def test_zero_value_is_domain_error(self):
         with pytest.raises(EvalDomainError):
             jet_ln_abs(Jet(0.0, [0.0, 1.0]))
+
+    # log derivatives on derivative sequences, against closed forms
+
+    def test_k1_single_term(self):
+        # (ln|f|)' = f'/f
+        assert _ln_abs_derivs([2.0, 6.0])[1] == 3.0
+
+    def test_k2_exp_square(self):
+        # f = exp(x^2) at 1: jet [e, 2e, 6e]; (ln f)'' = (x^2)'' = 2
+        got = _ln_abs_derivs(_exp_derivs([1.0, 2.0, 2.0]))[2]
+        assert math.isclose(got, 2.0, rel_tol=1e-12)
+
+    def test_k3_exp_cube(self):
+        # f = exp(x^3) at 1: inner jet of x^3 at 1 is [1, 3, 6, 6]
+        got = _ln_abs_derivs(_exp_derivs([1.0, 3.0, 6.0, 6.0]))[3]
+        assert math.isclose(got, 6.0, rel_tol=1e-12)
+
+    def test_exp_conjugation_recovers_inner_jet(self):
+        rng = random.Random(88)
+        for _ in range(30):
+            k = rng.randint(1, 8)
+            g = [rng.uniform(-2.0, 2.0) for _ in range(k + 1)]
+            got = _ln_abs_derivs(_exp_derivs(g))[k]
+            assert math.isclose(got, g[k], rel_tol=1e-8, abs_tol=1e-8)
 
 
 def ln_exp_magnitudes(g):
