@@ -27,13 +27,16 @@ Each SmoothFn memoizes one entry per point or grid (0.0 and -0.0 apart),
 the highest-order evaluation made there, and reads a lower order as its
 prefix. Every jet recurrence is triangular, so that prefix is bitwise the
 lower-order jet; a custom rule must keep this contract. The memo serves
-repeated reads: black-box point sweeps, where each subset product of
+repeated reads: opaque black-box point sweeps, where each subset product of
 identities._subset_plan reads its factors' jets and the jet of the product
 that leaves one of them out, and the tuple's values are prefixes of those
-jets; and grid reads of coefficients and holdouts. The canonical identity
-engine does not hit it: it evaluates its random inputs in one family pass
-(identities._family_jets, on the kernels _poly_derivs, _exp_derivs and
-_conv) and builds its subset products by DP.
+jets; point reads of a tuple by several local operators, where a JetOp
+reads each input once at its order and builds the products as plain
+derivative tuples, not SmoothFns; and grid reads of coefficients and
+holdouts. The grid identity engine for local operators does not hit it: it
+evaluates its random inputs in one family pass (identities._family_jets,
+on the kernels _poly_derivs, _exp_derivs and _conv) and builds its subset
+products by DP.
 """
 
 from __future__ import annotations

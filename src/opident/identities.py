@@ -18,21 +18,29 @@ return what depends on D as arrays (terms, inner, values): the (2^m-1, P)
 subset terms in ascending-bitmask order, inner[i] = D(fs[0]^(m-i)) of shape
 (m, P), and the (P,) values of fs[0]; for T tuples at once the canonical
 engine's arrays span T·P columns, tuple-major. The diagonal identity on
-fs[0] is formed from the last two, once per tuple. A black-box D sees only
-opaque SmoothFn products, evaluated per point: _subset_plan builds them by
-DP over the complement masks, each product's jet one _conv of a factor and
-the product that leaves it out, and _outside_products forms a point's
-outside value products by one multiply per rank bitmask. The tuple's values
-are read after D's applies, as prefixes of the jets those evaluated through
-the SmoothFn memo, so each input is evaluated once per point. A canonical D is
-checked on a block of tuples over the whole grid at once: one family pass
-gives every input's grid jets; _subset_stacks builds every subset product
-and the powers of fs[0] by DP over each tuple's canonical order;
-apply_on_grid applies the closed form to them in one pass; and each term
-gathers its subset's outside value product and D of its complement's
-product. A block that raises is rerun tuple by tuple, so its error is the
-per-tuple loop's. Both engines fold the same terms in the same order, so
-they give bitwise the same arrays.
+fs[0] is formed from the last two, once per tuple.
+
+A local D, a CanonicalOp or a JetOp, reads only jets, at op.order. At a
+point, a JetOp's terms come from each input's jet, read once, and one
+_outside_products DP over the jets' canonical order, which gives every
+outside value product and every complement product jet (one _conv each);
+the rule runs once per complement. A local D is checked on a block of
+tuples over the whole grid at once: one family pass gives every input's
+grid jets; _subset_stacks builds every subset product and the powers of
+fs[0] by the same DP over each tuple's canonical order; apply_on_grid runs
+the closed form or the rule on them in one pass; and each term gathers its
+subset's outside value product and D of its complement's product. A block
+that raises is rerun tuple by tuple, and a lone tuple raises the per-point
+engine's error.
+
+A black-box D, which may read f off the point, sees only opaque SmoothFn
+products, evaluated per point: _subset_plan builds them by DP over the
+complement masks, each product's jet one _conv of a factor and the product
+that leaves it out, and _outside_products forms a point's outside value
+products. The tuple's values are read after D's applies, as prefixes of the
+jets those evaluated through the SmoothFn memo, so each input is evaluated
+once per point. Every path folds the same terms in the same order, so all
+give bitwise the same arrays.
 """
 
 from __future__ import annotations
@@ -54,8 +62,23 @@ from .functions import (
     fn_monomial,
     fn_product,
 )
-from .jets import _conv, _exp_derivs, binomial_row, signed_sum, sorted_jet_order
-from .operators import CanonicalOp, Operator, apply, apply_on_grid
+from .jets import (
+    _check_finite,
+    _conv,
+    _exp_derivs,
+    binomial_row,
+    signed_sum,
+    sorted_jet_order,
+)
+from .operators import (
+    BlackBoxOp,
+    CanonicalOp,
+    JetOp,
+    Operator,
+    apply,
+    apply_on_grid,
+    finite_value,
+)
 
 DEFAULT_TOL_ABS = 1e-9
 DEFAULT_TOL_REL = 1e-8
@@ -217,20 +240,56 @@ def _subset_plan(fs: Sequence[SmoothFn]):
     return [(prods[size - 1 - mask], mask.bit_count() % 2) for mask in subset_masks(m)]
 
 
-def _outside_products(values: Sequence[float]) -> list[float]:
+def _outside_products(values: Sequence[float], jets=None):
     """math.prod(sorted(values[j] for j in mask)), bitwise, for every bitmask
     of the values: one stable sort, then per rank bitmask R the product of
-    R without its top rank times the top-rank value, one multiply each."""
-    order = sorted(range(len(values)), key=values.__getitem__)
+    R without its top rank times the top-rank value, one multiply each.
+
+    Given jets too, the functions' derivatives with values[j] = jets[j][0],
+    the ranks are the jets' stable tuple order (which changes no product: a
+    tie in value is a tie in the factor multiplied), and it returns
+    (outside, prods): prods[mask] is fn_product's sorted fold of the jets in
+    mask, the product without the top rank ⊛ the top-rank jet, one _conv
+    and one _check_finite for each product of two or more."""
+    order = sorted(range(len(values)), key=(values if jets is None else jets).__getitem__)
     outside = [1.0] * (1 << len(values))
+    prods = [None] * len(outside)
     # by_rank[R]: the index bitmask of the functions with the ranks in R
     by_rank = [0] * len(outside)
     for ranks in range(1, len(outside)):
         top = ranks.bit_length() - 1
+        j = order[top]
         rest = by_rank[ranks ^ (1 << top)]
-        by_rank[ranks] = mask = rest | 1 << order[top]
-        outside[mask] = outside[rest] * values[order[top]]
-    return outside
+        by_rank[ranks] = mask = rest | 1 << j
+        outside[mask] = outside[rest] * values[j]
+        if jets is not None:
+            prods[mask] = _check_finite(_conv(prods[rest], jets[j])) if rest else jets[j]
+    return outside if jets is None else (outside, prods)
+
+
+def _jet_terms(op: JetOp, fs: Sequence[SmoothFn], x: float) -> list[float]:
+    """alternating_subset_terms for a local D, bitwise _terms_from_plan's
+    terms: each input's jet read once at op.order, one _outside_products DP
+    for the outside values and the complement products, and D's rule once
+    per complement. If a jet raises, the values are read in index order, so
+    a failing value's error replaces it, as on the opaque path. An error is
+    of the opaque path's type at the same point, but as every product is
+    formed before the rule runs, an overflowing product can be named where
+    the opaque path names D's value."""
+    _require_tuple(len(fs))
+    try:
+        jets = [f.eval_jet(x, op.order) for f in fs]
+    except (EvalDomainError, NumericRangeError):
+        for f in fs:
+            f.value_at(x)
+        raise
+    outside, prods = _outside_products([jet[0] for jet in jets], jets)
+    full = len(outside) - 1
+    terms = []
+    for mask in subset_masks(len(fs)):
+        signed = outside[mask] * finite_value(op, op.rule(prods[full ^ mask]), x)
+        terms.append(-signed if mask.bit_count() % 2 else signed)
+    return terms
 
 
 def _terms_from_plan(op: Operator, plan, fs: Sequence[SmoothFn], x: float) -> list[float]:
@@ -257,9 +316,13 @@ def alternating_subset_terms(
 
     Each term's float value is permutation-invariant: the outside value
     product and the product jets inside D fold in canonical sorted order.
-    The tuple's values are read after D's applies, as prefixes of the jets
-    they evaluated, so each input is evaluated once at x.
+    Each input is evaluated once at x: a JetOp reads its jets and forms every
+    product by one DP (_jet_terms); for any other D the tuple's values are
+    read after D's applies on opaque products, as prefixes of the jets they
+    evaluated.
     """
+    if isinstance(op, JetOp):
+        return _jet_terms(op, fs, x)
     return _terms_from_plan(op, _subset_plan(fs), fs, x)
 
 
@@ -361,9 +424,9 @@ def _subset_stacks(jets: np.ndarray):
     return outside, prods, member @ bits, member.sum(axis=1) % 2 == 1
 
 
-def _points_batched(op: CanonicalOp, jets: np.ndarray, grid: tuple):
-    """_points_per_point for a canonical D on T tuples at once, bitwise equal
-    to it tuple by tuple: jets is their (K+1, m, T·P) stack of order-op.n
+def _points_batched(op: CanonicalOp | JetOp, jets: np.ndarray, grid: tuple):
+    """_points_per_point for a local D on T tuples at once, bitwise equal to
+    it tuple by tuple: jets is their (K+1, m, T·P) stack of order-op.order
     grid jets, column t·P + p holding tuple t at grid[p], as do the arrays
     returned. _subset_stacks, one apply_on_grid pass (NumericRangeError
     naming the first grid point with a non-finite product or value in any
@@ -386,19 +449,22 @@ def _points_batched(op: CanonicalOp, jets: np.ndarray, grid: tuple):
     return terms, applied[size - 1:][::-1], jets[0, 0]
 
 
-def _canonical_arrays(op: CanonicalOp, draws, grid: tuple) -> list:
-    """Each tuple's engine arrays for a canonical D, from one _family_jets
-    and one _points_batched call; tuple by tuple if that raises; for a lone
-    tuple, its functions' eval_jet (their own errors), then _points_batched."""
-    order, tuples, m, points = op.n + 1, len(draws), len(draws[0]), len(grid)
+def _canonical_arrays(op: CanonicalOp | JetOp, draws, grid: tuple) -> list:
+    """Each tuple's engine arrays for a local D, from one _family_jets and
+    one _points_batched call; tuple by tuple if that raises. A lone tuple
+    raises what _points_per_point raises: a JetOp runs it, and a canonical
+    D its functions' eval_jet (their own errors), then _points_batched."""
+    order, tuples, m, points = op.order + 1, len(draws), len(draws[0]), len(grid)
     try:
-        family = _family_jets([d for draw in draws for d in draw], grid, op.n)
+        family = _family_jets([d for draw in draws for d in draw], grid, op.order)
         # (K+1, T·m, P) in draw order to (K+1, m, T·P), tuple-major columns
         jets = family.reshape(order, tuples, m, points).transpose(0, 2, 1, 3)
         arrays = _points_batched(op, jets.reshape(order, m, tuples * points), grid)
     except (EvalDomainError, NumericRangeError):
         if tuples > 1:
             return [out for draw in draws for out in _canonical_arrays(op, [draw], grid)]
+        if isinstance(op, JetOp):
+            return [_points_per_point(op, [f for f, _, _ in draws[0]], grid)]
         jets = np.stack([f.eval_jet(grid, op.n) for f, _, _ in draws[0]], axis=1)
         arrays = _points_batched(op, jets, grid)
     return [tuple(a[..., t * points : (t + 1) * points] for a in arrays) for t in range(tuples)]
@@ -569,8 +635,9 @@ def run_check_suite_full(op: Operator, n: int, cfg: SamplingConfig) -> SuiteOutc
     shared term scale (they agree up to roundoff by construction). Both
     sides of that gap come from the same n+1 applications D(f^k)(x).
 
-    Tuples are drawn _TUPLES_PER_PASS at a time; a canonical D takes
-    _canonical_arrays per block, a black box _points_per_point per tuple.
+    Tuples are drawn _TUPLES_PER_PASS at a time; a local D, canonical or a
+    JetOp, takes _canonical_arrays per block, a black box _points_per_point
+    per tuple.
     _power_terms forms both diagonal forms from the engine's arrays;
     samples are added point by point.
     """
@@ -583,10 +650,10 @@ def run_check_suite_full(op: Operator, n: int, cfg: SamplingConfig) -> SuiteOutc
     for start in range(0, cfg.tuples, _TUPLES_PER_PASS):
         size = min(_TUPLES_PER_PASS, cfg.tuples - start)
         draws = [[_draw_function(rng) for _ in range(n + 1)] for _ in range(size)]
-        if isinstance(op, CanonicalOp):
-            arrays = _canonical_arrays(op, draws, grid)
-        else:
+        if isinstance(op, BlackBoxOp):
             arrays = (_points_per_point(op, [f for f, _, _ in draw], grid) for draw in draws)
+        else:
+            arrays = _canonical_arrays(op, draws, grid)
         for draw, (subset, inner, values) in zip(draws, arrays):
             descriptors = tuple(f.descriptor for f, _, _ in draw)
             term_arrays = (subset, *_power_terms(inner, values, n))

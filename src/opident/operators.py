@@ -7,8 +7,11 @@ CanonicalOp is the closed form
 with the second sum defined as 0 wherever f(x) = 0 (x·ln|x|^k extends
 continuously by 0); apply_canonical_values, the one place it is written,
 evaluates it at a point or on a grid, skipping log terms whose d values are
-all 0. BlackBoxOp wraps an arbitrary deterministic rule (SmoothFn, x) ->
-real, so the identity checks can probe operators with no structural access.
+all 0. JetOp is any other local operator: a rule on f's derivatives
+0..order at x, run on a point's floats or on a grid's derivative-major
+stack in one pass. BlackBoxOp wraps an arbitrary deterministic rule
+(SmoothFn, x) -> real, so the identity checks can probe operators with no
+structural access, non-local ones included; it is applied point by point.
 """
 
 from __future__ import annotations
@@ -51,6 +54,11 @@ class CanonicalOp:
             descriptor = f"D[n={n}; c=({cs}); d=({ds})]"
         self.descriptor = descriptor
 
+    @property
+    def order(self) -> int:
+        """The jet order D reads: n."""
+        return self.n
+
     def coefficient_values(self, x):
         """(c_1(x)..c_n(x)), (d_1(x)..d_n(x)) read through each coefficient's
         SmoothFn memo: floats at a point or, for a grid given as a tuple of
@@ -84,7 +92,27 @@ class BlackBoxOp:
         return self.descriptor
 
 
-Operator = Union[CanonicalOp, BlackBoxOp]
+class JetOp:
+    """Local operator D(f)(x) = rule(f(x), f'(x), ..., f^(order)(x)). The
+    rule maps a derivative-major stack to D's values: one point's tuple of
+    floats to a float, or a grid's (order+1, ..., P) array to a (..., P)
+    array each of whose columns is bitwise that point's value, so it uses
+    per-value math (jets._per_value) where numpy's can differ."""
+
+    __slots__ = ("order", "rule", "descriptor")
+
+    def __init__(self, order: int, rule: Callable, descriptor: str):
+        if order < 0:
+            raise StructuralError(f"jet order must be nonnegative, got {order}")
+        self.order = order
+        self.rule = rule
+        self.descriptor = descriptor
+
+    def __repr__(self) -> str:
+        return self.descriptor
+
+
+Operator = Union[CanonicalOp, JetOp, BlackBoxOp]
 
 
 def apply_canonical_values(
@@ -112,41 +140,45 @@ def apply_canonical_values(
     return total
 
 
+def finite_value(op: Operator, value: float, x: float) -> float:
+    """D's value at the point x, once it is finite; else NumericRangeError."""
+    if not math.isfinite(value):
+        raise NumericRangeError(f"{op.descriptor} produced a non-finite value at x={x}")
+    return value
+
+
 def apply(op: Operator, f: SmoothFn, x):
     """D(f)(x) at the point x or, for a grid given as a tuple of points, an
-    array of D(f) at each point, bitwise the point values. For canonical D
-    the jet of f is taken at order n, on a grid in one formula pass; a black
-    box is called point by point. A non-finite value raises
-    NumericRangeError naming the (first such) point."""
+    array of D(f) at each point, bitwise the point values. A canonical D or
+    a JetOp reads the jet of f at op.order, on a grid in one pass of its
+    formula or rule; a black box is called point by point. A non-finite
+    value raises NumericRangeError naming the (first such) point."""
     if type(x) is tuple:
         if isinstance(op, BlackBoxOp):
             return np.array([apply(op, f, p) for p in x], dtype=float)
-        return apply_on_grid(op, x, f.eval_jet(x, op.n))
+        return apply_on_grid(op, x, f.eval_jet(x, op.order))
     if isinstance(op, BlackBoxOp):
-        out = op.fn(f, x)
-        if not math.isfinite(out):
-            raise NumericRangeError(
-                f"{op.descriptor} produced a non-finite value at x={x}"
-            )
-        return out
+        return finite_value(op, op.fn(f, x), x)
+    if isinstance(op, JetOp):
+        return finite_value(op, op.rule(f.eval_jet(x, op.order)), x)
     c_vals, d_vals = op.coefficient_values(x)
-    total = apply_canonical_values(c_vals, d_vals, f.eval_jet(x, op.n))
-    if not math.isfinite(total):
-        raise NumericRangeError(
-            f"{op.descriptor} produced a non-finite value at x={x}"
-        )
-    return total
+    return finite_value(op, apply_canonical_values(c_vals, d_vals, f.eval_jet(x, op.n)), x)
 
 
-def apply_on_grid(op: CanonicalOp, grid: tuple, derivs: np.ndarray) -> np.ndarray:
-    """apply_canonical_values with op's coefficient rows on the grid, for a
-    derivative-major stack derivs of shape (op.n+1, ..., P), or (op.n+1, ...,
-    1) for jets that are the same at every point; the result is (..., P). A
-    non-finite entry of derivs or of the result raises NumericRangeError
-    naming the first grid point that has one."""
-    c_vals, d_vals = op.coefficient_values(grid)
-    with np.errstate(all="ignore"):
-        out = apply_canonical_values(c_vals, d_vals, derivs)
+def apply_on_grid(op: CanonicalOp | JetOp, grid: tuple, derivs: np.ndarray) -> np.ndarray:
+    """D on a derivative-major stack derivs of shape (op.order+1, ..., P): a
+    JetOp's rule, copied, or apply_canonical_values with op's coefficient
+    rows on the grid, for which derivs may also be (op.n+1, ..., 1), jets
+    that are the same at every point; the result is (..., P). A non-finite
+    entry of derivs or of the result raises NumericRangeError naming the
+    first grid point that has one."""
+    if isinstance(op, JetOp):
+        with np.errstate(all="ignore"):
+            out = np.array(op.rule(derivs), dtype=float)
+    else:
+        c_vals, d_vals = op.coefficient_values(grid)
+        with np.errstate(all="ignore"):
+            out = apply_canonical_values(c_vals, d_vals, derivs)
     finite = np.isfinite(derivs).all(axis=0) & np.isfinite(out)
     finite = finite.all(axis=tuple(range(finite.ndim - 1)))
     if not finite.all():
@@ -176,30 +208,29 @@ def entropy_op() -> CanonicalOp:
     )
 
 
-def builtin_blackbox(name: str) -> BlackBoxOp:
-    """Falsification black boxes shipped with the CLI.
+def _x_ln_abs(v: float) -> float:
+    """v·ln|v|, and +0.0 where v is ±0.0."""
+    return 0.0 if v == 0.0 else v * math.log(abs(v))
+
+
+def builtin_blackbox(name: str) -> JetOp | BlackBoxOp:
+    """Falsification black boxes shipped with the CLI. The local ones are
+    JetOps; translate is the one opaque BlackBoxOp.
 
     square: f ↦ f², fails every identity (not of canonical form).
     translate: f ↦ f(·+0.5), non-local; breaks localization.
     third-derivative: f ↦ f''', a bona fide order-3 operator.
-    km-entropy: f ↦ f·ln|f| wrapped opaquely (0 at zeros of f).
+    km-entropy: f ↦ f·ln|f|, +0.0 at zeros of f, math.log per value.
     """
     if name == "square":
-        def square(f: SmoothFn, x: float) -> float:
-            v = f.value_at(x)
-            return v * v  # correctly rounded; libm's pow, behind v ** 2, need not be
-
-        return BlackBoxOp(square, "square: f -> f^2")
+        # correctly rounded; libm's pow, behind v ** 2, need not be
+        return JetOp(0, lambda d: d[0] * d[0], "square: f -> f^2")
     if name == "translate":
         return BlackBoxOp(
             lambda f, x: f.value_at(x + 0.5), "translate: f -> f(x+0.5)"
         )
     if name == "third-derivative":
-        return BlackBoxOp(lambda f, x: f.eval_jet(x, 3)[3], "f -> f'''")
+        return JetOp(3, lambda d: d[3], "f -> f'''")
     if name == "km-entropy":
-        def entropy(f: SmoothFn, x: float) -> float:
-            v = f.value_at(x)
-            return 0.0 if v == 0.0 else v * math.log(abs(v))
-
-        return BlackBoxOp(entropy, "f -> f*ln|f|")
+        return JetOp(0, lambda d: _per_value(_x_ln_abs, d[0]), "f -> f*ln|f|")
     raise StructuralError(f"unknown builtin black box {name!r}")

@@ -3,6 +3,7 @@
 import collections
 import gc
 import itertools
+import json
 import math
 import random
 import weakref
@@ -47,6 +48,7 @@ from opident.identities import (
 from opident.jets import binomial_row, signed_sum
 from opident.operators import (
     BlackBoxOp,
+    JetOp,
     apply,
     builtin_blackbox,
     derivative_op,
@@ -185,6 +187,24 @@ class TestSubsetPlan:
                     inside = sorted(values[j] for j in range(m) if mask >> j & 1)
                     assert got[mask].hex() == float(math.prod(inside)).hex()
 
+    def test_outside_products_with_jets_are_fn_products(self):
+        # ranked by jets, the outside products are bitwise those ranked by
+        # values, and each product jet is fn_product's, ±0.0 and ties included
+        rng = random.Random(6)
+        for m in range(1, 6):
+            for _ in range(40):
+                fs = [rng.choice(PLAN_POOL) for _ in range(m)]
+                for x, order in itertools.product((0.0, -0.0, 0.5), (0, 1, 3)):
+                    jets = [f.eval_jet(x, order) for f in fs]
+                    values = [jet[0] for jet in jets]
+                    outside, prods = identities._outside_products(values, jets)
+                    want = identities._outside_products(values)
+                    assert [v.hex() for v in outside] == [v.hex() for v in want]
+                    for mask in range(1, 1 << m):
+                        product = fn_product([f for j, f in enumerate(fs) if mask >> j & 1])
+                        got = [d.hex() for d in prods[mask]]
+                        assert got == [d.hex() for d in product.eval_jet(x, order)]
+
     def test_errors_are_the_fn_product_errors(self):
         grid = default_grid(9)
         big, ln = fn_constant(1e200), fn_from_expr("ln(x)")
@@ -262,7 +282,8 @@ class TestOncePerPoint:
         assert [t.hex() for t in got] == [float(t).hex() for t in want]
 
     def test_suite(self, monkeypatch):
-        op, n = builtin_blackbox("third-derivative"), 3
+        # an opaque box runs the per-point engine; a JetOp's suite runs on grids
+        op, n = BlackBoxOp(lambda f, x: f.eval_jet(x, 3)[3], "f -> f'''"), 3
         cfg = SamplingConfig(seed=3, tuples=2, grid=default_grid(5))
         want = run_check_suite_full(op, n, cfg)
         counts = []
@@ -313,6 +334,108 @@ class TestValueErrorsFirst:
             with pytest.raises(EvalDomainError) as got:
                 _points_per_point(op, fs, (0.5, 0.0))
             assert str(got.value) == self._value_error(fn_from_expr("ln(x)"), 0.0)
+
+
+def _old_square(f, x):
+    v = f.value_at(x)
+    return v * v
+
+
+def _old_entropy(f, x):
+    v = f.value_at(x)
+    return 0.0 if v == 0.0 else v * math.log(abs(v))
+
+
+# each local builtin's opaque twin: the BlackBoxOp rule that it replaced
+LOCAL_TWINS = {
+    "square": BlackBoxOp(_old_square, "square: f -> f^2"),
+    "third-derivative": BlackBoxOp(lambda f, x: f.eval_jet(x, 3)[3], "f -> f'''"),
+    "km-entropy": BlackBoxOp(_old_entropy, "f -> f*ln|f|"),
+}
+
+
+def _outcome(fn, *args):
+    """The hex of each float fn(*args) returns, or the type and message of
+    the package error it raises."""
+    try:
+        out = fn(*args)
+    except (EvalDomainError, NumericRangeError) as exc:
+        return type(exc), str(exc)
+    return [float(v).hex() for v in out]
+
+
+def _raise(*args):
+    raise AssertionError("the opaque per-point engine ran")
+
+
+class TestLocalBuiltins:
+    """square, third-derivative and km-entropy are JetOps, bitwise their
+    opaque twins, and run on the jet engines only."""
+
+    @pytest.mark.parametrize("name", sorted(LOCAL_TWINS))
+    @pytest.mark.parametrize("m", range(2, 6))
+    def test_subset_terms_are_the_twins(self, name, m):
+        op, twin = builtin_blackbox(name), LOCAL_TWINS[name]
+        assert isinstance(op, JetOp) and op.descriptor == twin.descriptor
+        rng = random.Random(30 + m)
+        for _ in range(50):
+            fs = [rng.choice(PLAN_POOL) for _ in range(m)]
+            for x in (0.0, -0.0, 0.5, -1.0):
+                got = _outcome(alternating_subset_terms, op, fs, x)
+                assert got == _outcome(alternating_subset_terms, twin, fs, x)
+
+    @pytest.mark.parametrize("name", sorted(LOCAL_TWINS))
+    def test_grid_apply_is_the_point_values(self, name):
+        op, twin = builtin_blackbox(name), LOCAL_TWINS[name]
+        grid = tuple(i / 8 for i in range(-8, 9))
+        # zeros at 0 and 0.5; zeros at ±1 and -1 at 0; the constants 0, -0, ±1
+        fs = [fn_from_expr("x*(x-0.5)*exp(x)"), fn_from_expr("sin(3*x)+2"), fn_from_expr("x^2-1")]
+        fs += [fn_constant(v) for v in (0.0, -0.0, 1.0, -1.0)]
+        for f in fs:
+            got = [v.hex() for v in apply(op, f, grid).tolist()]
+            assert got == [apply(op, f, x).hex() for x in grid]
+            assert got == [apply(twin, f, x).hex() for x in grid]
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_suite_is_the_twins(self, n):
+        cfg = SamplingConfig(seed=40 + n, tuples=3)
+        for name, twin in LOCAL_TWINS.items():
+            got = run_check_suite_full(builtin_blackbox(name), n, cfg)
+            want = run_check_suite_full(twin, n, cfg)
+            assert got == want
+            for a, b in ((got.report, want.report), (got.diagonal_gap, want.diagonal_gap)):
+                assert json.dumps(a.to_json()) == json.dumps(b.to_json())
+
+    def test_suite_error_is_the_per_point_engines(self):
+        # 1e307·f' first overflows at 1.0 for the first of seed 4's tuples
+        # and at 0.75 for the second: the block names 0.75, and its rerun, as
+        # the per-point engine, names the first tuple's 1.0
+        op = JetOp(1, lambda d: 1e307 * d[1], "1e307*f'")
+        twin = BlackBoxOp(lambda f, x: 1e307 * f.eval_jet(x, 1)[1], op.descriptor)
+        cfg = SamplingConfig(seed=4, tuples=2, grid=default_grid(9, 0.0, 1.0))
+        errors = []
+        for path in (op, twin):
+            with pytest.raises(NumericRangeError) as error:
+                run_check_suite_full(path, 1, cfg)
+            errors.append(str(error.value))
+        assert errors[0] == errors[1]
+        assert errors[0].endswith(" at x=1.0")
+
+    def test_subset_terms_never_build_a_plan(self, monkeypatch):
+        monkeypatch.setattr(identities, "_subset_plan", _raise)
+        fs = [X, X2, fn_from_expr("sin(x)+2"), fn_from_expr("exp(x)")]
+        for name in LOCAL_TWINS:
+            alternating_subset_terms(builtin_blackbox(name), fs, 0.3)
+        with pytest.raises(AssertionError, match="opaque"):
+            alternating_subset_terms(builtin_blackbox("translate"), fs, 0.3)
+
+    def test_suite_never_runs_per_point(self, monkeypatch):
+        monkeypatch.setattr(identities, "_points_per_point", _raise)
+        cfg = SamplingConfig(seed=5, tuples=2, grid=default_grid(5))
+        for name in LOCAL_TWINS:
+            run_check_suite_full(builtin_blackbox(name), 2, cfg)
+        with pytest.raises(AssertionError, match="opaque"):
+            run_check_suite_full(builtin_blackbox("translate"), 2, cfg)
 
 
 def _diagonal_residual(op, f, n, x):

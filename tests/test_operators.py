@@ -14,6 +14,7 @@ from opident.identities import random_function, random_polynomial
 from opident.operators import (
     BlackBoxOp,
     CanonicalOp,
+    JetOp,
     apply,
     apply_canonical_values,
     builtin_blackbox,
@@ -267,11 +268,14 @@ class TestBuiltinBlackBoxes:
         can = entropy_op()
         for x in (-1.5, 0.2, 2.0):
             f = fn_from_expr("x^2+1")
-            assert math.isclose(
-                apply(bb, f, x), apply(can, f, x), rel_tol=1e-14
-            )
+            assert apply(bb, f, x).hex() == apply(can, f, x).hex()
         assert apply(bb, fn_from_expr("x"), 0.0) == 0.0
 
     def test_unknown_name(self):
         with pytest.raises(StructuralError):
             builtin_blackbox("nope")
+
+    def test_jet_op_order_is_nonnegative(self):
+        with pytest.raises(StructuralError):
+            JetOp(-1, lambda d: d[0], "bad")
+        assert JetOp(0, lambda d: d[0], "f").order == 0
