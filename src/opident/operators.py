@@ -166,15 +166,16 @@ def apply(op: Operator, f: SmoothFn, x):
 
 
 def apply_on_grid(op: CanonicalOp | JetOp, grid: tuple, derivs: np.ndarray) -> np.ndarray:
-    """D on a derivative-major stack derivs of shape (op.order+1, ..., P): a
-    JetOp's rule, copied, or apply_canonical_values with op's coefficient
-    rows on the grid, for which derivs may also be (op.n+1, ..., 1), jets
-    that are the same at every point; the result is (..., P). A non-finite
-    entry of derivs or of the result raises NumericRangeError naming the
-    first grid point that has one."""
+    """D on a derivative-major stack derivs of shape (op.order+1, ..., P), or
+    (op.order+1, ..., 1) for jets that are the same at every point: a
+    JetOp's rule, copied into and broadcast over the grid's (..., P) result,
+    or apply_canonical_values with op's coefficient rows on the grid. A
+    non-finite entry of derivs or of the result raises NumericRangeError
+    naming the first grid point that has one."""
     if isinstance(op, JetOp):
+        out = np.empty(derivs.shape[1:-1] + (len(grid),))
         with np.errstate(all="ignore"):
-            out = np.array(op.rule(derivs), dtype=float)
+            out[...] = op.rule(derivs)
     else:
         c_vals, d_vals = op.coefficient_values(grid)
         with np.errstate(all="ignore"):

@@ -11,10 +11,13 @@ condition once and solves all its response columns in one call.
 A probe's jet at its own anchor does not depend on the anchor either, bit
 for bit: exp_probe(x0, p) evaluates its inner polynomial at t = x0 - x0 =
 0.0, so its jet at x0 is the exp of (0, p, 0, ...), and a constant's jet is
-(e^p, 0, ...) everywhere. So for a canonical D every response at every grid
-point comes from one pass of apply_canonical_values: the (n+1, 2n, 1) stack
-of probe jets against the (n, P) coefficient rows, bitwise the per-point
-responses. A black box is probed point by point.
+(e^p, 0, ...) everywhere. So for a local D, canonical or a JetOp, every
+response at every grid point comes from one pass of apply_on_grid over the
+(order+1, 2n, 1) stack of probe jets, bitwise the per-point responses: a
+canonical D runs it against its (n, P) coefficient rows, and a JetOp's
+(2n, 1) rule values are broadcast over the grid. Only a BlackBoxOp is probed
+point by point, and so is a local D whose grid pass leaves its domain or
+the finite range, so that each failing point is recorded.
 
 A holdout validation guards against operators outside the canonical class:
 recovery always produces numbers, but only operators of the canonical form
@@ -33,7 +36,15 @@ import numpy as np
 from .errors import EvalDomainError, NumericRangeError, RecoveryError, StructuralError
 from .functions import SmoothFn, fn_constant, fn_exp_of, fn_from_jet
 from .identities import ResidualReport, _Aggregator
-from .operators import CanonicalOp, Operator, apply, apply_canonical_values, apply_on_grid
+from .operators import (
+    BlackBoxOp,
+    CanonicalOp,
+    JetOp,
+    Operator,
+    apply,
+    apply_canonical_values,
+    apply_on_grid,
+)
 
 COND_WARN_THRESHOLD = 1e8
 
@@ -93,14 +104,15 @@ def _responses(op: Operator, n: int, x0: float) -> list[list[float]]:
     ]
 
 
-def _grid_responses(op: CanonicalOp, n: int, grid: tuple) -> np.ndarray:
+def _grid_responses(op: CanonicalOp | JetOp, n: int, grid: tuple) -> np.ndarray:
     """_responses at every grid point as an (n, 2P) right-hand side whose
-    columns 2p and 2p+1 are the two columns at grid[p], from one formula
-    pass over the probe jets, which are the same at every anchor."""
+    columns 2p and 2p+1 are the two columns at grid[p], from one pass of
+    apply_on_grid over the probe jets at op.order, which are the same at
+    every anchor."""
     probes = default_probes(n)
     values = [math.exp(p) for p in probes]
     fns = [exp_probe(0.0, p) for p in probes] + [fn_constant(v) for v in values]
-    jets = np.array([fn.eval_jet(0.0, op.n) for fn in fns]).T[:, :, None]
+    jets = np.array([fn.eval_jet(0.0, op.order) for fn in fns]).T[:, :, None]
     out = apply_on_grid(op, grid, jets)
     out[n:] /= np.array(values)[:, None]
     return out.reshape(2, n, len(grid)).transpose(1, 2, 0).reshape(n, -1)
@@ -134,18 +146,18 @@ def recover_profile(
     grid: Sequence[float],
 ) -> CoefficientProfile:
     """The probe responses at every grid point, then one solve against the
-    shared probe matrix. For a canonical op the responses come from one
-    formula pass over the grid; a black box, or a canonical op whose pass
-    leaves a coefficient's domain or the finite range, is probed point by
-    point. A point whose probes leave the operator's domain or the finite
-    range is recorded as a failure. n < 1 raises StructuralError before any
-    probe is applied, a near-singular probe system (n >= 16) raises
-    RecoveryError once, and any other exception propagates."""
+    shared probe matrix. For a local op, canonical or a JetOp, the responses
+    come from one grid pass; a BlackBoxOp, or a local op whose pass leaves
+    its domain or the finite range, is probed point by point. A point whose
+    probes leave the operator's domain or the finite range is recorded as a
+    failure. n < 1 raises StructuralError before any probe is applied, a
+    near-singular probe system (n >= 16) raises RecoveryError once, and any
+    other exception propagates."""
     matrix = _probe_matrix(n)
     grid = tuple(float(x) for x in grid)
     failures: list[tuple[int, str]] = []
     rhs = None
-    if isinstance(op, CanonicalOp) and grid:
+    if not isinstance(op, BlackBoxOp) and grid:
         try:
             rhs = _grid_responses(op, n, grid)
         except (EvalDomainError, NumericRangeError):
@@ -177,10 +189,15 @@ def validate_recovery(
     coefficients, on functions outside the probe family, at every grid point
     (tolerances 1e-9 absolute, 1e-6 relative); a point where recovery failed
     is an infinite sample naming the failure. Both sides are evaluated on
-    the grid of recovered points, the right one in one formula pass over the
-    holdout jets, each holdout's from one grid pass. Passing certifies
-    consistency with the canonical class on the evidence; a black box that
-    is not of that form fails loudly here."""
+    the grid of recovered points from each holdout's jets, read once, in
+    holdout order, in one grid pass at max(op.order, n) (at n for a
+    BlackBoxOp), so a holdout's jet error comes before op's. For a local op
+    the left side is one apply_on_grid over the stacked (order+1, H, P)
+    prefix of those jets, and a non-finite value names the first grid point
+    that is non-finite in any holdout; a BlackBoxOp is applied per holdout.
+    The right side is one formula pass over their (n+1, H, P) prefix.
+    Passing certifies consistency with the canonical class on the evidence;
+    a black box that is not of that form fails loudly here."""
     agg = _Aggregator()
     for idx, message in recovered.failures:
         agg.add(math.inf, 1.0, recovered.grid[idx], (f"recovery failed: {message}",))
@@ -188,12 +205,17 @@ def validate_recovery(
     if not kept or not holdout:
         return agg.report("recovery-validation", recovered.n, 1e-9, 1e-6)
     grid = tuple(recovered.grid[i] for i in kept)
-    lhs = np.array([apply(op, f, grid) for f in holdout])
-    jets = np.stack([f.eval_jet(grid, recovered.n) for f in holdout], axis=1)
+    local = not isinstance(op, BlackBoxOp)
+    order = max(op.order, recovered.n) if local else recovered.n
+    jets = np.stack([f.eval_jet(grid, order) for f in holdout], axis=1)
+    if local:
+        lhs = apply_on_grid(op, grid, jets[: op.order + 1])
+    else:
+        lhs = np.array([apply(op, f, grid) for f in holdout])
     c_rows = np.array([recovered.c_rows[i] for i in kept]).T
     d_rows = np.array([recovered.d_rows[i] for i in kept]).T
     with np.errstate(all="ignore"):
-        rhs = apply_canonical_values(c_rows, d_rows, jets)
+        rhs = apply_canonical_values(c_rows, d_rows, jets[: recovered.n + 1])
     names = [f.descriptor for f in holdout]
     for x, left, right in zip(grid, lhs.T.tolist(), rhs.T.tolist()):
         for a, b, name in zip(left, right, names):

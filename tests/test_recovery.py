@@ -7,12 +7,14 @@ import warnings
 import numpy as np
 import pytest
 
-from opident.errors import EvalDomainError, RecoveryError, StructuralError
+from opident import recovery
+from opident.errors import EvalDomainError, NumericRangeError, RecoveryError, StructuralError
 from opident.functions import fn_constant, fn_from_expr
 from opident.identities import default_grid
 from opident.operators import (
     BlackBoxOp,
     CanonicalOp,
+    JetOp,
     apply,
     apply_canonical_values,
     builtin_blackbox,
@@ -22,6 +24,7 @@ from opident.operators import (
 from opident.recovery import (
     CoefficientProfile,
     _probe_matrix,
+    _responses,
     default_probes,
     recover_at_point,
     recover_profile,
@@ -166,9 +169,30 @@ def per_point_twin(op):
     return BlackBoxOp(lambda f, x: apply(op, f, x), f"per-point {op.descriptor}")
 
 
+LOCAL_JET_OPS = [builtin_blackbox(name) for name in ("square", "third-derivative", "km-entropy")]
+# order 3 reads more of the jet than a recovery at n < 3 does
+ABOVE_N = JetOp(3, lambda d: d[3] + d[0] * d[1], "f''' + f*f'")
+
+
+def _raise(*args):
+    raise AssertionError("the per-point probes ran")
+
+
+def _counted(f, calls):
+    """f, recording (descriptor, is a grid, order) for each call of its rule."""
+    rule = f._derivs
+
+    def derivs(x0, order):
+        calls.append((f.descriptor, type(x0) is tuple, order))
+        return rule(x0, order)
+
+    f._derivs = derivs
+    return f
+
+
 class TestGridPass:
-    """A canonical op's one formula pass gives bitwise the records of its
-    per-point twin, a black box that applies it one point at a time."""
+    """A local op's one grid pass gives bitwise the records of its per-point
+    twin, a black box that applies it one point at a time."""
 
     def test_profile_and_validation_are_the_per_point_results(self):
         rng = random.Random(909)
@@ -184,6 +208,67 @@ class TestGridPass:
                     assert repr(validate_recovery(op, got, HOLDOUT)) == repr(
                         validate_recovery(twin, want, HOLDOUT)
                     )
+
+    @pytest.mark.parametrize("op", LOCAL_JET_OPS + [ABOVE_N], ids=repr)
+    def test_jet_op_profile_and_validation_are_the_per_point_results(self, op):
+        twin = per_point_twin(op)
+        for n in range(1, 6):
+            for points in (1, 2, 5, 21):
+                grid = default_grid(points, -0.8, 0.8)
+                got = recover_profile(op, n, grid)
+                want = recover_profile(twin, n, grid)
+                assert repr(got) == repr(want)
+                assert repr(validate_recovery(op, got, HOLDOUT)) == repr(
+                    validate_recovery(twin, want, HOLDOUT)
+                )
+
+    def test_jet_op_failures_are_the_per_point_loops(self):
+        # every probe response overflows, so the grid pass raises and each
+        # point is rerun; the loop runs on the op itself, whose descriptor
+        # the messages name
+        op = JetOp(0, lambda d: d[0] * 1e308 * 1e308, "f*1e308*1e308")
+        grid = default_grid(5)
+        want = []
+        for idx, x in enumerate(grid):
+            with pytest.raises(NumericRangeError) as error:
+                _responses(op, 3, x)
+            want.append((idx, str(error.value)))
+        profile = recover_profile(op, 3, grid)
+        assert profile.failures == tuple(want)
+        assert profile.c_rows == profile.d_rows == (None,) * len(grid)
+
+    def test_local_ops_never_probe_point_by_point(self, monkeypatch):
+        monkeypatch.setattr(recovery, "_responses", _raise)
+        grid = default_grid(21, -0.8, 0.8)
+        for op in LOCAL_JET_OPS + [random_canonical_op(random.Random(5), 3)]:
+            assert not recover_profile(op, 4, grid).failures
+        with pytest.raises(AssertionError, match="per-point"):
+            recover_profile(builtin_blackbox("translate"), 4, grid)
+
+    @pytest.mark.parametrize("name, n, order", [("square", 4, 4), ("third-derivative", 2, 3)])
+    def test_validation_reads_each_holdout_once(self, name, n, order):
+        op = builtin_blackbox(name)
+        grid = default_grid(5, -0.8, 0.8)
+        profile = recover_profile(op, n, grid)
+        calls = []
+        holdout = [_counted(fn_from_expr(f.descriptor), calls) for f in HOLDOUT]
+        validate_recovery(op, profile, holdout)
+        assert calls == [(f.descriptor, True, order) for f in HOLDOUT]
+
+    def test_holdout_jet_error_comes_before_the_ops(self):
+        # square overflows at every nonzero point, and so does the holdout's
+        # fourth derivative: the holdout's error is the one raised
+        source = "1e200*sin(1e100*x)"
+        op = builtin_blackbox("square")
+        grid = default_grid(5, -0.8, 0.8)
+        profile = recover_profile(op, 4, grid)
+        with pytest.raises(NumericRangeError) as holdout_error:
+            fn_from_expr(source).eval_jet(grid, 4)
+        with pytest.raises(NumericRangeError) as op_error:
+            apply(op, fn_from_expr(source), grid)
+        with pytest.raises(NumericRangeError) as error:
+            validate_recovery(op, profile, [fn_from_expr(source)])
+        assert str(error.value) == str(holdout_error.value) != str(op_error.value)
 
     @pytest.mark.parametrize(
         "source, failed", [("ln(x)", [0, 1, 2]), ("1/x", [2])]
