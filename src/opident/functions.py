@@ -34,9 +34,9 @@ jets; point reads of a tuple by several local operators, where a JetOp
 reads each input once at its order and builds the products as plain
 derivative tuples, not SmoothFns; and grid reads of coefficients and
 holdouts. The grid identity engine for local operators does not hit it: it
-evaluates its random inputs in one family pass (identities._family_jets,
-on the kernels _poly_derivs, _exp_derivs and _conv) and builds its subset
-products by DP.
+draws its random inputs as jets, evaluates them in one family pass
+(identities._family_jets, on the kernels _poly_derivs, _exp_derivs and
+_conv) and builds its subset products by DP, with no SmoothFn.
 """
 
 from __future__ import annotations

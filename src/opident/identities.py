@@ -25,13 +25,13 @@ point, a JetOp's terms come from each input's jet, read once, and one
 _outside_products DP over the jets' canonical order, which gives every
 outside value product and every complement product jet (one _conv each);
 the rule runs once per complement. A local D is checked on a block of
-tuples over the whole grid at once: one family pass gives every input's
-grid jets; _subset_stacks builds every subset product and the powers of
-fs[0] by the same DP over each tuple's canonical order; apply_on_grid runs
-the closed form or the rule on them in one pass; and each term gathers its
-subset's outside value product and D of its complement's product. A block
-that raises is rerun tuple by tuple, and a lone tuple raises the per-point
-engine's error.
+tuples, drawn as jets, over the whole grid at once: one family pass gives
+every input's grid jets; _subset_stacks builds every subset product and
+the powers of fs[0] by the same DP over each tuple's canonical order, one
+_conv per top rank; apply_on_grid runs the closed form or the rule on
+them in one pass; and each term gathers its subset's outside value product
+and D of its complement's product. A block that raises is rerun tuple by
+tuple, and a lone tuple, built as functions, raises the per-point error.
 
 A black-box D, which may read f off the point, sees only opaque SmoothFn
 products, evaluated per point: _subset_plan builds them by DP over the
@@ -45,9 +45,9 @@ give bitwise the same arrays.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
+from itertools import chain, starmap
 from typing import Sequence
 
 import numpy as np
@@ -140,45 +140,45 @@ class ResidualReport:
         }
 
 
-def bound_ratio(residual: float, scale: float, tol_abs: float, tol_rel: float) -> float:
+def bound_ratio(residual, scale, tol_abs: float, tol_rel: float):
     """|residual| / (tol_abs + tol_rel·scale); inf when the residual or the
     scale is not finite, so a NaN sample is the worst one; with a zero
-    bound, 0 for a zero residual and inf otherwise."""
-    if not (math.isfinite(residual) and math.isfinite(scale)):
-        return math.inf
-    bound = tol_abs + tol_rel * scale
-    if bound > 0.0:
-        return abs(residual) / bound
-    return 0.0 if residual == 0.0 else math.inf
+    bound, 0 for a zero residual and inf otherwise. A float for floats; for
+    arrays an array, each entry bitwise the float call on its pair."""
+    r, s = np.asarray(residual, dtype=float), np.asarray(scale, dtype=float)
+    with np.errstate(all="ignore"):
+        bound = tol_abs + tol_rel * s
+        ratio = np.where(bound > 0.0, np.abs(r) / bound, np.where(r == 0.0, 0.0, np.inf))
+    ratio = np.where(np.isfinite(r) & np.isfinite(s), ratio, np.inf)
+    return ratio if ratio.ndim else float(ratio)
 
 
 class _Aggregator:
-    """Collects (residual, scale, x, descriptors) samples; the report carries
-    the sample with the largest bound_ratio, the first one on ties."""
+    """Collects samples (residual, scale, x, descriptors), one at a time or
+    as rows, lists with one entry per sample; the report carries the sample
+    with the largest bound_ratio, the first one on ties, from one call."""
 
     def __init__(self):
         self._samples: list[tuple] = []
 
-    def add(self, residual: float, scale: float, x: float, descriptors) -> None:
-        self._samples.append((residual, scale, x, descriptors))
+    def add(self, residual, scale, x, descriptors) -> None:
+        if type(residual) is list:
+            self._samples += zip(residual, scale, x, descriptors)
+        else:
+            self._samples.append((residual, scale, x, descriptors))
 
     def report(
         self, name: str, n: int, tol_abs: float, tol_rel: float
     ) -> ResidualReport:
         if not self._samples:
             return ResidualReport(name, n, 0, 0.0, 0.0, None, tol_abs, tol_rel)
-        residual, scale, x, descriptors = max(
-            self._samples, key=lambda s: bound_ratio(s[0], s[1], tol_abs, tol_rel)
-        )
+        residuals, scales, _, _ = zip(*self._samples)
+        # the first on ties: no ratio is NaN
+        worst = int(np.argmax(bound_ratio(residuals, scales, tol_abs, tol_rel)))
+        residual, scale, x, descriptors = self._samples[worst]
+        case = WorstCase(x, tuple(descriptors), residual)
         return ResidualReport(
-            name,
-            n,
-            len(self._samples),
-            abs(residual),
-            scale,
-            WorstCase(x, tuple(descriptors), residual),
-            tol_abs,
-            tol_rel,
+            name, n, len(self._samples), abs(residual), scale, case, tol_abs, tol_rel
         )
 
 
@@ -394,34 +394,37 @@ def _subset_stacks(jets: np.ndarray):
 
     Per column the tuple is put in canonical order (sorted_jet_order,
     fn_product's fold order) and the product over each rank bitmask R is
-    built by DP, prod[R] = prod[R - top(R)] ⊛ jet[top(R)], one _conv per
-    popcount level: prods[:, R] is its (K+1, C) jet and outside[R] the
-    (2^m, C) product of its values in the same fold; prods[:, 2^m - 1 + k]
-    is jets[:, 0]^k, k = 1..m, by f^k = f^(k-1) ⊛ f in the same _conv calls.
+    built by DP over its top rank t, prod[R] = prod[R - 2^t] ⊛ jet[t], the
+    masks [2^t, 2^(t+1)) in one _conv of the slice prods[:, :2^t]: prods[:, R]
+    is its (K+1, C) jet and outside[R] the (2^m, C) product of its values in
+    the same fold. prods[:, 2^m - 1 + k] is jets[:, 0]^k, k = 1..m, by f^k =
+    f^(k-1) ⊛ f carried in the empty product's slot 0 of the same _conv.
     inside[s, c] is the rank bitmask in column c of subset s of
     subset_masks(m), and odd[s] whether that subset has odd size.
     """
     _, m, cols = jets.shape
     size = 1 << m
-    # by_rank[r, c]: index into the tuple of the rank-r function in column c
+    # by_rank[t, c]: index into the tuple of the rank-t function in column c
     by_rank = sorted_jet_order(jets)
-    # factors[:, r]: the rank-r jet; factors[:, m]: jets[:, 0], the powers' base
+    # factors[:, t]: the rank-t jet; factors[:, m]: jets[:, 0], the powers' base
     factors = np.take_along_axis(jets, np.vstack([by_rank, 0 * by_rank[:1]])[None], axis=1)
-    prods = np.zeros((len(jets), size + m, cols), dtype=jets.dtype)
+    prods = np.empty((len(jets), size + m, cols), dtype=jets.dtype)
+    prods[:, 0] = prods[:, size] = factors[:, m]
     outside = np.ones((size, cols), dtype=jets.dtype)
-    for level in range(1, m + 1):
-        masks = [r for r in range(1, size) if r.bit_count() == level]
-        tops = [r.bit_length() - 1 for r in masks]
-        rests = [r ^ (1 << t) for r, t in zip(masks, tops)]
-        outside[masks] = outside[rests] * factors[0, tops]
-        top_jets = factors[:, tops + [m]]
-        masks.append(size - 1 + level)
-        rests.append(size - 2 + level)
-        prods[:, masks] = top_jets if level == 1 else _conv(prods[:, rests], top_jets)
     # bits[j, c]: the rank bit of the j-th function in column c
     bits = 1 << np.argsort(by_rank, axis=0)
-    member = np.array([[mask >> j & 1 for j in range(m)] for mask in subset_masks(m)])
-    return outside, prods, member @ bits, member.sum(axis=1) % 2 == 1
+    inside, odd = np.zeros((size, cols), dtype=bits.dtype), np.zeros(size, dtype=bool)
+    for t in range(m):
+        low, high = 1 << t, 2 << t
+        outside[low:high] = outside[:low] * factors[0, t]
+        inside[low:high] = inside[:low] + bits[t]
+        odd[low:high] = ~odd[:low]
+        prods[:, low] = factors[:, t]
+        if t:
+            step = np.array(_conv(prods[:, :low], factors[:, [m, t]].repeat([1, low - 1], 1)))
+            prods[:, 0] = prods[:, size + t] = step[:, 0]
+            prods[:, low + 1 : high] = step[:, 1:]
+    return outside, prods, inside[:-1], odd[:-1]
 
 
 def _points_batched(op: CanonicalOp | JetOp, jets: np.ndarray, grid: tuple):
@@ -451,9 +454,10 @@ def _points_batched(op: CanonicalOp | JetOp, jets: np.ndarray, grid: tuple):
 
 def _canonical_arrays(op: CanonicalOp | JetOp, draws, grid: tuple) -> list:
     """Each tuple's engine arrays for a local D, from one _family_jets and
-    one _points_batched call; tuple by tuple if that raises. A lone tuple
-    raises what _points_per_point raises: a JetOp runs it, and a canonical
-    D its functions' eval_jet (their own errors), then _points_batched."""
+    one _points_batched call on the _draw_jets draws; tuple by tuple if that
+    raises. A lone tuple raises what _points_per_point raises on its built
+    functions: a JetOp runs it, a canonical D their eval_jet (their own
+    errors), then _points_batched."""
     order, tuples, m, points = op.order + 1, len(draws), len(draws[0]), len(grid)
     try:
         family = _family_jets([d for draw in draws for d in draw], grid, op.order)
@@ -463,9 +467,10 @@ def _canonical_arrays(op: CanonicalOp | JetOp, draws, grid: tuple) -> list:
     except (EvalDomainError, NumericRangeError):
         if tuples > 1:
             return [out for draw in draws for out in _canonical_arrays(op, [draw], grid)]
+        fs = [_function_of(*draw) for draw in draws[0]]
         if isinstance(op, JetOp):
-            return [_points_per_point(op, [f for f, _, _ in draws[0]], grid)]
-        jets = np.stack([f.eval_jet(grid, op.n) for f, _, _ in draws[0]], axis=1)
+            return [_points_per_point(op, fs, grid)]
+        jets = np.stack([f.eval_jet(grid, op.n) for f in fs], axis=1)
         arrays = _points_batched(op, jets, grid)
     return [tuple(a[..., t * points : (t + 1) * points] for a in arrays) for t in range(tuples)]
 
@@ -476,8 +481,8 @@ def _grid_report(name: str, tol_abs: float, grid: tuple, rows) -> ResidualReport
     scale |r|, so the report's bound is tol_abs alone."""
     agg = _Aggregator()
     for descriptors, row in rows:
-        for x, r in zip(grid, row.tolist()):
-            agg.add(r, abs(r), x, descriptors)
+        row = row.tolist()
+        agg.add(row, list(map(abs, row)), list(grid), [descriptors] * len(row))
     return agg.report(name, 0, tol_abs, 0.0)
 
 
@@ -536,7 +541,7 @@ COEF_RANGE = 2.0
 
 
 def _draw_polynomial(rng: random.Random, degree: int = 3):
-    """random_polynomial's draw: (the function, its jet at 0)."""
+    """random_polynomial's draw: (its descriptor, its jet at 0)."""
     coeffs = [rng.uniform(-COEF_RANGE, COEF_RANGE) for _ in range(degree + 1)]
     fact = 1.0
     jet = []
@@ -544,35 +549,44 @@ def _draw_polynomial(rng: random.Random, degree: int = 3):
         if l > 0:
             fact *= l
         jet.append(cl * fact)
-    fn = fn_from_jet(0.0, jet)
-    fn.descriptor = "poly[" + ",".join(f"{c:.4g}" for c in coeffs) + "]"
-    return fn, jet
+    return "poly[" + ",".join(f"{c:.4g}" for c in coeffs) + "]", jet
 
 
 def random_polynomial(rng: random.Random, degree: int = 3) -> SmoothFn:
-    return _draw_polynomial(rng, degree)[0]
+    return _function_of(*_draw_polynomial(rng, degree), None)
 
 
-def _draw_function(rng: random.Random):
-    """random_function's draw: (f, p, q) for f = p, exp(q) or p·exp(q), with
-    p and q the jets at 0 of its cubics, None where f has none."""
+def _draw_jets(rng: random.Random):
+    """random_function's draw as jets: (descriptor, p, q) for f = p, exp(q)
+    or p·exp(q), p and q its cubics' jets at 0 (None where f has none)."""
     kind = rng.randrange(3)
-    p_fn, p = _draw_polynomial(rng) if kind != 1 else (None, None)
-    q_fn, q = _draw_polynomial(rng) if kind != 0 else (None, None)
+    p_text, p = _draw_polynomial(rng) if kind != 1 else (None, None)
+    q_text, q = _draw_polynomial(rng) if kind != 0 else (None, None)
     if kind == 0:
-        return p_fn, p, q
-    return (fn_exp_of(q_fn) if kind == 1 else fn_product([p_fn, fn_exp_of(q_fn)])), p, q
+        return p_text, p, q
+    exp_text = f"exp({q_text})"
+    return (exp_text if kind == 1 else f"({p_text})*({exp_text})"), p, q
+
+
+def _function_of(descriptor: str, p, q) -> SmoothFn:
+    """The SmoothFn of a _draw_jets draw: p, exp(q) or their fn_product."""
+    parts = [fn_from_jet(0.0, p)] if p is not None else []
+    parts += [fn_exp_of(fn_from_jet(0.0, q))] if q is not None else []
+    fn = fn_product(parts)
+    fn.descriptor = descriptor
+    return fn
 
 
 def random_function(rng: random.Random) -> SmoothFn:
-    return _draw_function(rng)[0]
+    return _function_of(*_draw_jets(rng))
 
 
 def _family_jets(draws, grid, order: int) -> np.ndarray:
-    """np.stack([f.eval_jet(tuple(grid), order) for f, _, _ in draws], axis=1),
-    bitwise wherever that is finite, by one _poly_derivs over every p and q,
-    one _exp_derivs and one _conv for the p·exp(q) (fn_product's fold, as
-    _conv is exactly commutative). It checks nothing itself."""
+    """np.stack([_function_of(*d).eval_jet(tuple(grid), order) for d in draws],
+    axis=1) for _draw_jets draws, bitwise wherever that is finite, by one
+    _poly_derivs over every p and q, one _exp_derivs and one _conv for the
+    p·exp(q) (fn_product's fold, as _conv is exactly commutative). It checks
+    nothing itself."""
     has_p, has_q = (np.array([d[i] is not None for d in draws]) for i in (1, 2))
     polys = [d[1] for d in draws if d[1] is not None] + [d[2] for d in draws if d[2] is not None]
     with np.errstate(all="ignore"):
@@ -635,11 +649,11 @@ def run_check_suite_full(op: Operator, n: int, cfg: SamplingConfig) -> SuiteOutc
     shared term scale (they agree up to roundoff by construction). Both
     sides of that gap come from the same n+1 applications D(f^k)(x).
 
-    Tuples are drawn _TUPLES_PER_PASS at a time; a local D, canonical or a
-    JetOp, takes _canonical_arrays per block, a black box _points_per_point
-    per tuple.
-    _power_terms forms both diagonal forms from the engine's arrays;
-    samples are added point by point.
+    Tuples are drawn as jets, _TUPLES_PER_PASS at a time; a local D,
+    canonical or a JetOp, takes _canonical_arrays per block, and a black box
+    _points_per_point per tuple on the functions built for it alone.
+    _power_terms forms both diagonal forms from the engine's arrays; each
+    tuple's samples are added as rows, point by point.
     """
     if cfg.tuples < 0:
         raise StructuralError(f"tuples must be nonnegative, got {cfg.tuples}")
@@ -649,24 +663,21 @@ def run_check_suite_full(op: Operator, n: int, cfg: SamplingConfig) -> SuiteOutc
     gap_agg = _Aggregator()
     for start in range(0, cfg.tuples, _TUPLES_PER_PASS):
         size = min(_TUPLES_PER_PASS, cfg.tuples - start)
-        draws = [[_draw_function(rng) for _ in range(n + 1)] for _ in range(size)]
+        draws = [[_draw_jets(rng) for _ in range(n + 1)] for _ in range(size)]
         if isinstance(op, BlackBoxOp):
-            arrays = (_points_per_point(op, [f for f, _, _ in draw], grid) for draw in draws)
+            arrays = (_points_per_point(op, [*starmap(_function_of, draw)], grid) for draw in draws)
         else:
             arrays = _canonical_arrays(op, draws, grid)
         for draw, (subset, inner, values) in zip(draws, arrays):
-            descriptors = tuple(f.descriptor for f, _, _ in draw)
+            descriptors = tuple(d for d, _, _ in draw)
             term_arrays = (subset, *_power_terms(inner, values, n))
-            columns = [a.T.tolist() for a in term_arrays]
-            scales = [_column_scales(a) for a in term_arrays]
-            for x, terms, pterms, dterms, scale, pscale, dscale in zip(grid, *columns, *scales):
-                agg.add(signed_sum(terms), scale, x, descriptors)
-
-                presidual = signed_sum(pterms)
-                agg.add(presidual, pscale, x, descriptors[:1])
-
-                gap = presidual - signed_sum(dterms)
-                gap_agg.add(gap, max(pscale, dscale), x, descriptors[:1])
+            sums, psums, dsums = ([*map(signed_sum, a.T.tolist())] for a in term_arrays)
+            scales, pscales, dscales = map(_column_scales, term_arrays)
+            # each point's subset sample, then its diagonal one
+            rows = [[*chain(*zip(a, b))] for a, b in ((sums, psums), (scales, pscales))]
+            agg.add(*rows, [*chain(*zip(grid, grid))], [descriptors, descriptors[:1]] * len(grid))
+            gaps = [p - d for p, d in zip(psums, dsums)]
+            gap_agg.add(gaps, [*map(max, pscales, dscales)], [*grid], [descriptors[:1]] * len(grid))
     return SuiteOutcome(
         agg.report("identity-suite", n, DEFAULT_TOL_ABS, DEFAULT_TOL_REL),
         gap_agg.report("diagonal-consistency", n, 0.0, 1e-12),

@@ -76,9 +76,10 @@ def _any(mask) -> bool:
 
 
 def _per_value(fn, v):
-    """fn of a float or of each value of an array (numpy's can differ by an ulp)."""
+    """fn of a float or of each value of an array (numpy's can differ by an
+    ulp), mapped in C; the first value on which fn raises raises its error."""
     if isinstance(v, np.ndarray):
-        return np.array([fn(t) for t in v.ravel().tolist()]).reshape(v.shape)
+        return np.fromiter(map(fn, v.ravel().tolist()), float, v.size).reshape(v.shape)
     return fn(v)
 
 

@@ -13,11 +13,11 @@ for bit: exp_probe(x0, p) evaluates its inner polynomial at t = x0 - x0 =
 0.0, so its jet at x0 is the exp of (0, p, 0, ...), and a constant's jet is
 (e^p, 0, ...) everywhere. So for a local D, canonical or a JetOp, every
 response at every grid point comes from one pass of apply_on_grid over the
-(order+1, 2n, 1) stack of probe jets, bitwise the per-point responses: a
-canonical D runs it against its (n, P) coefficient rows, and a JetOp's
-(2n, 1) rule values are broadcast over the grid. Only a BlackBoxOp is probed
-point by point, and so is a local D whose grid pass leaves its domain or
-the finite range, so that each failing point is recorded.
+(order+1, 2n, 1) stack of those jets (_probe_jets), bitwise the per-point
+responses: a canonical D runs it against its (n, P) coefficient rows, and a
+JetOp's (2n, 1) rule values are broadcast over the grid. Only a BlackBoxOp
+is probed point by point, and so is a local D whose grid pass leaves its
+domain or the finite range, so that each failing point is recorded.
 
 A holdout validation guards against operators outside the canonical class:
 recovery always produces numbers, but only operators of the canonical form
@@ -35,6 +35,7 @@ import numpy as np
 
 from .errors import EvalDomainError, NumericRangeError, RecoveryError, StructuralError
 from .functions import SmoothFn, fn_constant, fn_exp_of, fn_from_jet
+from .jets import _exp_derivs
 from .identities import ResidualReport, _Aggregator
 from .operators import (
     BlackBoxOp,
@@ -104,17 +105,23 @@ def _responses(op: Operator, n: int, x0: float) -> list[list[float]]:
     ]
 
 
+def _probe_jets(n: int, order: int) -> np.ndarray:
+    """The (order+1, 2n, 1) stack of the exp probes' jets at their anchor,
+    the exp of (0, p, 0, ...), then the constants' (e^p, 0, ...): bitwise
+    exp_probe(x0, p).eval_jet(x0, order) and fn_constant(e^p)'s."""
+    zeros, probes = [0.0] * order, default_probes(n)
+    jets = [_exp_derivs([0.0, p, *zeros][: order + 1]) for p in probes]
+    return np.array(jets + [[math.exp(p), *zeros] for p in probes]).T[:, :, None]
+
+
 def _grid_responses(op: CanonicalOp | JetOp, n: int, grid: tuple) -> np.ndarray:
     """_responses at every grid point as an (n, 2P) right-hand side whose
     columns 2p and 2p+1 are the two columns at grid[p], from one pass of
     apply_on_grid over the probe jets at op.order, which are the same at
     every anchor."""
-    probes = default_probes(n)
-    values = [math.exp(p) for p in probes]
-    fns = [exp_probe(0.0, p) for p in probes] + [fn_constant(v) for v in values]
-    jets = np.array([fn.eval_jet(0.0, op.order) for fn in fns]).T[:, :, None]
+    jets = _probe_jets(n, op.order)
     out = apply_on_grid(op, grid, jets)
-    out[n:] /= np.array(values)[:, None]
+    out[n:] /= jets[0, n:]
     return out.reshape(2, n, len(grid)).transpose(1, 2, 0).reshape(n, -1)
 
 

@@ -30,7 +30,6 @@ from opident.identities import (
     _Aggregator,
     _canonical_arrays,
     _column_scales,
-    _draw_function,
     _family_jets,
     _points_batched,
     _points_per_point,
@@ -287,17 +286,45 @@ class TestOncePerPoint:
         cfg = SamplingConfig(seed=3, tuples=2, grid=default_grid(5))
         want = run_check_suite_full(op, n, cfg)
         counts = []
-        draw = identities._draw_function
+        build = identities._function_of
 
-        def counted_draw(rng):
-            f, p, q = draw(rng)
-            f, calls = _counted(f)
+        def counted_build(descriptor, p, q):
+            f, calls = _counted(build(descriptor, p, q))
             counts.append(calls)
-            return f, p, q
+            return f
 
-        monkeypatch.setattr(identities, "_draw_function", counted_draw)
+        # the suite draws jets and builds functions only for a black box
+        monkeypatch.setattr(identities, "_function_of", counted_build)
         got = run_check_suite_full(op, n, cfg)
         assert counts == [list(cfg.grid)] * (cfg.tuples * (n + 1))
+        assert got.report.to_json() == want.report.to_json()
+        assert got.diagonal_gap.to_json() == want.diagonal_gap.to_json()
+
+
+class TestDrawsAsJets:
+    """The suite draws its tuples as jets: the grid engine of a local D
+    builds no function, and only a black box's tuples are built."""
+
+    @pytest.mark.parametrize(
+        "name", ("random-canonical", "square", "third-derivative", "km-entropy", "translate")
+    )
+    def test_a_local_suite_builds_no_function(self, monkeypatch, name):
+        if name == "random-canonical":
+            op = random_canonical_op(random.Random(8), 3)
+        else:
+            op = builtin_blackbox(name)
+        cfg = SamplingConfig(seed=8, tuples=3, grid=default_grid(7))
+        want = run_check_suite_full(op, 3, cfg)
+
+        def refuse(*draw):
+            raise AssertionError("a function was built")
+
+        monkeypatch.setattr(identities, "_function_of", refuse)
+        if isinstance(op, BlackBoxOp):
+            with pytest.raises(AssertionError, match="a function was built"):
+                run_check_suite_full(op, 3, cfg)
+            return
+        got = run_check_suite_full(op, 3, cfg)
         assert got.report.to_json() == want.report.to_json()
         assert got.diagonal_gap.to_json() == want.diagonal_gap.to_json()
 
@@ -537,11 +564,12 @@ class TestChecks:
         assert report.max_abs_residual == 1.0 and not report.passed
 
     def test_localization_is_the_per_point_loop(self, monkeypatch):
-        # two grid applies give bitwise the residuals of the per-point loop
+        # two grid applies give bitwise the residuals of the per-point loop;
+        # the residuals are added as one row
         samples = []
         add = _Aggregator.add
         monkeypatch.setattr(
-            _Aggregator, "add", lambda agg, r, *rest: samples.append(r) or add(agg, r, *rest)
+            _Aggregator, "add", lambda agg, r, *rest: samples.extend(r) or add(agg, r, *rest)
         )
         rng = random.Random(23)
         grid = default_grid(9, -0.9, 0.9)
@@ -860,9 +888,10 @@ class TestFamilyJets:
     def test_matches_each_functions_jets(self, grid):
         rng = random.Random(len(grid))
         for _ in range(200):
-            draws = [_draw_function(rng) for _ in range(rng.randint(1, 5))]
+            draws = [identities._draw_jets(rng) for _ in range(rng.randint(1, 5))]
             order = rng.randint(0, 6)
-            want = np.stack([f.eval_jet(tuple(grid), order) for f, _, _ in draws], axis=1)
+            fs = [identities._function_of(*d) for d in draws]
+            want = np.stack([f.eval_jet(tuple(grid), order) for f in fs], axis=1)
             got = _family_jets(draws, grid, order)
             assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
 
@@ -873,13 +902,13 @@ class TestFamilyJets:
         # eval_jet, whose error names the function's value; at seed 21 the
         # first five tuples pass and 12 of the 30 fail
         rng = random.Random(21)
-        draws = [[_draw_function(rng) for _ in range(2)] for _ in range(30)]
+        draws = [[identities._draw_jets(rng) for _ in range(2)] for _ in range(30)]
         grid = (0.0, 40.0)
 
         def error(draw):
             """The error of the tuple's per-function eval_jet, or None."""
             try:
-                np.stack([f.eval_jet(grid, 1) for f, _, _ in draw], axis=1)
+                np.stack([identities._function_of(*d).eval_jet(grid, 1) for d in draw], axis=1)
             except NumericRangeError as exc:
                 return str(exc)
             return None
@@ -903,3 +932,112 @@ class TestSampleScales:
         got = _column_scales(terms)
         assert math.isnan(want[1]) and want[2] == 3.0
         assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+class TestSubsetStacksOrder:
+    """_subset_stacks' DP over top ranks folds every product in the order of
+    _outside_products, fn_product's sorted fold, column by column."""
+
+    POOL = (0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 3.0)
+
+    def _column_jets(self, rng, m, order):
+        # ties, ±0.0 and exact zeros from the pool, one draw in five random
+        pick = lambda: rng.choice(self.POOL) if rng.random() < 0.8 else rng.uniform(-2, 2)
+        jets = [tuple(pick() for _ in range(order + 1)) for _ in range(m)]
+        if rng.random() < 0.5:
+            jets[rng.randrange(m)] = rng.choice(jets)  # a tied jet
+        return jets
+
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_products_are_outside_products(self, monkeypatch, m):
+        # the reference runs unchecked, so the column holding an inf compares
+        # its non-finite products too
+        monkeypatch.setattr(identities, "_check_finite", lambda values: values)
+        rng = random.Random(m)
+        size = 1 << m
+        member = np.array([[s >> j & 1 for j in range(m)] for s in subset_masks(m)])
+        for order in range(6):
+            columns = [self._column_jets(rng, m, order) for _ in range(12)]
+            bad = columns[rng.randrange(len(columns))]
+            j, k = rng.randrange(m), rng.randrange(order + 1)
+            bad[j] = bad[j][:k] + (rng.choice((math.inf, -math.inf)),) + bad[j][k + 1 :]
+            stack = np.array(columns).transpose(2, 1, 0)  # (K+1, m, C)
+            with np.errstate(all="ignore"):
+                outside, prods, inside, odd = identities._subset_stacks(stack)
+                for c, jets in enumerate(columns):
+                    values = [jet[0] for jet in jets]
+                    want_outside, want_prods = identities._outside_products(values, jets)
+                    ranks = sorted(range(m), key=jets.__getitem__)
+                    bits = np.array([1 << ranks.index(j) for j in range(m)])
+                    assert inside[:, c].tolist() == (member @ bits).tolist()
+                    for mask in range(1, size):
+                        rank_mask = int(bits[[j for j in range(m) if mask >> j & 1]].sum())
+                        got = prods[:, rank_mask, c], outside[rank_mask, c]
+                        want = np.array(want_prods[mask]), np.float64(want_outside[mask])
+                        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+                    power = jets[0]
+                    for k in range(1, m + 1):
+                        assert prods[:, size - 1 + k, c].tobytes() == np.array(power).tobytes()
+                        power = identities._conv(power, jets[0])
+            assert odd.tolist() == (member.sum(axis=1) % 2 == 1).tolist()
+
+
+def _reference_ratio(residual, scale, tol_abs, tol_rel):
+    """bound_ratio's rule on floats, written out."""
+    if not (math.isfinite(residual) and math.isfinite(scale)):
+        return math.inf
+    bound = tol_abs + tol_rel * scale
+    if bound > 0.0:
+        return abs(residual) / bound
+    return 0.0 if residual == 0.0 else math.inf
+
+
+class TestAggregation:
+    """Samples added one at a time or as rows give the report of the
+    per-sample rule: the first sample with the largest bound_ratio."""
+
+    POOL = (0.0, -0.0, 1e-9, -1e-9, 2e-9, 1.0, -1.0, math.nan, math.inf, -math.inf, 1e300)
+
+    def _sample(self, rng):
+        pick = lambda: rng.choice(self.POOL) if rng.random() < 0.7 else rng.uniform(-1e-8, 1e-8)
+        return pick(), abs(pick()), rng.choice((-0.5, 0.0, 0.5)), (f"f{rng.randrange(3)}",)
+
+    def _report(self, samples, name, n, tol_abs, tol_rel):
+        if not samples:
+            return identities.ResidualReport(name, n, 0, 0.0, 0.0, None, tol_abs, tol_rel)
+        residual, scale, x, descriptors = max(
+            samples, key=lambda s: _reference_ratio(s[0], s[1], tol_abs, tol_rel)
+        )
+        case = identities.WorstCase(x, tuple(descriptors), residual)
+        return identities.ResidualReport(
+            name, n, len(samples), abs(residual), scale, case, tol_abs, tol_rel
+        )
+
+    @pytest.mark.parametrize("tols", [(1e-9, 1e-8), (0.0, 0.0), (0.0, 1e-12), (1e-9, 0.0)])
+    def test_rows_and_single_adds_are_the_per_sample_rule(self, tols):
+        rng = random.Random(repr(tols))
+        for _ in range(300):
+            agg, samples = _Aggregator(), []
+            for _ in range(rng.randrange(5)):
+                row = [self._sample(rng) for _ in range(rng.randrange(1, 8))]
+                samples += row
+                if len(row) == 1 and rng.random() < 0.5:
+                    agg.add(*row[0])
+                else:
+                    agg.add(*map(list, zip(*row)))
+            got = agg.report("mix", 2, *tols)
+            want = self._report(samples, "mix", 2, *tols)
+            assert repr(got) == repr(want)
+            assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+
+    def test_bound_ratio_on_arrays_is_the_float_rule(self):
+        rng = random.Random(11)
+        for tols in ((1e-9, 1e-8), (0.0, 0.0), (1e-300, 1e-300), (0.0, 1e-12)):
+            pairs = [self._sample(rng)[:2] for _ in range(500)]
+            residuals, scales = (np.array(column) for column in zip(*pairs))
+            got = identities.bound_ratio(residuals, scales, *tols)
+            want = [_reference_ratio(r, s, *tols) for r, s in pairs]
+            assert got.tobytes() == np.array(want).tobytes()
+            floats = [identities.bound_ratio(r, s, *tols) for r, s in pairs]
+            assert all(type(v) is float for v in floats)
+            assert np.array(floats).tobytes() == np.array(want).tobytes()

@@ -5,6 +5,7 @@ import random
 import sys
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from opident.jets import (
     _abs_derivs,
     _exp_derivs,
     _ln_abs_derivs,
+    _per_value,
     jet_exp,
     jet_linear_combine,
     jet_ln_abs,
@@ -380,3 +382,29 @@ class TestJetInvariants:
         j = Jet(0.0, [1.0])
         with pytest.raises(AttributeError):
             j.x0 = 1.0
+
+
+class TestPerValue:
+    """_per_value maps the math call over the values in C: bitwise the
+    element-by-element comprehension, and the first failing value raises."""
+
+    @pytest.mark.parametrize("fn", (math.log, math.exp, math.sin), ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("shape", ((), (0,), (3, 4, 5)), ids=repr)
+    def test_is_the_comprehension(self, fn, shape):
+        rng = random.Random(repr(shape))
+        v = np.array([rng.uniform(0.01, 5.0) for _ in range(int(np.prod(shape)))]).reshape(shape)
+        want = np.array([fn(t) for t in v.ravel().tolist()]).reshape(v.shape)
+        got = _per_value(fn, v)
+        assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes())
+
+    def test_exp_overflow_raises_at_the_first_overflowing_value(self):
+        v = np.array([[1.0, 800.0], [2.0, 900.0]])
+        seen = []
+
+        def exp(t):
+            seen.append(t)
+            return math.exp(t)
+
+        with pytest.raises(OverflowError):
+            _per_value(exp, v)
+        assert seen == [1.0, 800.0]

@@ -1,5 +1,6 @@
 """Coefficient recovery round trips and black-box misfit detection."""
 
+import itertools
 import math
 import random
 import warnings
@@ -23,9 +24,11 @@ from opident.operators import (
 )
 from opident.recovery import (
     CoefficientProfile,
+    _probe_jets,
     _probe_matrix,
     _responses,
     default_probes,
+    exp_probe,
     recover_at_point,
     recover_profile,
     validate_recovery,
@@ -193,6 +196,15 @@ def _counted(f, calls):
 class TestGridPass:
     """A local op's one grid pass gives bitwise the records of its per-point
     twin, a black box that applies it one point at a time."""
+
+    def test_probe_jets_are_the_probe_functions_jets(self):
+        # at any anchor: the jets do not depend on it
+        for n, order, x0 in itertools.product(range(1, 7), range(7), (0.0, 0.37, -1.5)):
+            fns = [exp_probe(x0, p) for p in default_probes(n)]
+            fns += [fn_constant(math.exp(p)) for p in default_probes(n)]
+            want = np.array([f.eval_jet(x0, order) for f in fns]).T[:, :, None]
+            got = _probe_jets(n, order)
+            assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
 
     def test_profile_and_validation_are_the_per_point_results(self):
         rng = random.Random(909)
