@@ -15,9 +15,21 @@ A grid of jets is stored derivative-major: entry k holds the k-th
 derivatives at every point, as a numpy row or (..., P) array, or as a float
 where it is the same at every point. The derivs kernels _conv,
 _exp_derivs, _ln_abs_derivs, _reciprocal_derivs, _sin_cos_derivs,
-_abs_derivs and _power_derivs index entries only, so they run on a
-point's derivatives or a grid's with the same operations in the same order,
-and hence give bitwise the per-point results.
+_abs_derivs and _power_derivs run on a point's derivatives or a grid's with
+the same operations in the same order, and hence give bitwise the per-point
+results.
+
+The recurrences of _conv, _exp_derivs, _ln_abs_derivs, _reciprocal_derivs
+and _sin_cos_derivs are written once, as loops over entry indices
+(_conv_loop, ...), and run as straight-line programs: a loop's index pattern
+depends only on the jet length, so it is run once per length on
+placeholders that record each + - * / and unary minus, and the record is
+written out as code and exec'd as a function of the loop's parameters. The
+programs are kept in one list per kernel indexed by jet length, filled on
+first use. A program performs the loop's operations on the same operands,
+so its results are bitwise the loop's, on floats and grid rows alike. What
+depends on values stays in the kernel around the program: the domain checks
+and exp, log, sin and cos of the value.
 
 Jet, a checked (base point, finite derivatives) wrapper, is returned only
 by the jet_* wrappers of the kernels and exprs.eval_jet, which the
@@ -83,6 +95,157 @@ def _per_value(fn, v):
     return fn(v)
 
 
+class _Value:
+    """A placeholder value of a recording: a parameter, an entry read from a
+    jet parameter, or the result of one + - * / or unary minus of
+    placeholders and floats. Each is appended to the recording's nodes when
+    made, so the nodes stand in the order the loop reads and computes them,
+    and counts its uses as an operand."""
+
+    __slots__ = ("op", "operands", "nodes", "uses", "name")
+
+    def __init__(self, nodes: list[_Value], op: str, *operands, name: str | None = None):
+        self.op = op  # the operator, or a leaf's text: "a[0]" or the parameter
+        self.operands = operands
+        self.nodes = nodes
+        self.uses = 0
+        self.name = name
+        for x in operands:
+            if isinstance(x, _Value):
+                x.uses += 1
+        nodes.append(self)
+
+    def __add__(self, other):
+        return _Value(self.nodes, "+", self, other)
+
+    def __radd__(self, other):
+        return _Value(self.nodes, "+", other, self)
+
+    def __sub__(self, other):
+        return _Value(self.nodes, "-", self, other)
+
+    def __rsub__(self, other):
+        return _Value(self.nodes, "-", other, self)
+
+    def __mul__(self, other):
+        return _Value(self.nodes, "*", self, other)
+
+    def __rmul__(self, other):
+        return _Value(self.nodes, "*", other, self)
+
+    def __truediv__(self, other):
+        return _Value(self.nodes, "/", self, other)
+
+    def __rtruediv__(self, other):
+        return _Value(self.nodes, "/", other, self)
+
+    def __neg__(self):
+        return _Value(self.nodes, "-", self)
+
+
+class _Entries:
+    """A jet parameter of a recording, of length n: entry i is the
+    placeholder of the read name[i], made where the loop first reads it."""
+
+    __slots__ = ("name", "nodes", "entries")
+
+    def __init__(self, name: str, n: int, nodes: list[_Value]):
+        self.name = name
+        self.nodes = nodes
+        self.entries: list[_Value | None] = [None] * n
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def __getitem__(self, i: int) -> _Value:
+        if i not in range(len(self.entries)):
+            raise IndexError(f"{self.name}[{i!r}] of a length-{len(self)} jet")
+        if self.entries[i] is None:
+            self.entries[i] = _Value(self.nodes, f"{self.name}[{i}]")
+        return self.entries[i]
+
+
+def _placeholders(x):
+    """The placeholders in a recorded result, a list or tuple of them."""
+    if isinstance(x, (list, tuple)):
+        for v in x:
+            yield from _placeholders(v)
+    elif isinstance(x, _Value):
+        yield x
+
+
+def _text(x) -> str:
+    """Program text of an operand or a result: a named placeholder's name,
+    an unnamed one's expression, a finite float's repr, or a list or tuple
+    of those."""
+    if isinstance(x, _Value):
+        if x.name is not None:
+            return x.name
+        return f"({_expression(x)})" if x.operands else x.op
+    if isinstance(x, list):
+        return "[" + ", ".join(map(_text, x)) + "]"
+    if isinstance(x, tuple):
+        return "(" + "".join(_text(v) + ", " for v in x) + ")"
+    if type(x) is float and math.isfinite(x):
+        return repr(x)
+    raise TypeError(f"a recorded recurrence may use placeholders and floats only, not {x!r}")
+
+
+def _expression(v: _Value) -> str:
+    """Program text of what v computes or reads."""
+    if len(v.operands) == 2:
+        return f"{_text(v.operands[0])} {v.op} {_text(v.operands[1])}"
+    return f"-{_text(v.operands[0])}" if v.operands else v.op
+
+
+def _straight_line(loop, n: int, jets: int):
+    """loop at jet length n as a straight-line function of the same
+    parameters: loop run once with its first `jets` parameters as length-n
+    placeholder jets and the rest as placeholder values, then the record
+    exec'd. loop must index and branch on integers only, never on a value.
+
+    A placeholder used once is written into the expression that uses it,
+    so an intermediate grid row is freed as soon as it is used (and numpy
+    may reuse its buffer); every other one is assigned to a name, in the
+    loop's order. Either way each operation has the loop's operands, and
+    operations have no side effects, so the results are bitwise the loop's.
+    The text holds only parameter names, integer indices, finite floats,
+    operators and parentheses."""
+    code = loop.__code__
+    params = code.co_varnames[: code.co_argcount]
+    nodes: list[_Value] = []
+    args = [_Entries(p, n, nodes) if i < jets else _Value(nodes, p, name=p) for i, p in enumerate(params)]
+    result = loop(*args)
+    returned = set(map(id, _placeholders(result)))
+    for i, v in enumerate(nodes):
+        if v.name is None and (v.uses != 1 or id(v) in returned):
+            v.name = f"v{i}"
+    lines = [f"{v.name} = {_expression(v)}" for v in nodes if v.name not in (None, v.op)]
+    name = f"{loop.__name__}_{n}"
+    body = "".join(f"    {line}\n" for line in [*lines, f"return {_text(result)}"])
+    scope: dict = {}
+    exec(compile(f"def {name}({', '.join(params)}):\n{body}", f"<{name}>", "exec"), {}, scope)
+    return scope[name]
+
+
+def _program(programs: list, loop, n: int, jets: int = 1):
+    """programs[n]: loop's straight-line form at jet length n, built on
+    first use into the list of loop's programs indexed by jet length."""
+    if n >= len(programs):
+        programs.extend([None] * (n + 1 - len(programs)))
+    if programs[n] is None:
+        programs[n] = _straight_line(loop, n, jets)
+    return programs[n]
+
+
+# The straight-line programs of each recurrence, indexed by jet length.
+_CONV_PROGRAMS: list = []
+_EXP_PROGRAMS: list = []
+_LN_ABS_PROGRAMS: list = []
+_RECIPROCAL_PROGRAMS: list = []
+_SIN_COS_PROGRAMS: list = []
+
+
 class Jet:
     """Derivatives (f(x0), f'(x0), ..., f^(K)(x0)) of a function at x0.
 
@@ -146,18 +309,20 @@ def jet_linear_combine(a: float, j1: Jet, b: float, j2: Jet) -> Jet:
 
 
 def _conv(a: Sequence, b: Sequence) -> list:
-    """Binomial convolution: (a*b)[k] = sum_j C(k,j) a[j] b[k-j], of two
-    derivs sequences or two broadcastable derivative-major grid arrays.
+    """Binomial convolution of two derivs sequences or two broadcastable
+    derivative-major grid arrays: _conv_loop as its straight-line program."""
+    return _program(_CONV_PROGRAMS, _conv_loop, len(a), 2)(a, b)
+
+
+def _conv_loop(a, b):
+    """(a*b)[k] = sum_j C(k,j) a[j] b[k-j].
 
     Terms are grouped in (j, k-j) pairs so the result is bitwise identical
     under swapping a and b (commutativity of the product is exact).
     """
-    n = len(a)
-    binomial_row(n - 1)
-    rows = _BINOM
-    out = [0.0] * n
-    for k in range(n):
-        row = rows[k]
+    out = [0.0] * len(a)
+    for k in range(len(a)):
+        row = binomial_row(k)
         s = 0.0
         j = 0
         while j < k - j:
@@ -189,22 +354,22 @@ def jet_exp(j: Jet) -> Jet:
 
 
 def _exp_derivs(g):
-    """Derivatives of exp∘g from those of g: a derivs sequence or a (K+1, P)
-    grid array.
-
-    Uses the recurrence h = exp(g), h^(k+1) = sum_j C(k,j) g^(j+1) h^(k-j),
-    which is the product rule applied to h' = g'·h.
-    """
+    """Derivatives of exp∘g from those of g, a derivs sequence or a (K+1, P)
+    grid array: exp of the value, then _exp_loop's program."""
     try:
         h0 = _per_value(math.exp, g[0])
     except OverflowError:
         raise NumericRangeError(f"exp overflow at value {g[0]}") from None
+    return _program(_EXP_PROGRAMS, _exp_loop, len(g))(g, h0)
+
+
+def _exp_loop(g, h0):
+    """h = exp(g) from h0 = exp(g(x0)) by h^(k+1) = sum_j C(k,j) g^(j+1) h^(k-j),
+    which is the product rule applied to h' = g'·h."""
     n = len(g)
     h = [h0] + [0.0] * (n - 1)
-    binomial_row(n - 1)
-    rows = _BINOM
     for k in range(n - 1):
-        row = rows[k]
+        row = binomial_row(k)
         s = 0.0
         for i in range(k + 1):
             s += row[i] * g[i + 1] * h[k - i]
@@ -218,21 +383,25 @@ def jet_ln_abs(j: Jet) -> Jet:
 
 
 def _ln_abs_derivs(f):
-    """Derivatives of ln|f| from those of f, nonzero at every point: solves
-    f·u' = f' order by order (u = ln|f|); all coefficients beyond the value
-    are sign-independent because only ratios over f appear."""
+    """Derivatives of ln|f| from those of f, nonzero at every point: log of
+    the magnitude, then _ln_abs_loop's program."""
     if _any(f[0] == 0.0):
         raise EvalDomainError("log singularity at base point")
+    return _program(_LN_ABS_PROGRAMS, _ln_abs_loop, len(f))(f, _per_value(math.log, abs(f[0])))
+
+
+def _ln_abs_loop(f, u0):
+    """u = ln|f| from u0 = ln|f(x0)| by solving f·u' = f' order by order; all
+    coefficients beyond the value are sign-independent because only ratios
+    over f appear."""
     n = len(f)
-    u = [0.0] * n
-    u[0] = _per_value(math.log, abs(f[0]))
-    binomial_row(n - 1)
-    rows = _BINOM
+    u = [u0] + [0.0] * (n - 1)
     inv_f0 = 1.0 / f[0]
     for k in range(n - 1):
         # f[0]*u[k+1] = f[k+1] - sum_{i=1..k} C(k,i) f[i] u[k+1-i]; no -=,
-        # which would write into the row f[k+1]
-        row = rows[k]
+        # which on a grid (the tests run this loop as the reference) would
+        # write into the row f[k+1]
+        row = binomial_row(k)
         s = f[k + 1]
         for i in range(1, k + 1):
             s = s - row[i] * f[i] * u[k + 1 - i]
@@ -246,16 +415,21 @@ def jet_reciprocal(j: Jet) -> Jet:
 
 
 def _reciprocal_derivs(f):
-    """Derivatives of 1/f from those of f, nonzero at every point."""
+    """Derivatives of 1/f from those of f, nonzero at every point:
+    _reciprocal_loop's program."""
     if _any(f[0] == 0.0):
         raise EvalDomainError("division by zero at base point")
+    return _program(_RECIPROCAL_PROGRAMS, _reciprocal_loop, len(f))(f)
+
+
+def _reciprocal_loop(f):
+    """w = 1/f by w^(k) = -w(x0) sum_{i=1..k} C(k,i) f^(i) w^(k-i), the
+    product rule applied to f·w = 1."""
     n = len(f)
     w = [0.0] * n
     w[0] = 1.0 / f[0]
-    binomial_row(n - 1)
-    rows = _BINOM
     for k in range(1, n):
-        row = rows[k]
+        row = binomial_row(k)
         s = 0.0
         for i in range(1, k + 1):
             s += row[i] * f[i] * w[k - i]
@@ -270,16 +444,21 @@ def jet_sin_cos(j: Jet) -> tuple[Jet, Jet]:
 
 
 def _sin_cos_derivs(g):
-    """Derivatives of sin∘g and cos∘g, advanced jointly via s' = g'·c, c' = -g'·s."""
+    """Derivatives of sin∘g and cos∘g: sin and cos of the value, then
+    _sin_cos_loop's program."""
+    s0 = _per_value(math.sin, g[0])
+    c0 = _per_value(math.cos, g[0])
+    return _program(_SIN_COS_PROGRAMS, _sin_cos_loop, len(g))(g, s0, c0)
+
+
+def _sin_cos_loop(g, s0, c0):
+    """s = sin(g) and c = cos(g) from their values s0 and c0, advanced
+    jointly via s' = g'·c, c' = -g'·s."""
     n = len(g)
-    s = [0.0] * n
-    c = [0.0] * n
-    s[0] = _per_value(math.sin, g[0])
-    c[0] = _per_value(math.cos, g[0])
-    binomial_row(n - 1)
-    rows = _BINOM
+    s = [s0] + [0.0] * (n - 1)
+    c = [c0] + [0.0] * (n - 1)
     for k in range(n - 1):
-        row = rows[k]
+        row = binomial_row(k)
         acc_s = 0.0
         acc_c = 0.0
         for i in range(k + 1):

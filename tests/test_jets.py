@@ -11,12 +11,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opident.errors import EvalDomainError, NumericRangeError, StructuralError
+from opident import jets
 from opident.jets import (
     Jet,
     _abs_derivs,
+    _conv,
+    _conv_loop,
     _exp_derivs,
+    _exp_loop,
     _ln_abs_derivs,
+    _ln_abs_loop,
     _per_value,
+    _program,
+    _reciprocal_derivs,
+    _reciprocal_loop,
+    _sin_cos_derivs,
+    _sin_cos_loop,
+    _straight_line,
     jet_exp,
     jet_linear_combine,
     jet_ln_abs,
@@ -408,3 +419,122 @@ class TestPerValue:
         with pytest.raises(OverflowError):
             _per_value(exp, v)
         assert seen == [1.0, 800.0]
+
+
+# (programs, loop, jet parameters, value parameters) of each straight-line kernel
+STRAIGHT = {
+    "conv": (jets._CONV_PROGRAMS, _conv_loop, 2, 0),
+    "exp": (jets._EXP_PROGRAMS, _exp_loop, 1, 1),
+    "ln_abs": (jets._LN_ABS_PROGRAMS, _ln_abs_loop, 1, 1),
+    "reciprocal": (jets._RECIPROCAL_PROGRAMS, _reciprocal_loop, 1, 0),
+    "sin_cos": (jets._SIN_COS_PROGRAMS, _sin_cos_loop, 1, 2),
+}
+# signed zeros, subnormals, and magnitudes whose products overflow to inf
+# (and then to nan beside a zero or an opposite inf)
+SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 1.1e-308, -3e-310, 1e308, -1e308, 1e200, 1.0, -1.0)
+
+
+def draw(rng):
+    return rng.choice(SPECIAL) if rng.random() < 0.4 else rng.uniform(-3.0, 3.0)
+
+
+def bits(x):
+    """The exact content of a kernel result: types, shapes and bytes."""
+    if isinstance(x, (list, tuple)):
+        return [type(x).__name__, *map(bits, x)]
+    if isinstance(x, np.ndarray):
+        return ("array", x.dtype.str, x.shape, x.tobytes())
+    return (type(x).__name__, float(x).hex())
+
+
+def outcome(fn, args):
+    with np.errstate(all="ignore"):
+        try:
+            return bits(fn(*args))
+        except ArithmeticError as exc:  # 1.0 / 0.0 at a point, in both
+            return type(exc).__name__
+
+
+class TestStraightLine:
+    """Each kernel's straight-line program is bitwise its loop, the
+    recurrence's one written form, on points and grids."""
+
+    def check(self, kernel, n, args):
+        programs, loop, n_jets, _ = STRAIGHT[kernel]
+        before = bits(args)
+        want = outcome(loop, args)
+        assert bits(args) == before  # the reference leaves its inputs alone
+        got = outcome(_program(programs, loop, n, n_jets), args)
+        assert got == want
+        assert bits(args) == before
+
+    @pytest.mark.parametrize("kernel", STRAIGHT)
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_floats(self, kernel, n):
+        _, _, n_jets, n_values = STRAIGHT[kernel]
+        rng = random.Random(f"{kernel}{n}")
+        for _ in range(60):
+            jets_ = [tuple(draw(rng) for _ in range(n)) for _ in range(n_jets)]
+            self.check(kernel, n, [*jets_, *(draw(rng) for _ in range(n_values))])
+
+    @pytest.mark.parametrize("kernel", STRAIGHT)
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_grid_rows_beside_floats(self, kernel, n):
+        # entries as eval_derivs makes them: x is [row, 1.0, 0.0, ...]
+        _, _, n_jets, n_values = STRAIGHT[kernel]
+        rng = random.Random(f"grid{kernel}{n}")
+
+        def entry():
+            return draw(rng) if rng.random() < 0.4 else np.array([draw(rng) for _ in range(5)])
+
+        for _ in range(20):
+            x = [np.array([draw(rng) for _ in range(5)]), 1.0] + [0.0] * (n - 2)
+            jets_ = [x[:n]] + [[entry() for _ in range(n)] for _ in range(n_jets - 1)]
+            self.check(kernel, n, [*jets_, *(entry() for _ in range(n_values))])
+
+    @pytest.mark.parametrize("kernel", STRAIGHT)
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_grid_stacks(self, kernel, n):
+        # derivative-major (n, m, P) stacks; a second factor broadcast over m
+        _, _, n_jets, n_values = STRAIGHT[kernel]
+        rng = random.Random(f"stack{kernel}{n}")
+
+        def stack(m):
+            return np.array([draw(rng) for _ in range(n * m * 4)]).reshape(n, m, 4)
+
+        for _ in range(5):
+            jets_ = [stack(3), stack(1)][:n_jets]
+            values = [np.array([draw(rng) for _ in range(12)]).reshape(3, 4) for _ in range(n_values)]
+            self.check(kernel, n, [*jets_, *values])
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_kernels_are_their_loops_around_the_values(self, n):
+        rng = random.Random(n)
+        for _ in range(20):
+            f = tuple(rng.uniform(0.1, 2.0) * rng.choice((1.0, -1.0)) for _ in range(n))
+            g = tuple(rng.uniform(-2.0, 2.0) for _ in range(n))
+            assert bits(_conv(f, g)) == bits(_conv_loop(f, g))
+            assert bits(_exp_derivs(g)) == bits(_exp_loop(g, math.exp(g[0])))
+            assert bits(_ln_abs_derivs(f)) == bits(_ln_abs_loop(f, math.log(abs(f[0]))))
+            assert bits(_reciprocal_derivs(f)) == bits(_reciprocal_loop(f))
+            want = _sin_cos_loop(g, math.sin(g[0]), math.cos(g[0]))
+            assert bits(_sin_cos_derivs(g)) == bits(want)
+
+    def test_built_once_per_length_on_demand(self):
+        programs = []
+        program = _program(programs, _conv_loop, 3, 2)
+        assert programs == [None, None, None, program]
+        assert _program(programs, _conv_loop, 3, 2) is program
+        assert _program(programs, _conv_loop, 1, 2) is programs[1] is not None
+        assert programs[3] is program and programs[0] is programs[2] is None
+
+    def test_records_only_arithmetic_on_floats_within_the_jet(self):
+        def int_constant(a):
+            return [a[0] * 2]
+
+        def out_of_range(a):
+            return [a[-1]]
+
+        for loop, error in ((int_constant, TypeError), (out_of_range, IndexError)):
+            with pytest.raises(error):
+                _straight_line(loop, 1, 1)
