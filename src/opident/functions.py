@@ -30,7 +30,7 @@ lower-order jet; a custom rule must keep this contract. The memo serves
 repeated reads: opaque black-box point sweeps, where each subset product of
 identities._subset_plan reads its factors' jets and the jet of the product
 that leaves one of them out, and the tuple's values are prefixes of those
-jets; point reads of a tuple by several local operators, where a JetOp
+jets; point reads of a tuple by several local operators, each of which
 reads each input once at its order and builds the products as plain
 derivative tuples, not SmoothFns; and grid reads of coefficients and
 holdouts. The grid identity engine for local operators does not hit it: it

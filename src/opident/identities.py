@@ -20,18 +20,19 @@ subset terms in ascending-bitmask order, inner[i] = D(fs[0]^(m-i)) of shape
 engine's arrays span T·P columns, tuple-major. The diagonal identity on
 fs[0] is formed from the last two, once per tuple.
 
-A local D, a CanonicalOp or a JetOp, reads only jets, at op.order. At a
-point, a JetOp's terms come from each input's jet, read once, and one
-_outside_products DP over the jets' canonical order, which gives every
-outside value product and every complement product jet (one _conv each);
-the rule runs once per complement. A local D is checked on a block of
-tuples, drawn as jets, over the whole grid at once: one family pass gives
-every input's grid jets; _subset_stacks builds every subset product and
-the powers of fs[0] by the same DP over each tuple's canonical order, one
-_conv per top rank; apply_on_grid runs the closed form or the rule on
-them in one pass; and each term gathers its subset's outside value product
-and D of its complement's product. A block that raises is rerun tuple by
-tuple, and a lone tuple, built as functions, raises the per-point error.
+A local D, any operator but a BlackBoxOp, reads only jets, at op.order,
+through op.values. At a point, its terms come from each input's jet, read
+once, and one _outside_products DP over the jets' canonical order, which
+gives every outside value product and every complement product jet (one
+_conv each); op.values runs once per complement. A local D is checked on a
+block of tuples, drawn as jets, over the whole grid at once: one family
+pass gives every input's grid jets; _subset_stacks builds every subset
+product and the powers of fs[0] by the same DP over each tuple's canonical
+order, one _conv per top rank; apply_on_grid runs op.values on them in one
+pass; and each term gathers its subset's outside value product and D of
+its complement's product. A block that raises is rerun once on the
+per-point engine below, tuple by tuple, which raises the first failing
+tuple's error at its first failing point.
 
 A black-box D, which may read f off the point, sees only opaque SmoothFn
 products, evaluated per point: _subset_plan builds them by DP over the
@@ -267,14 +268,14 @@ def _outside_products(values: Sequence[float], jets=None):
     return outside if jets is None else (outside, prods)
 
 
-def _jet_terms(op: JetOp, fs: Sequence[SmoothFn], x: float) -> list[float]:
+def _jet_terms(op: CanonicalOp | JetOp, fs: Sequence[SmoothFn], x: float) -> list[float]:
     """alternating_subset_terms for a local D, bitwise _terms_from_plan's
     terms: each input's jet read once at op.order, one _outside_products DP
-    for the outside values and the complement products, and D's rule once
+    for the outside values and the complement products, and op.values once
     per complement. If a jet raises, the values are read in index order, so
     a failing value's error replaces it, as on the opaque path. An error is
     of the opaque path's type at the same point, but as every product is
-    formed before the rule runs, an overflowing product can be named where
+    formed before op.values runs, an overflowing product can be named where
     the opaque path names D's value."""
     _require_tuple(len(fs))
     try:
@@ -287,7 +288,7 @@ def _jet_terms(op: JetOp, fs: Sequence[SmoothFn], x: float) -> list[float]:
     full = len(outside) - 1
     terms = []
     for mask in subset_masks(len(fs)):
-        signed = outside[mask] * finite_value(op, op.rule(prods[full ^ mask]), x)
+        signed = outside[mask] * finite_value(op, op.values(x, prods[full ^ mask]), x)
         terms.append(-signed if mask.bit_count() % 2 else signed)
     return terms
 
@@ -316,14 +317,14 @@ def alternating_subset_terms(
 
     Each term's float value is permutation-invariant: the outside value
     product and the product jets inside D fold in canonical sorted order.
-    Each input is evaluated once at x: a JetOp reads its jets and forms every
-    product by one DP (_jet_terms); for any other D the tuple's values are
-    read after D's applies on opaque products, as prefixes of the jets they
-    evaluated.
+    Each input is evaluated once at x: a local D reads its jets and forms
+    every product by one DP (_jet_terms); for a black box the tuple's values
+    are read after D's applies on opaque products, as prefixes of the jets
+    they evaluated.
     """
-    if isinstance(op, JetOp):
-        return _jet_terms(op, fs, x)
-    return _terms_from_plan(op, _subset_plan(fs), fs, x)
+    if isinstance(op, BlackBoxOp):
+        return _terms_from_plan(op, _subset_plan(fs), fs, x)
+    return _jet_terms(op, fs, x)
 
 
 def alternating_subset_residual(
@@ -452,12 +453,17 @@ def _points_batched(op: CanonicalOp | JetOp, jets: np.ndarray, grid: tuple):
     return terms, applied[size - 1:][::-1], jets[0, 0]
 
 
+def _per_point_arrays(op: Operator, draws, grid: tuple) -> list:
+    """Each tuple's engine arrays from _points_per_point on the functions
+    built for it alone: a black box's path, and a local D's when its block
+    raises, so the first failing tuple raises its per-point error."""
+    return [_points_per_point(op, [*starmap(_function_of, draw)], grid) for draw in draws]
+
+
 def _canonical_arrays(op: CanonicalOp | JetOp, draws, grid: tuple) -> list:
     """Each tuple's engine arrays for a local D, from one _family_jets and
-    one _points_batched call on the _draw_jets draws; tuple by tuple if that
-    raises. A lone tuple raises what _points_per_point raises on its built
-    functions: a JetOp runs it, a canonical D their eval_jet (their own
-    errors), then _points_batched."""
+    one _points_batched call on the _draw_jets draws, or from
+    _per_point_arrays if that raises."""
     order, tuples, m, points = op.order + 1, len(draws), len(draws[0]), len(grid)
     try:
         family = _family_jets([d for draw in draws for d in draw], grid, op.order)
@@ -465,13 +471,7 @@ def _canonical_arrays(op: CanonicalOp | JetOp, draws, grid: tuple) -> list:
         jets = family.reshape(order, tuples, m, points).transpose(0, 2, 1, 3)
         arrays = _points_batched(op, jets.reshape(order, m, tuples * points), grid)
     except (EvalDomainError, NumericRangeError):
-        if tuples > 1:
-            return [out for draw in draws for out in _canonical_arrays(op, [draw], grid)]
-        fs = [_function_of(*draw) for draw in draws[0]]
-        if isinstance(op, JetOp):
-            return [_points_per_point(op, fs, grid)]
-        jets = np.stack([f.eval_jet(grid, op.n) for f in fs], axis=1)
-        arrays = _points_batched(op, jets, grid)
+        return _per_point_arrays(op, draws, grid)
     return [tuple(a[..., t * points : (t + 1) * points] for a in arrays) for t in range(tuples)]
 
 
@@ -649,9 +649,8 @@ def run_check_suite_full(op: Operator, n: int, cfg: SamplingConfig) -> SuiteOutc
     shared term scale (they agree up to roundoff by construction). Both
     sides of that gap come from the same n+1 applications D(f^k)(x).
 
-    Tuples are drawn as jets, _TUPLES_PER_PASS at a time; a local D,
-    canonical or a JetOp, takes _canonical_arrays per block, and a black box
-    _points_per_point per tuple on the functions built for it alone.
+    Tuples are drawn as jets, _TUPLES_PER_PASS at a time; a local D takes
+    _canonical_arrays per block, and a black box _per_point_arrays.
     _power_terms forms both diagonal forms from the engine's arrays; each
     tuple's samples are added as rows, point by point.
     """
@@ -665,7 +664,7 @@ def run_check_suite_full(op: Operator, n: int, cfg: SamplingConfig) -> SuiteOutc
         size = min(_TUPLES_PER_PASS, cfg.tuples - start)
         draws = [[_draw_jets(rng) for _ in range(n + 1)] for _ in range(size)]
         if isinstance(op, BlackBoxOp):
-            arrays = (_points_per_point(op, [*starmap(_function_of, draw)], grid) for draw in draws)
+            arrays = _per_point_arrays(op, draws, grid)
         else:
             arrays = _canonical_arrays(op, draws, grid)
         for draw, (subset, inner, values) in zip(draws, arrays):

@@ -1,17 +1,18 @@
 """Operator families applied pointwise through jets.
 
-CanonicalOp is the closed form
+A local operator reads only f's derivatives 0..order at x, and answers one
+call, values(x, derivs), on a point's floats or on a grid's derivative-major
+stack in one pass. CanonicalOp is the closed form
 
     D(f)(x) = sum_i c_i(x)·f^(i)(x) + sum_i d_i(x)·f(x)·ln|f(x)|^i,
 
 with the second sum defined as 0 wherever f(x) = 0 (x·ln|x|^k extends
 continuously by 0); apply_canonical_values, the one place it is written,
-evaluates it at a point or on a grid, skipping log terms whose d values are
-all 0. JetOp is any other local operator: a rule on f's derivatives
-0..order at x, run on a point's floats or on a grid's derivative-major
-stack in one pass. BlackBoxOp wraps an arbitrary deterministic rule
-(SmoothFn, x) -> real, so the identity checks can probe operators with no
-structural access, non-local ones included; it is applied point by point.
+evaluates it with the coefficients read at x, skipping log terms whose d
+values are all 0. JetOp is any other local operator, given by its rule.
+BlackBoxOp wraps an arbitrary deterministic rule (SmoothFn, x) -> real, so
+the identity checks can probe operators with no structural access, non-local
+ones included; it is applied point by point.
 """
 
 from __future__ import annotations
@@ -73,6 +74,10 @@ class CanonicalOp:
         d_vals = tuple(fn.value_at(x) for fn in self.d)
         return c_vals, d_vals if any(d_vals) else ()
 
+    def values(self, x, derivs):
+        """apply_canonical_values on derivs with the coefficients at x."""
+        return apply_canonical_values(*self.coefficient_values(x), derivs)
+
     def __repr__(self) -> str:
         return self.descriptor
 
@@ -107,6 +112,10 @@ class JetOp:
         self.order = order
         self.rule = rule
         self.descriptor = descriptor
+
+    def values(self, x, derivs):
+        """The rule on derivs; x is unused."""
+        return self.rule(derivs)
 
     def __repr__(self) -> str:
         return self.descriptor
@@ -149,37 +158,28 @@ def finite_value(op: Operator, value: float, x: float) -> float:
 
 def apply(op: Operator, f: SmoothFn, x):
     """D(f)(x) at the point x or, for a grid given as a tuple of points, an
-    array of D(f) at each point, bitwise the point values. A canonical D or
-    a JetOp reads the jet of f at op.order, on a grid in one pass of its
-    formula or rule; a black box is called point by point. A non-finite
-    value raises NumericRangeError naming the (first such) point."""
-    if type(x) is tuple:
-        if isinstance(op, BlackBoxOp):
-            return np.array([apply(op, f, p) for p in x], dtype=float)
-        return apply_on_grid(op, x, f.eval_jet(x, op.order))
+    array of D(f) at each point, bitwise the point values. A local D reads
+    f's jet at op.order, then runs op.values on it, on a grid in one pass; a
+    black box is called point by point. A non-finite value raises
+    NumericRangeError naming the (first such) point."""
     if isinstance(op, BlackBoxOp):
+        if type(x) is tuple:
+            return np.array([apply(op, f, p) for p in x], dtype=float)
         return finite_value(op, op.fn(f, x), x)
-    if isinstance(op, JetOp):
-        return finite_value(op, op.rule(f.eval_jet(x, op.order)), x)
-    c_vals, d_vals = op.coefficient_values(x)
-    return finite_value(op, apply_canonical_values(c_vals, d_vals, f.eval_jet(x, op.n)), x)
+    if type(x) is tuple:
+        return apply_on_grid(op, x, f.eval_jet(x, op.order))
+    return finite_value(op, op.values(x, f.eval_jet(x, op.order)), x)
 
 
 def apply_on_grid(op: CanonicalOp | JetOp, grid: tuple, derivs: np.ndarray) -> np.ndarray:
     """D on a derivative-major stack derivs of shape (op.order+1, ..., P), or
-    (op.order+1, ..., 1) for jets that are the same at every point: a
-    JetOp's rule, copied into and broadcast over the grid's (..., P) result,
-    or apply_canonical_values with op's coefficient rows on the grid. A
-    non-finite entry of derivs or of the result raises NumericRangeError
+    (op.order+1, ..., 1) for jets that are the same at every point: op.values
+    at the grid, copied into and broadcast over the grid's (..., P) result.
+    A non-finite entry of derivs or of the result raises NumericRangeError
     naming the first grid point that has one."""
-    if isinstance(op, JetOp):
-        out = np.empty(derivs.shape[1:-1] + (len(grid),))
-        with np.errstate(all="ignore"):
-            out[...] = op.rule(derivs)
-    else:
-        c_vals, d_vals = op.coefficient_values(grid)
-        with np.errstate(all="ignore"):
-            out = apply_canonical_values(c_vals, d_vals, derivs)
+    out = np.empty(derivs.shape[1:-1] + (len(grid),))
+    with np.errstate(all="ignore"):
+        out[...] = op.values(grid, derivs)
     finite = np.isfinite(derivs).all(axis=0) & np.isfinite(out)
     finite = finite.all(axis=tuple(range(finite.ndim - 1)))
     if not finite.all():

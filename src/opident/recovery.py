@@ -11,11 +11,10 @@ condition once and solves all its response columns in one call.
 A probe's jet at its own anchor does not depend on the anchor either, bit
 for bit: exp_probe(x0, p) evaluates its inner polynomial at t = x0 - x0 =
 0.0, so its jet at x0 is the exp of (0, p, 0, ...), and a constant's jet is
-(e^p, 0, ...) everywhere. So for a local D, canonical or a JetOp, every
-response at every grid point comes from one pass of apply_on_grid over the
-(order+1, 2n, 1) stack of those jets (_probe_jets), bitwise the per-point
-responses: a canonical D runs it against its (n, P) coefficient rows, and a
-JetOp's (2n, 1) rule values are broadcast over the grid. Only a BlackBoxOp
+(e^p, 0, ...) everywhere. So for a local D, every response at every grid
+point comes from one pass of apply_on_grid over the (order+1, 2n, 1) stack
+of those jets (_probe_jets), bitwise the per-point responses: op.values
+reads them at the whole grid, broadcast over its points. Only a BlackBoxOp
 is probed point by point, and so is a local D whose grid pass leaves its
 domain or the finite range, so that each failing point is recorded.
 
@@ -153,9 +152,9 @@ def recover_profile(
     grid: Sequence[float],
 ) -> CoefficientProfile:
     """The probe responses at every grid point, then one solve against the
-    shared probe matrix. For a local op, canonical or a JetOp, the responses
-    come from one grid pass; a BlackBoxOp, or a local op whose pass leaves
-    its domain or the finite range, is probed point by point. A point whose
+    shared probe matrix. For a local op the responses come from one grid
+    pass; a BlackBoxOp, or a local op whose pass leaves its domain or the
+    finite range, is probed point by point. A point whose
     probes leave the operator's domain or the finite range is recorded as a
     failure. n < 1 raises StructuralError before any probe is applied, a
     near-singular probe system (n >= 16) raises RecoveryError once, and any

@@ -1,7 +1,8 @@
 """Source hygiene: no module imports a name it never uses, no package
 module catches every exception, the package keeps one memo dict and no
-functools cache, only jets.py and exprs.py handle the Jet wrapper, and every
-module-level definition in the package has a caller."""
+functools cache, only jets.py and exprs.py handle the Jet wrapper, no
+engine tells the local operator classes apart, and every module-level
+definition in the package has a caller."""
 
 import ast
 import re
@@ -205,6 +206,39 @@ def test_detects_a_jet_read():
     assert jet_reads("from .jets import Jet\n") == {"Jet"}
     assert jet_reads("import jets\nv = jets.Jet(0.0, [1.0]).derivs[0]\n") == {"Jet", "derivs"}
     assert jet_reads("def derivs(x0, order):\n    return x0.derivs_of(order)\n") == set()
+
+
+def local_class_checks(source: str) -> list[str]:
+    """Line of every isinstance call whose class argument names JetOp or
+    CanonicalOp, alone or in a tuple."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "isinstance"
+            and len(node.args) == 2
+            and references(node.args[1]) & {"JetOp", "CanonicalOp"}
+        ):
+            found.append(f"line {node.lineno}")
+    return found
+
+
+def test_one_engine_selector():
+    # a local operator answers op.values whatever its class: the engines
+    # branch on BlackBoxOp alone
+    assert {"identities.py", "operators.py"} <= {path.name for path in PACKAGE}
+    found = {path.name: local_class_checks(path.read_text()) for path in PACKAGE}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_detects_a_local_class_check():
+    source = (
+        "if isinstance(op, JetOp):\n    pass\n"
+        "if isinstance(op, (BlackBoxOp, operators.CanonicalOp)):\n    pass\n"
+        "if isinstance(op, BlackBoxOp):\n    pass\n"
+        "if type(op) is JetOp:\n    pass\n"
+    )
+    assert local_class_checks(source) == ["line 1", "line 3"]
 
 
 def uncalled_definitions(sources: dict[str, str], mentioned: set[str]) -> list[str]:

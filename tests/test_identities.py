@@ -129,14 +129,17 @@ PLAN_POOL = (
     fn_from_jet(0.0, [1.0, -0.0, 2.0, -3.0]),
     fn_from_jet(0.0, [1.0, 0.0, 2.0, -3.0]),
 )
-# the black boxes read orders 0, 1 and 3 at the call's point, and order 0
-# half a unit away
+# the operators read orders 0, 1 and 3 at the call's point, and order 0
+# half a unit away; the last two have log terms, which take the formula's
+# f = 0 branch at the pool's exact zeros
 PLAN_OPS = (
     builtin_blackbox("square"),
     BlackBoxOp(lambda f, x: f.eval_jet(x, 1)[1], "f -> f'"),
     builtin_blackbox("third-derivative"),
     builtin_blackbox("translate"),
     derivative_op(3),
+    entropy_op(),
+    random_canonical_op(random.Random(7), 2),
 )
 
 
@@ -451,8 +454,8 @@ class TestLocalBuiltins:
     def test_subset_terms_never_build_a_plan(self, monkeypatch):
         monkeypatch.setattr(identities, "_subset_plan", _raise)
         fs = [X, X2, fn_from_expr("sin(x)+2"), fn_from_expr("exp(x)")]
-        for name in LOCAL_TWINS:
-            alternating_subset_terms(builtin_blackbox(name), fs, 0.3)
+        for op in [*map(builtin_blackbox, LOCAL_TWINS), derivative_op(3), entropy_op()]:
+            alternating_subset_terms(op, fs, 0.3)
         with pytest.raises(AssertionError, match="opaque"):
             alternating_subset_terms(builtin_blackbox("translate"), fs, 0.3)
 
@@ -876,9 +879,9 @@ class TestBatchedCanonical:
 
 
 class TestFamilyJets:
-    """The canonical family pass against the functions' own grid jets:
-    _family_jets bitwise where they are finite, and the errors of
-    _canonical_arrays, its one fallback."""
+    """The family pass against the functions' own grid jets: _family_jets
+    bitwise where they are finite, and the errors of _canonical_arrays,
+    whose one fallback reruns the block on the per-point engine."""
 
     @pytest.mark.parametrize(
         "grid",
@@ -895,12 +898,15 @@ class TestFamilyJets:
             got = _family_jets(draws, grid, order)
             assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
 
-    def test_overflow_raises_the_functions_error(self):
+    @pytest.mark.parametrize(
+        "op", [derivative_op(1), builtin_blackbox("third-derivative")], ids=["canonical", "jet"]
+    )
+    def test_overflow_raises_the_functions_error(self, op):
         # at x=40 a cubic exponent with a positive leading term overflows exp,
         # so the family pass raises for the whole block; _canonical_arrays
-        # reruns it tuple by tuple, and the lone tuple on its functions' own
-        # eval_jet, whose error names the function's value; at seed 21 the
-        # first five tuples pass and 12 of the 30 fail
+        # reruns it once on the per-point engine, where the first failing
+        # tuple raises its function's own error, naming the function's value;
+        # at seed 21 the first five tuples pass and 12 of the 30 fail
         rng = random.Random(21)
         draws = [[identities._draw_jets(rng) for _ in range(2)] for _ in range(30)]
         grid = (0.0, 40.0)
@@ -908,7 +914,8 @@ class TestFamilyJets:
         def error(draw):
             """The error of the tuple's per-function eval_jet, or None."""
             try:
-                np.stack([identities._function_of(*d).eval_jet(grid, 1) for d in draw], axis=1)
+                for d in draw:
+                    identities._function_of(*d).eval_jet(grid, op.order)
             except NumericRangeError as exc:
                 return str(exc)
             return None
@@ -919,7 +926,7 @@ class TestFamilyJets:
         assert first > 0 and "overflow" in want
         for block in (draws, draws[first : first + 1]):
             with pytest.raises(NumericRangeError) as got:
-                _canonical_arrays(derivative_op(1), block, grid)
+                _canonical_arrays(op, block, grid)
             assert str(got.value) == want
 
 

@@ -8,7 +8,7 @@ import pytest
 
 import numpy as np
 
-from opident.errors import NumericRangeError, StructuralError
+from opident.errors import EvalDomainError, NumericRangeError, StructuralError
 from opident.functions import fn_constant, fn_from_expr, fn_linear_combination
 from opident.identities import random_function, random_polynomial
 from opident.operators import (
@@ -92,6 +92,15 @@ class TestApply:
         for path in (op, twin):
             with pytest.raises(NumericRangeError, match=r" at x=0\.625$"):
                 apply(path, fn_from_expr("exp(x)"), grid)
+
+    def test_the_functions_error_comes_before_the_coefficients(self):
+        # at 0 both f = ln(x) and the coefficient 1/x fail; at a point and
+        # on a grid alike, f's jet is read before op.values reads 1/x
+        op = linear_op([fn_from_expr("1/x")])
+        for x in (0.0, (0.0,)):
+            with pytest.raises(EvalDomainError) as error:
+                apply(op, fn_from_expr("ln(x)"), x)
+            assert str(error.value) == "ln of a nonpositive value (0.0) at offset 0"
 
     def test_order_validation(self):
         with pytest.raises(StructuralError):
