@@ -28,15 +28,15 @@ the highest-order evaluation made there, and reads a lower order as its
 prefix. Every jet recurrence is triangular, so that prefix is bitwise the
 lower-order jet; a custom rule must keep this contract. The memo serves
 repeated reads: opaque black-box point sweeps, where each subset product of
-identities._subset_plan reads its factors' jets and the jet of the product
-that leaves one of them out, and the tuple's values are prefixes of those
-jets; point reads of a tuple by several local operators, each of which
-reads each input once at its order and builds the products as plain
-derivative tuples, not SmoothFns; and grid reads of coefficients and
-holdouts. The grid identity engine for local operators does not hit it: it
-draws its random inputs as jets, evaluates them in one family pass
-(identities._family_jets, on the kernels _poly_derivs, _exp_derivs and
-_conv) and builds its subset products by DP, with no SmoothFn.
+identities._subset_plan, an fn_product, reads its factors' jets, and the
+tuple's values are prefixes of those jets; point reads of a tuple by
+several local operators, each of which reads each input once at its order
+and builds the products as plain derivative tuples, not SmoothFns; and
+grid reads of coefficients and holdouts. The grid identity engine for
+local operators does not hit it: it draws its random inputs as jets,
+evaluates them in one family pass (identities._family_jets, on the kernels
+_poly_derivs, _exp_derivs and _conv) and builds its subset products by
+DP, with no SmoothFn.
 """
 
 from __future__ import annotations

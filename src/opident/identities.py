@@ -35,17 +35,18 @@ per-point engine below, tuple by tuple, which raises the first failing
 tuple's error at its first failing point.
 
 A black-box D, which may read f off the point, sees only opaque SmoothFn
-products, evaluated per point: _subset_plan builds them by DP over the
-complement masks, each product's jet one _conv of a factor and the product
-that leaves it out, and _outside_products forms a point's outside value
-products. The tuple's values are read after D's applies, as prefixes of the
-jets those evaluated through the SmoothFn memo, so each input is evaluated
-once per point. Every path folds the same terms in the same order, so all
-give bitwise the same arrays.
+products, evaluated per point, and its path is the sum as written:
+_subset_plan builds one fn_product per complement, D is applied to each,
+and each outside value product is math.prod of the subset's sorted values.
+The tuple's values are read after D's applies, as prefixes of the jets
+those evaluated through the SmoothFn memo, so each input is evaluated once
+per point. Every path folds the same terms in the same order, so all give
+bitwise the same arrays.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from itertools import chain, starmap
@@ -194,66 +195,27 @@ def _require_tuple(m: int) -> None:
         raise StructuralError("the subset identity needs at least 2 functions")
 
 
-def _product_fn(descriptor: str, pairs) -> SmoothFn:
-    """A product of two or more factors from one DP step: pairs holds, per
-    factor in index order, (factor, product of the other factors). Its jet
-    at (x0, order) is one _conv: the product without the last factor whose
-    jet is maximal, times that factor. That factor is the one Python's
-    stable sort puts last, so by induction this is fn_product's sorted
-    fold, bitwise, at every point and order; on a grid SmoothFn stacks its
-    points. The closure holds only the pairs, so the products form no
-    reference cycle."""
-
-    def derivs(x0, order: int) -> list | None:
-        if type(x0) is tuple:
-            return None  # the factor is picked per point
-        top = None
-        for factor, rest in pairs:
-            jet = factor.eval_jet(x0, order)
-            if top is None or jet >= top:
-                top, without = jet, rest
-        return _conv(without.eval_jet(x0, order), top)
-
-    return SmoothFn(descriptor, derivs)
-
-
 def _subset_plan(fs: Sequence[SmoothFn]):
-    """Per subset of subset_masks(m), (complement product, odd size), built
-    once per call so a product's jet is shared by the products above it.
-    The product over each complement mask c is built by DP over c with one
-    _product_fn, its descriptor fn_product's "*"-joined factor texts; a
-    one-function complement is the function itself."""
-    m = len(fs)
-    _require_tuple(m)
-    size = 1 << m
-    prods: list = [None] * size
-    texts = [""] * size
-    for c in range(1, size):
-        top = c.bit_length() - 1
-        rest = c ^ (1 << top)
-        text = f"({fs[top].descriptor})"
-        if rest:
-            texts[c] = f"{texts[rest]}*{text}"
-            pairs = [(fs[j], prods[c ^ (1 << j)]) for j in range(m) if c >> j & 1]
-            prods[c] = _product_fn(texts[c], pairs)
-        else:
-            texts[c], prods[c] = text, fs[top]
-    return [(prods[size - 1 - mask], mask.bit_count() % 2) for mask in subset_masks(m)]
+    """Per subset of subset_masks(m), (fn_product over its complement, odd
+    size); a one-function complement is the function itself."""
+    _require_tuple(len(fs))
+    return [
+        (fn_product([f for j, f in enumerate(fs) if not mask >> j & 1]), mask.bit_count() % 2)
+        for mask in subset_masks(len(fs))
+    ]
 
 
-def _outside_products(values: Sequence[float], jets=None):
-    """math.prod(sorted(values[j] for j in mask)), bitwise, for every bitmask
-    of the values: one stable sort, then per rank bitmask R the product of
-    R without its top rank times the top-rank value, one multiply each.
-
-    Given jets too, the functions' derivatives with values[j] = jets[j][0],
-    the ranks are the jets' stable tuple order (which changes no product: a
-    tie in value is a tie in the factor multiplied), and it returns
-    (outside, prods): prods[mask] is fn_product's sorted fold of the jets in
-    mask, the product without the top rank ⊛ the top-rank jet, one _conv
-    and one _check_finite for each product of two or more."""
-    order = sorted(range(len(values)), key=(values if jets is None else jets).__getitem__)
-    outside = [1.0] * (1 << len(values))
+def _outside_products(jets):
+    """(outside, prods) for m functions' jets at a point, bitwise, for every
+    bitmask: math.prod(sorted(jets[j][0] for j in mask)) and fn_product's
+    sorted fold of the jets in mask. One stable sort of the jets (a tie in
+    value is a tie in the factor multiplied), then per rank bitmask R the
+    product of R without its top rank times the top-rank entry: one
+    multiply each, and one _conv and _check_finite per product of two or
+    more."""
+    values = [jet[0] for jet in jets]
+    order = sorted(range(len(jets)), key=jets.__getitem__)
+    outside = [1.0] * (1 << len(jets))
     prods = [None] * len(outside)
     # by_rank[R]: the index bitmask of the functions with the ranks in R
     by_rank = [0] * len(outside)
@@ -263,9 +225,8 @@ def _outside_products(values: Sequence[float], jets=None):
         rest = by_rank[ranks ^ (1 << top)]
         by_rank[ranks] = mask = rest | 1 << j
         outside[mask] = outside[rest] * values[j]
-        if jets is not None:
-            prods[mask] = _check_finite(_conv(prods[rest], jets[j])) if rest else jets[j]
-    return outside if jets is None else (outside, prods)
+        prods[mask] = _check_finite(_conv(prods[rest], jets[j])) if rest else jets[j]
+    return outside, prods
 
 
 def _jet_terms(op: CanonicalOp | JetOp, fs: Sequence[SmoothFn], x: float) -> list[float]:
@@ -284,7 +245,7 @@ def _jet_terms(op: CanonicalOp | JetOp, fs: Sequence[SmoothFn], x: float) -> lis
         for f in fs:
             f.value_at(x)
         raise
-    outside, prods = _outside_products([jet[0] for jet in jets], jets)
+    outside, prods = _outside_products(jets)
     full = len(outside) - 1
     terms = []
     for mask in subset_masks(len(fs)):
@@ -302,10 +263,10 @@ def _terms_from_plan(op: Operator, plan, fs: Sequence[SmoothFn], x: float) -> li
         applied = [apply(op, prod, x) for prod, _ in plan]
     finally:
         values = [f.value_at(x) for f in fs]
-    outside = _outside_products(values)
     terms = []
     for mask, ((_, odd), d_value) in enumerate(zip(plan, applied)):
-        signed = outside[mask] * d_value
+        outside = math.prod(sorted(v for j, v in enumerate(values) if mask >> j & 1))
+        signed = outside * d_value
         terms.append(-signed if odd else signed)
     return terms
 
@@ -318,9 +279,9 @@ def alternating_subset_terms(
     Each term's float value is permutation-invariant: the outside value
     product and the product jets inside D fold in canonical sorted order.
     Each input is evaluated once at x: a local D reads its jets and forms
-    every product by one DP (_jet_terms); for a black box the tuple's values
-    are read after D's applies on opaque products, as prefixes of the jets
-    they evaluated.
+    every product by one DP (_jet_terms); a black box is applied to one
+    fn_product per complement, and the tuple's values are read after D's
+    applies, as prefixes of the jets they evaluated.
     """
     if isinstance(op, BlackBoxOp):
         return _terms_from_plan(op, _subset_plan(fs), fs, x)
@@ -367,18 +328,15 @@ def _power_terms_from_plan(op: Operator, powers, x: float) -> list[float]:
 
 def _points_per_point(op: Operator, fs: Sequence[SmoothFn], grid):
     """(terms, inner, values), the engine arrays of the module docstring,
-    through opaque product functions: the path a black-box D needs, and the
+    through opaque product functions, the subset plan's and the powers
+    fn_product([fs[0]] * k): the path a black-box D needs, and the
     reference for _points_batched. At each point the subset applies run,
     then the values are read (as prefixes of the jets the applies
     evaluated), then the power applies, so an error names the first failing
     point and, there, the values' error comes before D's."""
     plan = _subset_plan(fs)
     m = len(fs)
-    # f^k = f^(k-1) ⊛ f, fn_product([f] * k)'s fold of equal jets
-    text = f"({fs[0].descriptor})"
-    powers = [fs[0]]
-    for k in range(2, m + 1):
-        powers.append(_product_fn("*".join([text] * k), [(fs[0], powers[-1])]))
+    powers = [fn_product([fs[0]] * k) for k in range(1, m + 1)]
     terms = np.empty(((1 << m) - 1, len(grid)))
     inner = np.empty((m, len(grid)))
     values = np.empty(len(grid))

@@ -476,8 +476,8 @@ def hexes(jet):
     return [d.hex() for d in jet]
 
 
-# Fresh-function factories: every constructor, the subset plan's DP
-# product, and fn_from_expr on every DSL node.
+# Fresh-function factories: every constructor, a subset plan's product,
+# and fn_from_expr on every DSL node.
 FRESH = {
     "constant": lambda: fn_constant(-2.5),
     "from_jet": lambda: fn_from_jet(0.3, [0.5, -1.0, 3.0, 2.0, -0.25, 1.5, -4.0, 0.125]),

@@ -1,8 +1,9 @@
 """Source hygiene: no module imports a name it never uses, no package
 module catches every exception, the package keeps one memo dict and no
-functools cache, only jets.py and exprs.py handle the Jet wrapper, no
-engine tells the local operator classes apart, and every module-level
-definition in the package has a caller."""
+functools cache, only jets.py and exprs.py handle the Jet wrapper, only
+functions.py constructs a SmoothFn, no engine tells the local operator
+classes apart, and every module-level definition in the package has a
+caller."""
 
 import ast
 import re
@@ -206,6 +207,35 @@ def test_detects_a_jet_read():
     assert jet_reads("from .jets import Jet\n") == {"Jet"}
     assert jet_reads("import jets\nv = jets.Jet(0.0, [1.0]).derivs[0]\n") == {"Jet", "derivs"}
     assert jet_reads("def derivs(x0, order):\n    return x0.derivs_of(order)\n") == set()
+
+
+def smoothfn_constructions(source: str) -> list[str]:
+    """Line of every call of SmoothFn, by name or as an attribute."""
+    return [
+        f"line {node.lineno}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "SmoothFn"
+    ]
+
+
+def test_one_smoothfn_constructor_module():
+    # every other module builds its functions, products included, through
+    # the constructors of functions.py
+    assert {"functions.py", "identities.py"} <= {path.name for path in PACKAGE}
+    found = {path.name: smoothfn_constructions(path.read_text()) for path in PACKAGE}
+    assert found.pop("functions.py")
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_detects_a_smoothfn_construction():
+    source = (
+        "f = SmoothFn('x', rule)\n"
+        "g = functions.SmoothFn('y', rule)\n"
+        "h = fn_product([f, g])\n"
+        "isinstance(f, SmoothFn)\n"
+    )
+    assert smoothfn_constructions(source) == ["line 1", "line 2"]
 
 
 def local_class_checks(source: str) -> list[str]:

@@ -94,7 +94,7 @@ class TestSubsetResidual:
 
 def _fn_product_terms(op, fs, x):
     """The subset terms with one fn_product per complement and the outside
-    products by math.prod(sorted(...)): the reference for the DP plan."""
+    products by math.prod(sorted(...)), written out."""
     values = [f.value_at(x) for f in fs]
     terms = []
     for mask in subset_masks(len(fs)):
@@ -144,7 +144,7 @@ PLAN_OPS = (
 
 
 class TestSubsetPlan:
-    """The DP plan against one fn_product per subset, bitwise."""
+    """The opaque path against one fn_product per subset, bitwise."""
 
     @pytest.mark.parametrize("m", range(2, 6))
     def test_products_are_fn_products(self, m):
@@ -178,30 +178,20 @@ class TestSubsetPlan:
                 want = [apply(PLAN_OPS[2], fn_product([fs[0]] * k), x) for x in (0.0, -0.3)]
                 assert [v.hex() for v in inner[i].tolist()] == [v.hex() for v in want]
 
-    def test_outside_products_are_sorted_products(self):
-        rng = random.Random(5)
-        pool = [0.0, -0.0, 1.0, -1.0, 1e200, -1e-200, 3.0]
-        for m in range(1, 7):
-            for _ in range(50):
-                values = [rng.choice(pool + [rng.uniform(-2.0, 2.0)]) for _ in range(m)]
-                got = identities._outside_products(values)
-                for mask in range(1 << m):
-                    inside = sorted(values[j] for j in range(m) if mask >> j & 1)
-                    assert got[mask].hex() == float(math.prod(inside)).hex()
-
     def test_outside_products_with_jets_are_fn_products(self):
-        # ranked by jets, the outside products are bitwise those ranked by
-        # values, and each product jet is fn_product's, ±0.0 and ties included
+        # ranked by jets, each outside product is bitwise the sorted product
+        # of its values, and each product jet is fn_product's, ±0.0 and ties
+        # included
         rng = random.Random(6)
         for m in range(1, 6):
             for _ in range(40):
                 fs = [rng.choice(PLAN_POOL) for _ in range(m)]
                 for x, order in itertools.product((0.0, -0.0, 0.5), (0, 1, 3)):
                     jets = [f.eval_jet(x, order) for f in fs]
-                    values = [jet[0] for jet in jets]
-                    outside, prods = identities._outside_products(values, jets)
-                    want = identities._outside_products(values)
-                    assert [v.hex() for v in outside] == [v.hex() for v in want]
+                    outside, prods = identities._outside_products(jets)
+                    for mask in range(1 << m):
+                        inside = sorted(jets[j][0] for j in range(m) if mask >> j & 1)
+                        assert outside[mask].hex() == float(math.prod(inside)).hex()
                     for mask in range(1, 1 << m):
                         product = fn_product([f for j, f in enumerate(fs) if mask >> j & 1])
                         got = [d.hex() for d in prods[mask]]
@@ -248,7 +238,8 @@ class TestSubsetPlan:
         gc.disable()
         try:
             alternating_subset_terms(BlackBoxOp(third, "f -> f'''"), fs, 0.3)
-            assert calls == {"conv": 2**m - m - 1}
+            # one fn_product per complement, and no _conv of the identities' own
+            assert calls == {"fn_product": 2**m - 1}
             assert len(products) == 2**m - m - 1
             assert all(ref() is None for ref in products)
         finally:
@@ -972,8 +963,7 @@ class TestSubsetStacksOrder:
             with np.errstate(all="ignore"):
                 outside, prods, inside, odd = identities._subset_stacks(stack)
                 for c, jets in enumerate(columns):
-                    values = [jet[0] for jet in jets]
-                    want_outside, want_prods = identities._outside_products(values, jets)
+                    want_outside, want_prods = identities._outside_products(jets)
                     ranks = sorted(range(m), key=jets.__getitem__)
                     bits = np.array([1 << ranks.index(j) for j in range(m)])
                     assert inside[:, c].tolist() == (member @ bits).tolist()

@@ -110,6 +110,13 @@ class TestApply:
         with pytest.raises(StructuralError):
             derivative_op(0)
 
+    def test_derivative_descriptors(self):
+        assert [derivative_op(k).descriptor for k in (1, 2, 3)] == [
+            "d/dx",
+            "d^2/dx^2",
+            "d^3/dx^3",
+        ]
+
     def test_canonical_values_matches_ops(self):
         rng = random.Random(5)
         for _ in range(10):

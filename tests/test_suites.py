@@ -2,30 +2,33 @@
 
 import math
 
+import numpy as np
+
 from opident.identities import ResidualReport, _Aggregator, bound_ratio
 from opident.suites import merge_reports, selftest
 
-# the selftest's records in order: a record that disappears fails by name
-SELFTEST_NAMES = [
-    "converse-identity-n1",
-    "diagonal-consistency-n1",
-    "converse-identity-n2",
-    "diagonal-consistency-n2",
-    "converse-identity-n3",
-    "diagonal-consistency-n3",
-    "converse-identity-n4",
-    "diagonal-consistency-n4",
-    "counterexample-square-value",
-    "counterexample-square-detected",
-    "units-exact",
-    "localization",
-    "recovery-roundtrip",
-    "recovery-holdout",
-    "recovery-square-misfit",
-    "frechet-degree",
-    "frechet-witness",
-    "annihilation-exact",
-    "annihilation-detects-ddx",
+# the selftest's records in order, with their orders n: a record that
+# disappears fails by name
+SELFTEST_RECORDS = [
+    ("converse-identity-n1", 1),
+    ("diagonal-consistency-n1", 1),
+    ("converse-identity-n2", 2),
+    ("diagonal-consistency-n2", 2),
+    ("converse-identity-n3", 3),
+    ("diagonal-consistency-n3", 3),
+    ("converse-identity-n4", 4),
+    ("diagonal-consistency-n4", 4),
+    ("counterexample-square-value", 1),
+    ("counterexample-square-detected", 1),
+    ("units-exact", 0),
+    ("localization", 0),
+    ("recovery-roundtrip", 0),
+    ("recovery-holdout", 0),
+    ("recovery-square-misfit", 1),
+    ("frechet-degree", 0),
+    ("frechet-witness", 1),
+    ("annihilation-exact", 0),
+    ("annihilation-detects-ddx", 0),
 ]
 
 # (residual, scale, x): at tolerances 1e-9 / 1e-8 the ratios are about 3,
@@ -65,6 +68,17 @@ def test_zero_bound_ratio():
     assert bound_ratio(-1e-300, 5.0, 0.0, 0.0) == float("inf")
 
 
+def test_a_sample_at_its_bound_passes():
+    # the bound is inclusive: ratio exactly 1.0 passes, one ulp above fails
+    for tol_abs, tol_rel, scale in ((1e-9, 0.0, 0.0), (1e-9, 1e-8, 3.7), (0.0, 1e-12, 0.25)):
+        bound = tol_abs + tol_rel * scale
+        for residual, passed in ((bound, True), (np.nextafter(bound, math.inf), False)):
+            report = ResidualReport("edge", 0, 1, float(residual), scale, None, tol_abs, tol_rel)
+            assert (bound_ratio(residual, scale, tol_abs, tol_rel) == 1.0) is passed
+            assert report.passed is passed
+            assert report.to_json()["pass"] is passed
+
+
 def test_non_finite_sample_is_the_worst():
     assert bound_ratio(math.nan, 1.0, 1e-9, 1e-8) == math.inf
     assert bound_ratio(0.0, math.inf, 1e-9, 1e-8) == math.inf
@@ -78,5 +92,5 @@ def test_non_finite_sample_is_the_worst():
 def test_selftest_fast_all_pass():
     records = selftest(fast=True)
     assert len(records) == 19
-    assert [r.name for r in records] == SELFTEST_NAMES
+    assert [(r.name, r.n) for r in records] == SELFTEST_RECORDS
     assert [r.to_json() for r in records if not r.passed] == []
