@@ -12,7 +12,18 @@ Grammar (whitespace-insensitive, LL(1), no implicit multiplication):
 Exponents are literal numeric constants, so jets of every expression stay
 closed-form. Numeric literals are decimal with optional fraction and
 exponent part (no hex, no leading sign) and must round to a finite float.
-One evaluator, eval_derivs, takes a point or a whole grid in one pass.
+
+One evaluator, eval_derivs, takes a point or a whole grid in one pass, and
+defines what every evaluation gives. run_program gives the same by a
+straight-line program per (shape, order): eval_derivs, with the derivs
+kernels it calls, traced once by the recorder of jets.py on placeholders
+for x and for the tree's constants, which become the program's parameters,
+so trees that differ only in their constants share one program. The trace
+keeps each check of the interpreter as a guard in its place; where a guard
+fails, or the program raises OverflowError, eval_derivs reruns and gives
+its own result or error. So results and errors are the interpreter's,
+bitwise. Programs are compiled at the first evaluation into _PROGRAMS,
+which is cleared when it holds _PROGRAMS_CAP of them.
 """
 
 from __future__ import annotations
@@ -20,19 +31,25 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from types import FunctionType
 
 from .errors import EvalDomainError, NumericRangeError, ParseError, StructuralError
 from .jets import (
+    _GRID_CALLS,
+    _POINT_CALLS,
     Jet,
     _abs_derivs,
     _any,
+    _as_float,
     _check_finite,
     _conv,
     _exp_derivs,
     _ln_abs_derivs,
     _power_derivs,
     _reciprocal_derivs,
+    _program_code,
     _sin_cos_derivs,
+    _Value,
 )
 
 FUNCTIONS = ("sin", "cos", "exp", "ln", "abs")
@@ -289,7 +306,7 @@ def eval_derivs(node: Expr, x, order: int) -> list:
     error says only that some point fails.
     """
     if isinstance(node, Const):
-        d = [float(node.value)] + [0.0] * order
+        d = [_as_float(node.value)] + [0.0] * order
     elif isinstance(node, Var):
         d = ([x, 1.0] + [0.0] * (order - 1))[: order + 1]
     elif isinstance(node, Neg):
@@ -337,3 +354,88 @@ def _located(fn, node, *args):
         return fn(*args)
     except EvalDomainError as exc:
         raise EvalDomainError(f"{exc}{_at(node)}") from None
+
+
+# The programs of traced evaluations, (point, grid) per (shape, order)
+_PROGRAMS: dict[tuple[str, int], tuple[FunctionType, FunctionType]] = {}
+_PROGRAMS_CAP = 256
+
+
+def shape(node: Expr) -> tuple[str, list[float]]:
+    """(key, constants): text that names node's tree with its constants
+    left out, and float() of each constant in the order run_program takes
+    them."""
+    constants: list[float] = []
+    return _shape(node, constants), constants
+
+
+def _shape(node: Expr, constants: list) -> str:
+    if isinstance(node, Const):
+        constants.append(float(node.value))
+        return "c"
+    if isinstance(node, Var):
+        return "x"
+    if isinstance(node, Neg):
+        return f"-({_shape(node.arg, constants)})"
+    if isinstance(node, Func):
+        return f"{node.name}({_shape(node.arg, constants)})"
+    if isinstance(node, Pow):
+        return f"({_shape(node.base, constants)})^{node.exponent!r}"
+    if isinstance(node, BinOp):
+        return f"({_shape(node.left, constants)}){node.op}({_shape(node.right, constants)})"
+    raise TypeError(f"not an Expr node: {node!r}")
+
+
+def _with_constants(node: Expr, new) -> Expr:
+    """node with each constant replaced by new(), in the order of shape."""
+    if isinstance(node, Const):
+        return Const(new(), node.pos)
+    if isinstance(node, Neg):
+        return Neg(_with_constants(node.arg, new), node.pos)
+    if isinstance(node, Func):
+        return Func(node.name, _with_constants(node.arg, new), node.pos)
+    if isinstance(node, Pow):
+        return Pow(_with_constants(node.base, new), node.exponent, node.pos)
+    if isinstance(node, BinOp):
+        left, right = _with_constants(node.left, new), _with_constants(node.right, new)
+        return BinOp(node.op, left, right, node.pos)
+    return node
+
+
+def _compile(node: Expr, order: int) -> tuple[FunctionType, FunctionType]:
+    """The program of eval_derivs(node, x, order) as a function of x and
+    node's constants, bound to math's calls at a point and to the grid
+    kernels' on a grid. A trace that raises the interpreter's error has met
+    a check on values the shape alone fixes, as in ln(x^0-x^0), which fails
+    at every input: its program returns None after the guards before it."""
+    nodes: list[_Value] = []
+    params = ["x"]
+
+    def parameter():
+        params.append(f"c{len(params) - 1}")
+        return _Value(nodes, params[-1], name=params[-1])
+
+    x = _Value(nodes, "x", name="x")
+    template = _with_constants(node, parameter)
+    try:
+        result = eval_derivs(template, x, order)
+    except (EvalDomainError, NumericRangeError):
+        result = None
+    code = _program_code(f"expr_order_{order}", params, nodes, result)
+    return FunctionType(code, _POINT_CALLS), FunctionType(code, _GRID_CALLS)
+
+
+def run_program(node: Expr, key: str, constants: list[float], x, order: int) -> list:
+    """eval_derivs(node, x, order), bitwise, errors included, for (key,
+    constants) = shape(node): by the program of key at order, compiled on
+    first use, or by eval_derivs where it returns None or overflows."""
+    programs = _PROGRAMS.get((key, order))
+    if programs is None:
+        if len(_PROGRAMS) >= _PROGRAMS_CAP:
+            _PROGRAMS.clear()
+        programs = _PROGRAMS[key, order] = _compile(node, order)
+    try:
+        d = programs[type(x) is not float](x, *constants)
+    except OverflowError:
+        d = None
+    return eval_derivs(node, x, order) if d is None else d

@@ -163,9 +163,16 @@ def fn_constant(c: float) -> SmoothFn:
 
 
 def fn_from_expr(source) -> SmoothFn:
-    """Function denoted by a DSL string or parsed AST."""
+    """Function denoted by a DSL string or parsed AST. Its rule is
+    exprs.run_program: the straight-line program of the tree's shape, at
+    a point with math's calls and on a grid row with the grid kernels',
+    which gives exprs.eval_derivs's results and errors bitwise."""
     tree = exprs.parse(source) if isinstance(source, str) else source
-    return SmoothFn(exprs.to_text(tree), lambda x0, order: exprs.eval_derivs(tree, _row(x0), order))
+    key, constants = exprs.shape(tree)
+    return SmoothFn(
+        exprs.to_text(tree),
+        lambda x0, order: exprs.run_program(tree, key, constants, _row(x0), order),
+    )
 
 
 def _poly_derivs(v: Sequence, t, order: int) -> list:
@@ -195,7 +202,8 @@ def fn_from_jet(x0: float, v: Sequence[float]) -> SmoothFn:
 
 
 def fn_product(fs: Sequence[SmoothFn]) -> SmoothFn:
-    """Pointwise product; jets by iterated binomial convolution."""
+    """Pointwise product; jets by iterated binomial convolution, stopped at
+    the first partial product that is not finite."""
     factors = tuple(fs)
     if not factors:
         raise StructuralError("fn_product needs at least one factor")
@@ -206,11 +214,16 @@ def fn_product(fs: Sequence[SmoothFn]) -> SmoothFn:
         if type(x0) is tuple:
             return None  # the sort is per point
         # canonical fold order: the product jet is then bitwise identical
-        # under any permutation of the factor list
+        # under any permutation of the factor list; the first partial
+        # product that is not finite stands for the product, which eval_jet
+        # then rejects by its own entries, before a later factor's exact
+        # zero could turn an inf into nan
         jets = sorted(f.eval_jet(x0, order) for f in factors)
         acc = jets[0]
         for d in jets[1:]:
             acc = _conv(acc, d)
+            if not all(map(math.isfinite, acc)):
+                break
         return acc
 
     desc = "*".join(f"({f.descriptor})" for f in factors)

@@ -145,8 +145,16 @@ class ResidualReport:
 def bound_ratio(residual, scale, tol_abs: float, tol_rel: float):
     """|residual| / (tol_abs + tol_rel·scale); inf when the residual or the
     scale is not finite, so a NaN sample is the worst one; with a zero
-    bound, 0 for a zero residual and inf otherwise. A float for floats; for
-    arrays an array, each entry bitwise the float call on its pair."""
+    bound, 0 for a zero residual and inf otherwise. A float for floats, by
+    the same float operations in Python; for arrays an array, each entry
+    bitwise the float call on its pair."""
+    if type(residual) is float and type(scale) is float:
+        if not (math.isfinite(residual) and math.isfinite(scale)):
+            return math.inf
+        bound = tol_abs + tol_rel * scale
+        if bound > 0.0:
+            return abs(residual) / bound
+        return 0.0 if residual == 0.0 else math.inf
     r, s = np.asarray(residual, dtype=float), np.asarray(scale, dtype=float)
     with np.errstate(all="ignore"):
         bound = tol_abs + tol_rel * s
@@ -158,10 +166,13 @@ def bound_ratio(residual, scale, tol_abs: float, tol_rel: float):
 class _Aggregator:
     """Collects samples (residual, scale, x, descriptors), one at a time or
     as rows, lists with one entry per sample; the report carries the sample
-    with the largest bound_ratio, the first one on ties, from one call."""
+    with the largest bound_ratio, the first one on ties, from one call, and
+    names its functions by describe(descriptors), so text is formed for
+    the worst sample alone."""
 
-    def __init__(self):
+    def __init__(self, describe=tuple):
         self._samples: list[tuple] = []
+        self._describe = describe
 
     def add(self, residual, scale, x, descriptors) -> None:
         if type(residual) is list:
@@ -178,7 +189,7 @@ class _Aggregator:
         # the first on ties: no ratio is NaN
         worst = int(np.argmax(bound_ratio(residuals, scales, tol_abs, tol_rel)))
         residual, scale, x, descriptors = self._samples[worst]
-        case = WorstCase(x, tuple(descriptors), residual)
+        case = WorstCase(x, self._describe(descriptors), residual)
         return ResidualReport(
             name, n, len(self._samples), abs(residual), scale, case, tol_abs, tol_rel
         )
@@ -499,7 +510,7 @@ COEF_RANGE = 2.0
 
 
 def _draw_polynomial(rng: random.Random, degree: int = 3):
-    """random_polynomial's draw: (its descriptor, its jet at 0)."""
+    """random_polynomial's draw: (its coefficients, its jet at 0)."""
     coeffs = [rng.uniform(-COEF_RANGE, COEF_RANGE) for _ in range(degree + 1)]
     fact = 1.0
     jet = []
@@ -507,31 +518,49 @@ def _draw_polynomial(rng: random.Random, degree: int = 3):
         if l > 0:
             fact *= l
         jet.append(cl * fact)
-    return "poly[" + ",".join(f"{c:.4g}" for c in coeffs) + "]", jet
+    return coeffs, jet
 
 
 def random_polynomial(rng: random.Random, degree: int = 3) -> SmoothFn:
-    return _function_of(*_draw_polynomial(rng, degree), None)
+    coeffs, jet = _draw_polynomial(rng, degree)
+    return _function_of((coeffs, None), jet, None)
 
 
 def _draw_jets(rng: random.Random):
-    """random_function's draw as jets: (descriptor, p, q) for f = p, exp(q)
-    or p·exp(q), p and q its cubics' jets at 0 (None where f has none)."""
+    """random_function's draw as jets: (coefficients, p, q) for f = p, exp(q)
+    or p·exp(q), p and q its cubics' jets at 0 and coefficients the pair of
+    their coefficient lists (None where f has none), which only _descriptor
+    reads."""
     kind = rng.randrange(3)
-    p_text, p = _draw_polynomial(rng) if kind != 1 else (None, None)
-    q_text, q = _draw_polynomial(rng) if kind != 0 else (None, None)
-    if kind == 0:
-        return p_text, p, q
-    exp_text = f"exp({q_text})"
-    return (exp_text if kind == 1 else f"({p_text})*({exp_text})"), p, q
+    p_coeffs, p = _draw_polynomial(rng) if kind != 1 else (None, None)
+    q_coeffs, q = _draw_polynomial(rng) if kind != 0 else (None, None)
+    return (p_coeffs, q_coeffs), p, q
 
 
-def _function_of(descriptor: str, p, q) -> SmoothFn:
+def _descriptor(coefficients) -> str:
+    """The descriptor of a draw from its coefficients, each to 4 significant
+    digits: poly[...], exp(poly[...]) or (poly[...])*(exp(poly[...]))."""
+    p, q = (
+        None if c is None else "poly[" + ",".join(f"{v:.4g}" for v in c) + "]"
+        for c in coefficients
+    )
+    if q is None:
+        return p
+    return f"exp({q})" if p is None else f"({p})*(exp({q}))"
+
+
+def _descriptors(draws) -> tuple[str, ...]:
+    """The descriptors of a tuple's draws: what a report names its worst
+    case by."""
+    return tuple(_descriptor(coefficients) for coefficients, _, _ in draws)
+
+
+def _function_of(coefficients, p, q) -> SmoothFn:
     """The SmoothFn of a _draw_jets draw: p, exp(q) or their fn_product."""
     parts = [fn_from_jet(0.0, p)] if p is not None else []
     parts += [fn_exp_of(fn_from_jet(0.0, q))] if q is not None else []
     fn = fn_product(parts)
-    fn.descriptor = descriptor
+    fn.descriptor = _descriptor(coefficients)
     return fn
 
 
@@ -616,8 +645,8 @@ def run_check_suite_full(op: Operator, n: int, cfg: SamplingConfig) -> SuiteOutc
         raise StructuralError(f"tuples must be nonnegative, got {cfg.tuples}")
     rng = random.Random(cfg.seed)
     grid = tuple(cfg.grid)
-    agg = _Aggregator()
-    gap_agg = _Aggregator()
+    agg = _Aggregator(_descriptors)
+    gap_agg = _Aggregator(_descriptors)
     for start in range(0, cfg.tuples, _TUPLES_PER_PASS):
         size = min(_TUPLES_PER_PASS, cfg.tuples - start)
         draws = [[_draw_jets(rng) for _ in range(n + 1)] for _ in range(size)]
@@ -626,15 +655,14 @@ def run_check_suite_full(op: Operator, n: int, cfg: SamplingConfig) -> SuiteOutc
         else:
             arrays = _canonical_arrays(op, draws, grid)
         for draw, (subset, inner, values) in zip(draws, arrays):
-            descriptors = tuple(d for d, _, _ in draw)
             term_arrays = (subset, *_power_terms(inner, values, n))
             sums, psums, dsums = ([*map(signed_sum, a.T.tolist())] for a in term_arrays)
             scales, pscales, dscales = map(_column_scales, term_arrays)
             # each point's subset sample, then its diagonal one
             rows = [[*chain(*zip(a, b))] for a, b in ((sums, psums), (scales, pscales))]
-            agg.add(*rows, [*chain(*zip(grid, grid))], [descriptors, descriptors[:1]] * len(grid))
+            agg.add(*rows, [*chain(*zip(grid, grid))], [draw, draw[:1]] * len(grid))
             gaps = [p - d for p, d in zip(psums, dsums)]
-            gap_agg.add(gaps, [*map(max, pscales, dscales)], [*grid], [descriptors[:1]] * len(grid))
+            gap_agg.add(gaps, [*map(max, pscales, dscales)], [*grid], [draw[:1]] * len(grid))
     return SuiteOutcome(
         agg.report("identity-suite", n, DEFAULT_TOL_ABS, DEFAULT_TOL_REL),
         gap_agg.report("diagonal-consistency", n, 0.0, 1e-12),

@@ -31,6 +31,19 @@ so its results are bitwise the loop's, on floats and grid rows alike. What
 depends on values stays in the kernel around the program: the domain checks
 and exp, log, sin and cos of the value.
 
+The same recorder traces a whole evaluation that runs these kernels, as
+exprs does for eval_derivs. Such a trace also records the kernels' checks
+and calls: a _check_finite of placeholders becomes a guard
+`if not isfinite(e0 + e1 + ...): return None` on the entries not checked
+before (an inf or NaN entry makes the sum non-finite, so a finite sum
+clears them all); a branch on a comparison, as in `if _any(f[0] == 0.0)`,
+becomes `if any_(...): return None`, and the trace goes on as if it did
+not hold; and _per_value and abs become calls of exp, log, sin, cos and
+abs. A program that returns None has met a value its trace did not
+follow, and its caller reruns what was traced. _POINT_CALLS and _GRID_CALLS
+bind these names: math's functions at a point, and on a grid the per-value
+maps and whole-row tests of the kernels, so one code object serves both.
+
 Jet, a checked (base point, finite derivatives) wrapper, is returned only
 by the jet_* wrappers of the kernels and exprs.eval_jet, which the
 benchmark names; no other package code builds or reads one.
@@ -39,6 +52,8 @@ benchmark names; no other package code builds or reads one.
 from __future__ import annotations
 
 import math
+from functools import partial
+from types import FunctionType
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -70,12 +85,16 @@ def signed_sum(terms: Sequence[float]) -> float:
 def _check_finite(values: Sequence) -> Sequence:
     """values, once every entry (a float or a grid row) is finite: one C-level
     pass over floats; the entry loop for grid rows (math.isfinite raises
-    TypeError on them) and to name the first bad value."""
+    TypeError on them) and to name the first bad value. Of a recording's
+    placeholders, a guard on those no guard has checked."""
     try:
         if all(map(math.isfinite, values)):
             return values
     except TypeError:
-        pass
+        recorded = [v for v in values if isinstance(v, _Value)]
+        if recorded:
+            _guard_finite(recorded)
+            return values
     for v in values:
         if not (np.isfinite(v).all() if isinstance(v, np.ndarray) else math.isfinite(v)):
             raise NumericRangeError(f"non-finite jet coefficient: {v!r}")
@@ -87,33 +106,74 @@ def _any(mask) -> bool:
     return mask.any() if isinstance(mask, np.ndarray) else mask
 
 
+def _all_finite(v) -> bool:
+    """Whether a float, or every value of a grid row, is finite."""
+    return np.isfinite(v).all()
+
+
 def _per_value(fn, v):
     """fn of a float or of each value of an array (numpy's can differ by an
-    ulp), mapped in C; the first value on which fn raises raises its error."""
+    ulp), mapped in C; the first value on which fn raises raises its error.
+    Of a recording's placeholder, the recorded call."""
     if isinstance(v, np.ndarray):
         return np.fromiter(map(fn, v.ravel().tolist()), float, v.size).reshape(v.shape)
+    if isinstance(v, _Value):
+        return _Value(v.nodes, fn.__name__, v)
     return fn(v)
+
+
+def _as_float(v):
+    """float(v), or a recording's placeholder as it is."""
+    return v if isinstance(v, _Value) else float(v)
+
+
+# A guard statement's text before its condition
+_GUARDS = ("if", "if not")
+_COMPARISONS = ("<=", "==")
 
 
 class _Value:
     """A placeholder value of a recording: a parameter, an entry read from a
-    jet parameter, or the result of one + - * / or unary minus of
-    placeholders and floats. Each is appended to the recording's nodes when
-    made, so the nodes stand in the order the loop reads and computes them,
-    and counts its uses as an operand."""
+    jet parameter, the result of one + - * / or unary minus of placeholders
+    and floats, a comparison, or a call (a value call or a guard's test).
+    A guard statement is a node too, whose op is its text before its
+    condition. Each is appended to the recording's nodes when made, so the
+    nodes stand in the order the loop reads and computes them, and counts
+    its uses as an operand; `checked` marks a value a guard has found
+    finite."""
 
-    __slots__ = ("op", "operands", "nodes", "uses", "name")
+    __slots__ = ("op", "operands", "nodes", "uses", "name", "checked")
 
     def __init__(self, nodes: list[_Value], op: str, *operands, name: str | None = None):
-        self.op = op  # the operator, or a leaf's text: "a[0]" or the parameter
+        self.op = op  # the operator, a called name, or a leaf's text: "a[0]" or the parameter
         self.operands = operands
         self.nodes = nodes
         self.uses = 0
         self.name = name
+        self.checked = False
         for x in operands:
             if isinstance(x, _Value):
                 x.uses += 1
         nodes.append(self)
+
+    __hash__ = None  # == records a comparison
+
+    def __eq__(self, other):
+        return _Value(self.nodes, "==", self, other)
+
+    def __le__(self, other):
+        return _Value(self.nodes, "<=", self, other)
+
+    def __bool__(self) -> bool:
+        """A branch on a comparison, recorded as a guard that returns None
+        where it holds; the recording goes on as if it does not."""
+        if self.op not in _COMPARISONS:
+            raise TypeError("a recorded program may branch on comparisons only")
+        _Value(self.nodes, "if", _Value(self.nodes, "any_", self))
+        return False
+
+    def __abs__(self):
+        return _Value(self.nodes, "abs", self)
 
     def __add__(self, other):
         return _Value(self.nodes, "+", self, other)
@@ -165,6 +225,20 @@ class _Entries:
         return self.entries[i]
 
 
+def _guard_finite(values: list[_Value]) -> None:
+    """Records a guard that returns None unless the placeholders among
+    values that no guard has checked are finite: one isfinite of their sum,
+    which is not finite if one of them is not."""
+    fresh = [v for v in values if not v.checked]
+    if fresh:
+        total = fresh[0]
+        for v in fresh[1:]:
+            total = total + v
+        _Value(total.nodes, "if not", _Value(total.nodes, "isfinite", total))
+        for v in fresh:
+            v.checked = True
+
+
 def _placeholders(x):
     """The placeholders in a recorded result, a list or tuple of them."""
     if isinstance(x, (list, tuple)):
@@ -176,8 +250,8 @@ def _placeholders(x):
 
 def _text(x) -> str:
     """Program text of an operand or a result: a named placeholder's name,
-    an unnamed one's expression, a finite float's repr, or a list or tuple
-    of those."""
+    an unnamed one's expression, a finite float's repr, None, or a list or
+    tuple of those."""
     if isinstance(x, _Value):
         if x.name is not None:
             return x.name
@@ -188,44 +262,80 @@ def _text(x) -> str:
         return "(" + "".join(_text(v) + ", " for v in x) + ")"
     if type(x) is float and math.isfinite(x):
         return repr(x)
+    if x is None:
+        return "None"
     raise TypeError(f"a recorded recurrence may use placeholders and floats only, not {x!r}")
 
 
 def _expression(v: _Value) -> str:
-    """Program text of what v computes or reads."""
+    """Program text of what v computes, reads or calls."""
     if len(v.operands) == 2:
         return f"{_text(v.operands[0])} {v.op} {_text(v.operands[1])}"
-    return f"-{_text(v.operands[0])}" if v.operands else v.op
+    if not v.operands:
+        return v.op
+    return f"-{_text(v.operands[0])}" if v.op == "-" else f"{v.op}({_text(v.operands[0])})"
 
 
 def _straight_line(loop, n: int, jets: int):
     """loop at jet length n as a straight-line function of the same
     parameters: loop run once with its first `jets` parameters as length-n
     placeholder jets and the rest as placeholder values, then the record
-    exec'd. loop must index and branch on integers only, never on a value.
-
-    A placeholder used once is written into the expression that uses it,
-    so an intermediate grid row is freed as soon as it is used (and numpy
-    may reuse its buffer); every other one is assigned to a name, in the
-    loop's order. Either way each operation has the loop's operands, and
-    operations have no side effects, so the results are bitwise the loop's.
-    The text holds only parameter names, integer indices, finite floats,
-    operators and parentheses."""
+    exec'd (_program_code). loop must index and branch on integers only,
+    never on a value."""
     code = loop.__code__
     params = code.co_varnames[: code.co_argcount]
     nodes: list[_Value] = []
     args = [_Entries(p, n, nodes) if i < jets else _Value(nodes, p, name=p) for i, p in enumerate(params)]
-    result = loop(*args)
+    program = _program_code(f"{loop.__name__}_{n}", params, nodes, loop(*args))
+    return FunctionType(program, {})
+
+
+def _program_code(name: str, params: Sequence[str], nodes: list[_Value], result):
+    """The code of the function `name` of params that a recording stands
+    for: its nodes, in order, then `return result`.
+
+    A placeholder used once is written into the expression that uses it,
+    so an intermediate grid row is freed as soon as it is used (and numpy
+    may reuse its buffer); every other one is assigned to a name, in the
+    recording's order, and each guard is a statement in its place. Either
+    way each operation has the recording's operands, and operations have
+    no side effects, so the results are bitwise the recording's. A written
+    expression runs no earlier than where it was recorded, so a guard
+    comes before every operation recorded after it. The text holds only
+    parameter names, integer indices, finite floats, operators, the called
+    names of _POINT_CALLS, parentheses and guard statements."""
     returned = set(map(id, _placeholders(result)))
     for i, v in enumerate(nodes):
-        if v.name is None and (v.uses != 1 or id(v) in returned):
+        if v.name is None and v.op not in _GUARDS and (v.uses != 1 or id(v) in returned):
             v.name = f"v{i}"
-    lines = [f"{v.name} = {_expression(v)}" for v in nodes if v.name not in (None, v.op)]
-    name = f"{loop.__name__}_{n}"
+    lines = [
+        f"{v.op} {_expression(v.operands[0])}: return None"
+        if v.op in _GUARDS
+        else f"{v.name} = {_expression(v)}"
+        for v in nodes
+        if v.op in _GUARDS or v.name not in (None, v.op)
+    ]
     body = "".join(f"    {line}\n" for line in [*lines, f"return {_text(result)}"])
     scope: dict = {}
     exec(compile(f"def {name}({', '.join(params)}):\n{body}", f"<{name}>", "exec"), {}, scope)
-    return scope[name]
+    return scope[name].__code__
+
+
+# The names a traced program calls: math's functions at a point; on a grid
+# the same maps per value, and the guards' whole-row tests.
+_POINT_CALLS = {
+    "exp": math.exp,
+    "log": math.log,
+    "sin": math.sin,
+    "cos": math.cos,
+    "isfinite": math.isfinite,
+    "any_": bool,
+}
+_GRID_CALLS = {
+    **{name: partial(_per_value, _POINT_CALLS[name]) for name in ("exp", "log", "sin", "cos")},
+    "isfinite": _all_finite,
+    "any_": _any,
+}
 
 
 def _program(programs: list, loop, n: int, jets: int = 1):

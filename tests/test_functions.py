@@ -21,8 +21,13 @@ from opident.functions import (
     fn_linear_combination,
 )
 from opident.exprs import BinOp, Const, Pow, Var, parse, to_text
-from opident.identities import _subset_plan, default_grid, random_function
-from opident.operators import CanonicalOp
+from opident.identities import (
+    _subset_plan,
+    alternating_subset_terms,
+    default_grid,
+    random_function,
+)
+from opident.operators import CanonicalOp, builtin_blackbox
 from test_exprs import random_expr
 
 E = math.e
@@ -46,6 +51,19 @@ class TestProduct:
     def test_empty_is_structural_error(self):
         with pytest.raises(StructuralError):
             fn_product([])
+
+    def test_an_overflowing_partial_product_is_named(self):
+        # (-1e200)² overflows to inf, which the last factor's 0.0 would turn
+        # into nan; the fold stops at the inf, at a point and on a grid
+        f = fn_product([fn_constant(-1e200), fn_constant(-1e200), fn_constant(0.0)])
+        with pytest.raises(NumericRangeError, match=r"^non-finite jet coefficient: inf$"):
+            f.eval_jet(0.0, 1)
+        with pytest.raises(NumericRangeError, match=r" at x=0\.5$"):
+            f.eval_jet((0.5, 1.0), 1)
+        op = builtin_blackbox("translate")
+        fs = [fn_constant(-1e200), fn_constant(-1e200), fn_constant(0.0)]
+        with pytest.raises(NumericRangeError, match=r"^non-finite jet coefficient: inf$"):
+            alternating_subset_terms(op, fs, 0.0)
 
     def test_order_does_not_matter(self):
         f = fn_from_expr("sin(x)")
@@ -422,7 +440,7 @@ class TestGridEval:
         "fresh, kernel",
         [
             (lambda: fn_constant(-2.5), None),
-            (lambda: fn_from_expr("sin(2*x)*exp(x)-ln(x+4)"), (exprs, "eval_derivs")),
+            (lambda: fn_from_expr("sin(2*x)*exp(x)-ln(x+4)"), (exprs, "run_program")),
             (lambda: fn_from_jet(0.3, [0.5, -1.0, 3.0, 2.0]), (functions, "_poly_derivs")),
             (lambda: fn_monomial(4), (functions, "_poly_derivs")),
             (lambda: fn_exp_of(fn_from_jet(0.0, [0.1, 1.5, -2.0])), (functions, "_exp_derivs")),

@@ -1,6 +1,7 @@
 """Source hygiene: no module imports a name it never uses, no package
-module catches every exception, the package keeps one memo dict and no
-functools cache, only jets.py and exprs.py handle the Jet wrapper, only
+module catches every exception, the package keeps one memo dict, no
+functools cache and, at module level, only its program tables and their
+fixed companions, only jets.py and exprs.py handle the Jet wrapper, only
 functions.py constructs a SmoothFn, no engine tells the local operator
 classes apart, and every module-level definition in the package has a
 caller."""
@@ -8,6 +9,10 @@ caller."""
 import ast
 import re
 from pathlib import Path
+from types import FunctionType
+
+from opident import exprs, jets
+from opident.functions import fn_from_expr
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "opident").glob("*.py"))
@@ -135,6 +140,65 @@ def test_detects_a_dict_cache():
         "cache = {}\n"
     )
     assert dict_caches(source) == ["A._cache", "A._row_cache"]
+
+
+def module_tables(source: str) -> list[str]:
+    """Name of every module-level assignment, annotated or not, of a list,
+    dict or set display or comprehension, or of a list(), dict() or set()
+    call."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign):
+            targets, value = [node.target], node.value
+        else:
+            continue
+        displays = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
+        if isinstance(value, displays) or (
+            isinstance(value, ast.Call) and getattr(value.func, "id", None) in {"list", "dict", "set"}
+        ):
+            found += [target.id for target in targets if isinstance(target, ast.Name)]
+    return found
+
+
+PROGRAM_TABLES = {
+    "jets._CONV_PROGRAMS": jets._CONV_PROGRAMS,
+    "jets._EXP_PROGRAMS": jets._EXP_PROGRAMS,
+    "jets._LN_ABS_PROGRAMS": jets._LN_ABS_PROGRAMS,
+    "jets._RECIPROCAL_PROGRAMS": jets._RECIPROCAL_PROGRAMS,
+    "jets._SIN_COS_PROGRAMS": jets._SIN_COS_PROGRAMS,
+    "exprs._PROGRAMS": exprs._PROGRAMS,
+}
+
+
+def test_module_tables_are_the_program_tables():
+    # jets' five kernel tables and exprs' one hold code, never results;
+    # beside them are only the Pascal rows and the two name bindings of
+    # traced programs, so a result cache at module level shows up here
+    found = {f"{path.stem}.{name}" for path in PACKAGE for name in module_tables(path.read_text())}
+    assert found == {*PROGRAM_TABLES, "jets._BINOM", "jets._POINT_CALLS", "jets._GRID_CALLS"}
+    fn_from_expr("sin(x)/(2+x^2)+exp(x)*ln(3+x)").eval_jet(0.5, 3)
+    fn_from_expr("cos(x)^2.5").eval_jet((0.25, 0.5), 2)
+    jets._conv((1.0, 2.0), (3.0, 4.0))
+    assert all(PROGRAM_TABLES.values())
+    for name, table in PROGRAM_TABLES.items():
+        if name.startswith("jets."):
+            assert all(p is None or type(p) is FunctionType for p in table), name
+            continue
+        for (key, order), (point, grid) in table.items():
+            assert (type(key), type(order)) == (str, int)
+            assert type(point) is type(grid) is FunctionType
+            assert point.__code__ is grid.__code__
+
+
+def test_detects_a_module_table():
+    source = (
+        "_A: list = []\n_B = {}\n_C = dict()\n_D = {k: 1 for k in ()}\n"
+        "_E = (1, 2)\n_F = compile('x', 'f', 'eval')\nclass K:\n    _G = []\n"
+        "def f():\n    h = []\n"
+    )
+    assert module_tables(source) == ["_A", "_B", "_C", "_D"]
 
 
 def decorator_caches(source: str) -> list[str]:

@@ -322,6 +322,32 @@ class TestDrawsAsJets:
         assert got.report.to_json() == want.report.to_json()
         assert got.diagonal_gap.to_json() == want.diagonal_gap.to_json()
 
+    def test_a_local_suite_formats_only_its_worst_cases(self, monkeypatch):
+        # draws keep their coefficients; text is formed for the worst
+        # sample's tuple and the worst diagonal sample's function alone
+        op, n = random_canonical_op(random.Random(8), 3), 3
+        cfg = SamplingConfig(seed=8, tuples=5, grid=default_grid(7))
+        want = run_check_suite_full(op, n, cfg)
+        formatted = []
+        describe = identities._descriptor
+        monkeypatch.setattr(identities, "_descriptor", lambda c: formatted.append(c) or describe(c))
+        got = run_check_suite_full(op, n, cfg)
+        named = got.report.worst_case.functions + got.diagonal_gap.worst_case.functions
+        assert len(formatted) == len(named) < cfg.tuples * (n + 1)
+        assert got.report.to_json() == want.report.to_json()
+        assert got.diagonal_gap.to_json() == want.diagonal_gap.to_json()
+
+    def test_descriptor_text(self):
+        p, q = [1.23456, -2.0, 0.5, 1e-5], [0.0, -0.12345, 3.0, 2.0]
+        assert identities._descriptor((p, None)) == "poly[1.235,-2,0.5,1e-05]"
+        assert identities._descriptor((None, q)) == "exp(poly[0,-0.1235,3,2])"
+        both = "(poly[1.235,-2,0.5,1e-05])*(exp(poly[0,-0.1235,3,2]))"
+        assert identities._descriptor((p, q)) == both
+        rng = random.Random(3)
+        coefficients, p_jet, q_jet = identities._draw_jets(rng)
+        f = identities._function_of(coefficients, p_jet, q_jet)
+        assert f.descriptor == identities._descriptor(coefficients)
+
 
 class TestValueErrorsFirst:
     """Values are read last, yet a failing value still raises its error
@@ -1026,6 +1052,21 @@ class TestAggregation:
             want = self._report(samples, "mix", 2, *tols)
             assert repr(got) == repr(want)
             assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+
+    EDGES = (math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-9, -2e-9, 1.0, 1e300)
+
+    @pytest.mark.parametrize(
+        "tols", [(1e-9, 1e-8), (0.0, 0.0), (0.0, 1e-12), (1e-9, 0.0), (1e-300, 1e-300)]
+    )
+    def test_bound_ratio_on_two_floats_is_the_array_entry(self, tols):
+        # NaN, ±inf, zero bounds (tolerances of zero, or a zero scale with
+        # no tol_abs), zero residuals of both signs: the Python path for two
+        # floats is bitwise the entry of the numpy path for their pair
+        for residual, scale in itertools.product(self.EDGES, repeat=2):
+            got = identities.bound_ratio(residual, scale, *tols)
+            entry = identities.bound_ratio(np.array([residual]), np.array([scale]), *tols)[0]
+            assert type(got) is float
+            assert np.float64(got).tobytes() == entry.tobytes(), (residual, scale)
 
     def test_bound_ratio_on_arrays_is_the_float_rule(self):
         rng = random.Random(11)

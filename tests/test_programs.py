@@ -1,0 +1,195 @@
+"""exprs.run_program, each tree shape's straight-line program, against the
+interpreter it traces: results bitwise, errors by type and message, at
+points and on grid rows, and the program table's sharing and bound."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from opident import exprs, functions, jets
+from opident.errors import EvalDomainError, NumericRangeError
+from opident.exprs import (
+    FUNCTIONS,
+    BinOp,
+    Const,
+    Func,
+    Neg,
+    Pow,
+    Var,
+    eval_derivs,
+    parse,
+    run_program,
+    shape,
+)
+
+# signed zeros, a subnormal and magnitudes whose products overflow
+SPECIAL = (0.0, -0.0, 1.0, -1.0, 2.0, 0.5, 5e-324, 1e-300, 1e300, -1e300)
+constants = st.one_of(
+    st.sampled_from(SPECIAL), st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+)
+# positive, negative, zero (of both signs) and fractional exponents
+exponents = st.sampled_from(
+    (0.0, -0.0, 1.0, 2.0, 3.0, 5.0, -1.0, -2.0, -3.0, 0.5, 1.5, 2.5, -0.5, -1.5)
+)
+points = st.sampled_from((0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -3.0, 1e-300, 700.0))
+trees = st.recursive(
+    st.one_of(st.builds(Var), st.builds(Const, constants)),
+    lambda children: st.one_of(
+        st.builds(Neg, children),
+        st.builds(Func, st.sampled_from(FUNCTIONS), children),
+        st.builds(Pow, children, exponents),
+        st.builds(BinOp, st.sampled_from("+-*/"), children, children),
+    ),
+    max_leaves=8,
+)
+
+
+def bits(d):
+    """The exact content of a derivs list: types, and each entry's hex or
+    row bytes."""
+    if isinstance(d, np.ndarray):
+        return ("array", d.dtype.str, d.shape, d.tobytes())
+    if isinstance(d, list):
+        return ["list", *map(bits, d)]
+    return (type(d).__name__, float(d).hex())
+
+
+def outcome(evaluate, *args):
+    with np.errstate(all="ignore"):
+        try:
+            return bits(evaluate(*args))
+        except (EvalDomainError, NumericRangeError) as exc:
+            return type(exc).__name__, str(exc)
+
+
+def compiled(tree, x, order):
+    return run_program(tree, *shape(tree), x, order)
+
+
+def reruns(monkeypatch):
+    """The nodes the interpreter is called on, at values rather than a
+    trace's placeholders, from now on (its recursion included)."""
+    calls = []
+    interpret = exprs.eval_derivs
+
+    def spy(node, x, order):
+        if not isinstance(x, jets._Value):
+            calls.append(node)
+        return interpret(node, x, order)
+
+    monkeypatch.setattr(exprs, "eval_derivs", spy)
+    return calls
+
+
+@given(trees, points, st.integers(0, 4))
+@settings(max_examples=400, deadline=None)
+def test_points_are_the_interpreter(tree, x, order):
+    assert outcome(compiled, tree, x, order) == outcome(eval_derivs, tree, x, order)
+
+
+@given(trees, st.lists(points, min_size=1, max_size=6), st.integers(0, 4))
+@settings(max_examples=200, deadline=None)
+def test_grid_rows_are_the_interpreter(tree, xs, order):
+    row = np.array(xs)
+    assert outcome(compiled, tree, row, order) == outcome(eval_derivs, tree, row, order)
+
+
+# a tree, and a point where the interpreter raises
+FAILING = {
+    "ln-negative": (parse("ln(x)"), -1.0),
+    "ln-zero": (parse("ln(x-1)"), 1.0),
+    "division-by-zero": (parse("1/x"), 0.0),
+    "division-by-difference": (parse("2/(x-x)"), 0.5),
+    "abs-kink": (parse("abs(x)"), 0.0),
+    "abs-kink-minus-zero": (parse("abs(x)"), -0.0),
+    "fractional-power-negative": (parse("x^2.5"), -1.0),
+    "fractional-power-zero": (parse("(x-1)^0.5"), 1.0),
+    "negative-power-zero": (Pow(Var(), -2.0), 0.0),
+    "product-overflow": (parse("exp(-x*1e200*1e200)"), 0.5),
+    "exp-overflow": (parse("exp(1000*x)"), 1.0),
+    "sin-of-overflow": (parse("sin(x*1e300*1e300)"), 0.5),
+    "constants-alone": (parse("ln(x^0-x^0)"), 0.5),
+    "const-inf": (Const(math.inf), 0.5),
+    "times-const-inf": (BinOp("*", Var(), Const(math.inf)), 0.5),
+    "exp-const-nan": (Func("exp", Const(math.nan)), 0.5),
+}
+
+
+@pytest.mark.parametrize("case", FAILING)
+@pytest.mark.parametrize("on", ["point", "grid"])
+def test_errors_are_the_interpreters(monkeypatch, case, on):
+    tree, x = FAILING[case]
+    arg = x if on == "point" else np.array([0.25, x, -0.75])
+    want = outcome(eval_derivs, tree, arg, 3)
+    assert want[0] in ("EvalDomainError", "NumericRangeError")
+    calls = reruns(monkeypatch)
+    assert outcome(compiled, tree, arg, 3) == want
+    # the program gave way to the interpreter, once
+    assert sum(node is tree for node in calls) == 1
+
+
+def test_errors_through_fn_from_expr_name_the_point():
+    # a grid read reruns point by point, and the first failing point raises
+    f = functions.fn_from_expr("ln(x)")
+    with pytest.raises(EvalDomainError, match=r"^ln of a nonpositive value \(-1\.0\) at offset 0$"):
+        f.eval_jet((0.5, -1.0, -2.0), 2)
+    with pytest.raises(NumericRangeError, match=r"^exp overflow at value 1000\.0$"):
+        functions.fn_from_expr("exp(1000*x)").eval_jet((0.5, 1.0), 1)
+
+
+TEMPLATES = ("{a}*sin({b}*x+{c})", "ln(x^2+{a})", "1/({r}+cos(x))", "(x^2+{a})^2.5")
+
+
+@pytest.mark.parametrize("template", TEMPLATES)
+def test_one_program_per_shape(monkeypatch, template):
+    monkeypatch.setattr(exprs, "_PROGRAMS", {})
+    args = [-1.0, -0.0, 0.3, 1.0, np.linspace(-1.0, 1.0, 9)]
+    trees = [
+        parse(template.format(a=a, b=b, c=c, r=r))
+        for a, b, c, r in ((0.5, 1.25, 0.75, 1.5), (2.0, 0.5, 1.0, 3.0), (1.375, 2.0, 0.0, 2.25))
+    ]
+    want = [outcome(eval_derivs, tree, x, 3) for tree in trees for x in args]
+    calls = reruns(monkeypatch)
+    assert [outcome(compiled, tree, x, 3) for tree in trees for x in args] == want
+    assert len(exprs._PROGRAMS) == 1  # three sets of constants, one program
+    assert calls == []  # no guard failed
+
+
+def test_point_and_grid_share_one_code_object(monkeypatch):
+    monkeypatch.setattr(exprs, "_PROGRAMS", {})
+    tree = parse("exp(x)*cos(2*x)")
+    compiled(tree, 0.5, 2)
+    [(point, grid)] = exprs._PROGRAMS.values()
+    assert point.__code__ is grid.__code__
+    assert point.__globals__["exp"] is math.exp
+    assert grid.__globals__ is not point.__globals__
+
+
+def test_table_is_cleared_when_full(monkeypatch):
+    monkeypatch.setattr(exprs, "_PROGRAMS", {})
+    monkeypatch.setattr(exprs, "_PROGRAMS_CAP", 3)
+    sources = ("x+1", "x*2", "sin(x)", "cos(x)", "x+1")
+    for count, source in zip((1, 2, 3, 1, 2), sources):
+        tree = parse(source)
+        assert bits(compiled(tree, 0.7, 2)) == bits(eval_derivs(tree, 0.7, 2))
+        assert len(exprs._PROGRAMS) == count
+    # the same shape at another order is another program
+    compiled(parse("x+3"), 0.7, 4)
+    assert set(exprs._PROGRAMS) == {("cos(x)", 2), ("(x)+(c)", 2), ("(x)+(c)", 4)}
+
+
+def test_compiles_at_the_first_evaluation(monkeypatch):
+    monkeypatch.setattr(exprs, "_PROGRAMS", {})
+    f = functions.fn_from_expr("x^2+0.5")
+    assert exprs._PROGRAMS == {}
+    f.eval_jet(0.25, 1)
+    assert list(exprs._PROGRAMS) == [("((x)^2.0)+(c)", 1)]
+
+
+def test_shape_leaves_out_the_constants():
+    assert shape(parse("2*sin(x)+-3.5^2")) == ("((c)*(sin(x)))+(-((c)^2.0))", [2.0, 3.5])
+    assert shape(parse("2*sin(x)"))[0] == shape(parse("0.25*sin(x)"))[0]
+    assert shape(parse("x^2"))[0] != shape(parse("x^3"))[0]

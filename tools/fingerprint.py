@@ -12,9 +12,15 @@ of `suites.selftest()`; and one line, `opaque:`, with the SHA-1 of the
 `to_json` of report and gap from `run_check_suite_full` on the black-box
 engine: `translate`, a `BlackBoxOp` reading f''' and a `BlackBoxOp` that
 applies a random canonical operator, at n = 1..4 for seeds 1-3, 4 tuples
-on a 9-point grid. A unit that raises one of the package's errors enters
-the hash as its type and message. A refactor that keeps every result
-bitwise prints the same lines as its parent commit.
+on a 9-point grid; and one line, `exprs:`, with the SHA-1 of DSL function
+evaluations: for each function of a seeded corpus (100 draws of
+blackbox-dsl's templates for each of seeds 1-3, and recovery's holdouts),
+`fn_from_expr(...).eval_jet` at each of 41 points at order 3 and on the
+21-point grid at order 4, in `float.hex` and bytes; then, for each of
+`FAILING`, the outcome of the same two reads on a grid that holds its point.
+A unit or evaluation that raises one of the package's errors enters the
+hash as its type and message. A refactor that keeps every result bitwise
+prints the same lines as its parent commit.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import workloads  # noqa: E402
-from opident import identities, suites  # noqa: E402
+from opident import exprs, functions, identities, suites  # noqa: E402
 from opident.errors import (  # noqa: E402
     EvalDomainError,
     NumericRangeError,
@@ -41,6 +47,23 @@ from opident.operators import BlackBoxOp, apply, builtin_blackbox  # noqa: E402
 ERRORS = (EvalDomainError, NumericRangeError, RecoveryError, StructuralError)
 SEEDS = (1, 2, 3)
 UNITS = 300
+DRAWS = 100  # DSL functions per seed for the exprs: line
+# (expression, a point where it fails): each kind of interpreter error, and
+# one shape whose constants alone fail it
+FAILING = (
+    ("ln(x)", -1.0),
+    ("ln(x)", 0.0),
+    ("1/x", 0.0),
+    ("1/(x-x)", 0.5),
+    ("abs(x)", 0.0),
+    ("x^2.5", -1.0),
+    ("x^0.5", 0.0),
+    (exprs.Pow(exprs.Var(), -2.0), 0.0),
+    ("exp(-x*1e200*1e200)", 0.5),
+    ("exp(1000*x)", 1.0),
+    ("ln(x^0-x^0)", 0.5),
+    (exprs.BinOp("+", exprs.Var(), exprs.Const(float("inf"))), 0.5),
+)
 
 
 def unit_record(workload, seed: int, index: int):
@@ -87,11 +110,38 @@ def opaque_digest() -> str:
     return digest.hexdigest()
 
 
+def evaluation(source, x, order: int):
+    """fn_from_expr(source).eval_jet(x, order) on a fresh function, in
+    float.hex or bytes, or the error's type and message."""
+    try:
+        jet = functions.fn_from_expr(source).eval_jet(x, order)
+    except ERRORS as exc:
+        return type(exc).__name__, str(exc)
+    return jet.tobytes() if type(x) is tuple else [v.hex() for v in jet]
+
+
+def exprs_digest() -> str:
+    dsl = workloads.BlackboxDsl()
+    rngs = [random.Random(f"exprs:{seed}") for seed in SEEDS]
+    sources = [dsl._draw(rng) for rng in rngs for _ in range(DRAWS)]
+    sources += workloads.Recovery.holdout
+    points, grid = identities.default_grid(41), identities.default_grid(21)
+    digest = hashlib.sha1()
+    for source in sources:
+        digest.update(repr([evaluation(source, x, 3) for x in points]).encode())
+        digest.update(repr(evaluation(source, grid, 4)).encode())
+    for source, x in FAILING:
+        failing = (evaluation(source, x, 3), evaluation(source, (0.25, x, -0.75), 4))
+        digest.update(repr(failing).encode())
+    return digest.hexdigest()
+
+
 def main() -> int:
     for name in workloads.WORKLOADS:
         print(f"{name}: {workload_digest(name)}", flush=True)
     print(f"selftest: {selftest_digest()}", flush=True)
-    print(f"opaque: {opaque_digest()}")
+    print(f"opaque: {opaque_digest()}", flush=True)
+    print(f"exprs: {exprs_digest()}")
     return 0
 
 
