@@ -22,8 +22,11 @@ so trees that differ only in their constants share one program. The trace
 keeps each check of the interpreter as a guard in its place; where a guard
 fails, or the program raises OverflowError, eval_derivs reruns and gives
 its own result or error. So results and errors are the interpreter's,
-bitwise. Programs are compiled at the first evaluation into _PROGRAMS,
-which is cleared when it holds _PROGRAMS_CAP of them.
+bitwise. A shape's recording (_compile) is compiled at its first
+evaluation by jets._program into jets._PROGRAMS, the package's one program
+table, beside the kernels' programs. A recording of more than
+jets._RECORDING_CAP nodes compiles to a program that returns None at once,
+so its shape always runs the interpreter.
 """
 
 from __future__ import annotations
@@ -31,12 +34,11 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from types import FunctionType
 
 from .errors import EvalDomainError, NumericRangeError, ParseError, StructuralError
 from .jets import (
-    _GRID_CALLS,
-    _POINT_CALLS,
+    _PROGRAMS,
+    _RECORDING_CAP,
     Jet,
     _abs_derivs,
     _any,
@@ -46,8 +48,8 @@ from .jets import (
     _exp_derivs,
     _ln_abs_derivs,
     _power_derivs,
+    _program,
     _reciprocal_derivs,
-    _program_code,
     _sin_cos_derivs,
     _Value,
 )
@@ -356,11 +358,6 @@ def _located(fn, node, *args):
         raise EvalDomainError(f"{exc}{_at(node)}") from None
 
 
-# The programs of traced evaluations, (point, grid) per (shape, order)
-_PROGRAMS: dict[tuple[str, int], tuple[FunctionType, FunctionType]] = {}
-_PROGRAMS_CAP = 256
-
-
 def shape(node: Expr) -> tuple[str, list[float]]:
     """(key, constants): text that names node's tree with its constants
     left out, and float() of each constant in the order run_program takes
@@ -402,12 +399,13 @@ def _with_constants(node: Expr, new) -> Expr:
     return node
 
 
-def _compile(node: Expr, order: int) -> tuple[FunctionType, FunctionType]:
-    """The program of eval_derivs(node, x, order) as a function of x and
-    node's constants, bound to math's calls at a point and to the grid
-    kernels' on a grid. A trace that raises the interpreter's error has met
-    a check on values the shape alone fixes, as in ln(x^0-x^0), which fails
-    at every input: its program returns None after the guards before it."""
+def _compile(node: Expr, order: int) -> tuple:
+    """The recording (name, params, nodes, result) of eval_derivs(node, x,
+    order) as a function of x and node's constants. A trace that raises the
+    interpreter's error has met a check on values the shape alone fixes, as
+    in ln(x^0-x^0), which fails at every input: its program returns None
+    after the guards before it. A trace of more than _RECORDING_CAP nodes,
+    as of x^1e308, records none, and its program returns None at once."""
     nodes: list[_Value] = []
     params = ["x"]
 
@@ -421,19 +419,16 @@ def _compile(node: Expr, order: int) -> tuple[FunctionType, FunctionType]:
         result = eval_derivs(template, x, order)
     except (EvalDomainError, NumericRangeError):
         result = None
-    code = _program_code(f"expr_order_{order}", params, nodes, result)
-    return FunctionType(code, _POINT_CALLS), FunctionType(code, _GRID_CALLS)
+    if len(nodes) > _RECORDING_CAP:
+        nodes, result = [], None
+    return f"expr_order_{order}", params, nodes, result
 
 
 def run_program(node: Expr, key: str, constants: list[float], x, order: int) -> list:
     """eval_derivs(node, x, order), bitwise, errors included, for (key,
     constants) = shape(node): by the program of key at order, compiled on
     first use, or by eval_derivs where it returns None or overflows."""
-    programs = _PROGRAMS.get((key, order))
-    if programs is None:
-        if len(_PROGRAMS) >= _PROGRAMS_CAP:
-            _PROGRAMS.clear()
-        programs = _PROGRAMS[key, order] = _compile(node, order)
+    programs = _PROGRAMS.get((key, order)) or _program((key, order), _compile, node, order)
     try:
         d = programs[type(x) is not float](x, *constants)
     except OverflowError:

@@ -21,15 +21,16 @@ engine's arrays span T·P columns, tuple-major. The diagonal identity on
 fs[0] is formed from the last two, once per tuple.
 
 A local D, any operator but a BlackBoxOp, reads only jets, at op.order,
-through op.values. At a point, its terms come from each input's jet, read
-once, and one _outside_products DP over the jets' canonical order, which
-gives every outside value product and every complement product jet (one
-_conv each); op.values runs once per complement. A local D is checked on a
+through its rule op.at(x). At a point, its terms come from each input's
+jet, read once, and one _outside_products DP over the jets' canonical
+order, which gives every outside value product and every complement
+product jet (one _conv each); the rule, taken once per point, runs once
+per complement. A local D is checked on a
 block of tuples, drawn as jets, over the whole grid at once: one family
 pass gives every input's grid jets; _subset_stacks builds every subset
 product and the powers of fs[0] by the same DP over each tuple's canonical
-order, one _conv per top rank; apply_on_grid runs op.values on them in one
-pass; and each term gathers its subset's outside value product and D of
+order, one _conv per top rank; apply_on_grid runs op.at(grid) on them in
+one pass; and each term gathers its subset's outside value product and D of
 its complement's product. A block that raises is rerun once on the
 per-point engine below, tuple by tuple, which raises the first failing
 tuple's error at its first failing point.
@@ -243,12 +244,13 @@ def _outside_products(jets):
 def _jet_terms(op: CanonicalOp | JetOp, fs: Sequence[SmoothFn], x: float) -> list[float]:
     """alternating_subset_terms for a local D, bitwise _terms_from_plan's
     terms: each input's jet read once at op.order, one _outside_products DP
-    for the outside values and the complement products, and op.values once
-    per complement. If a jet raises, the values are read in index order, so
-    a failing value's error replaces it, as on the opaque path. An error is
-    of the opaque path's type at the same point, but as every product is
-    formed before op.values runs, an overflowing product can be named where
-    the opaque path names D's value."""
+    for the outside values and the complement products, then D's rule at x,
+    op.at(x), once, and run once per complement. If a jet raises, the values
+    are read in index order, so a failing value's error replaces it, as on
+    the opaque path. An error is of the opaque path's type at the same
+    point, but as every product is formed before the rule runs, an
+    overflowing product can be named where the opaque path names D's
+    value."""
     _require_tuple(len(fs))
     try:
         jets = [f.eval_jet(x, op.order) for f in fs]
@@ -257,10 +259,11 @@ def _jet_terms(op: CanonicalOp | JetOp, fs: Sequence[SmoothFn], x: float) -> lis
             f.value_at(x)
         raise
     outside, prods = _outside_products(jets)
+    rule = op.at(x)
     full = len(outside) - 1
     terms = []
     for mask in subset_masks(len(fs)):
-        signed = outside[mask] * finite_value(op, op.values(x, prods[full ^ mask]), x)
+        signed = outside[mask] * finite_value(op, rule(prods[full ^ mask]), x)
         terms.append(-signed if mask.bit_count() % 2 else signed)
     return terms
 

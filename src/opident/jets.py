@@ -23,13 +23,12 @@ The recurrences of _conv, _exp_derivs, _ln_abs_derivs, _reciprocal_derivs
 and _sin_cos_derivs are written once, as loops over entry indices
 (_conv_loop, ...), and run as straight-line programs: a loop's index pattern
 depends only on the jet length, so it is run once per length on
-placeholders that record each + - * / and unary minus, and the record is
-written out as code and exec'd as a function of the loop's parameters. The
-programs are kept in one list per kernel indexed by jet length, filled on
-first use. A program performs the loop's operations on the same operands,
-so its results are bitwise the loop's, on floats and grid rows alike. What
-depends on values stays in the kernel around the program: the domain checks
-and exp, log, sin and cos of the value.
+placeholders that record each + - * / and unary minus, and the recording is
+written out as code and exec'd as a function of the loop's parameters. A
+program performs the loop's operations on the same operands, so its results
+are bitwise the loop's, on floats and grid rows alike. What depends on
+values stays in the kernel around the program: the domain checks and exp,
+log, sin and cos of the value.
 
 The same recorder traces a whole evaluation that runs these kernels, as
 exprs does for eval_derivs. Such a trace also records the kernels' checks
@@ -43,6 +42,13 @@ abs. A program that returns None has met a value its trace did not
 follow, and its caller reruns what was traced. _POINT_CALLS and _GRID_CALLS
 bind these names: math's functions at a point, and on a grid the per-value
 maps and whole-row tests of the kernels, so one code object serves both.
+
+Every straight-line program of the package, a kernel's or an expression's
+(exprs.run_program), sits in one table, _PROGRAMS: a key, (loop, jet
+length) or (shape, order), maps to the (point, grid) pair of functions of
+its one code object. One compile step, _program, fills it on a miss from a
+recording (name, params, nodes, result) and clears it when it holds
+_PROGRAMS_CAP programs.
 
 Jet, a checked (base point, finite derivatives) wrapper, is returned only
 by the jet_* wrappers of the kernels and exprs.eval_jet, which the
@@ -203,28 +209,6 @@ class _Value:
         return _Value(self.nodes, "-", self)
 
 
-class _Entries:
-    """A jet parameter of a recording, of length n: entry i is the
-    placeholder of the read name[i], made where the loop first reads it."""
-
-    __slots__ = ("name", "nodes", "entries")
-
-    def __init__(self, name: str, n: int, nodes: list[_Value]):
-        self.name = name
-        self.nodes = nodes
-        self.entries: list[_Value | None] = [None] * n
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __getitem__(self, i: int) -> _Value:
-        if i not in range(len(self.entries)):
-            raise IndexError(f"{self.name}[{i!r}] of a length-{len(self)} jet")
-        if self.entries[i] is None:
-            self.entries[i] = _Value(self.nodes, f"{self.name}[{i}]")
-        return self.entries[i]
-
-
 def _guard_finite(values: list[_Value]) -> None:
     """Records a guard that returns None unless the placeholders among
     values that no guard has checked are finite: one isfinite of their sum,
@@ -276,37 +260,25 @@ def _expression(v: _Value) -> str:
     return f"-{_text(v.operands[0])}" if v.op == "-" else f"{v.op}({_text(v.operands[0])})"
 
 
-def _straight_line(loop, n: int, jets: int):
-    """loop at jet length n as a straight-line function of the same
-    parameters: loop run once with its first `jets` parameters as length-n
-    placeholder jets and the rest as placeholder values, then the record
-    exec'd (_program_code). loop must index and branch on integers only,
-    never on a value."""
-    code = loop.__code__
-    params = code.co_varnames[: code.co_argcount]
-    nodes: list[_Value] = []
-    args = [_Entries(p, n, nodes) if i < jets else _Value(nodes, p, name=p) for i, p in enumerate(params)]
-    program = _program_code(f"{loop.__name__}_{n}", params, nodes, loop(*args))
-    return FunctionType(program, {})
-
-
 def _program_code(name: str, params: Sequence[str], nodes: list[_Value], result):
     """The code of the function `name` of params that a recording stands
     for: its nodes, in order, then `return result`.
 
     A placeholder used once is written into the expression that uses it,
     so an intermediate grid row is freed as soon as it is used (and numpy
-    may reuse its buffer); every other one is assigned to a name, in the
-    recording's order, and each guard is a statement in its place. Either
-    way each operation has the recording's operands, and operations have
-    no side effects, so the results are bitwise the recording's. A written
-    expression runs no earlier than where it was recorded, so a guard
-    comes before every operation recorded after it. The text holds only
+    may reuse its buffer), and a jet entry never read is left out; every
+    other one is assigned to a name, in the recording's order, and each
+    guard is a statement in its place. Either way each operation has the
+    recording's operands, and operations have no side effects, so the
+    results are bitwise the recording's. A written expression runs no
+    earlier than where it was recorded, so a guard comes before every
+    operation recorded after it. The text holds only
     parameter names, integer indices, finite floats, operators, the called
     names of _POINT_CALLS, parentheses and guard statements."""
     returned = set(map(id, _placeholders(result)))
     for i, v in enumerate(nodes):
-        if v.name is None and v.op not in _GUARDS and (v.uses != 1 or id(v) in returned):
+        named = v.uses > 1 or id(v) in returned or (v.uses == 0 and v.operands)
+        if v.name is None and v.op not in _GUARDS and named:
             v.name = f"v{i}"
     lines = [
         f"{v.op} {_expression(v.operands[0])}: return None"
@@ -338,22 +310,41 @@ _GRID_CALLS = {
 }
 
 
-def _program(programs: list, loop, n: int, jets: int = 1):
-    """programs[n]: loop's straight-line form at jet length n, built on
-    first use into the list of loop's programs indexed by jet length."""
-    if n >= len(programs):
-        programs.extend([None] * (n + 1 - len(programs)))
-    if programs[n] is None:
-        programs[n] = _straight_line(loop, n, jets)
-    return programs[n]
+# Every straight-line program of the package, a (point, grid) pair of
+# functions of one code object: a kernel loop's at (loop, jet length), an
+# expression's at (shape, order). Cleared when it holds _PROGRAMS_CAP; an
+# expression whose recording has more than _RECORDING_CAP nodes is not
+# compiled (exprs._compile).
+_PROGRAMS: dict = {}
+_PROGRAMS_CAP = 256
+_RECORDING_CAP = 4096
 
 
-# The straight-line programs of each recurrence, indexed by jet length.
-_CONV_PROGRAMS: list = []
-_EXP_PROGRAMS: list = []
-_LN_ABS_PROGRAMS: list = []
-_RECIPROCAL_PROGRAMS: list = []
-_SIN_COS_PROGRAMS: list = []
+def _program(key, record, *args):
+    """_PROGRAMS[key], filled from record(*args), a recording (name, params,
+    nodes, result): its code bound to _POINT_CALLS and to _GRID_CALLS. A
+    full table is cleared first."""
+    code = _program_code(*record(*args))
+    if len(_PROGRAMS) >= _PROGRAMS_CAP:
+        _PROGRAMS.clear()
+    _PROGRAMS[key] = programs = FunctionType(code, _POINT_CALLS), FunctionType(code, _GRID_CALLS)
+    return programs
+
+
+def _loop_recording(loop, n: int, jets: int = 1):
+    """loop's recording at jet length n: loop run once with each of its first
+    `jets` parameters a list of the n leaf placeholders name[0] .. name[n-1]
+    and the rest placeholder values. loop must index and branch on integers
+    only, never on a value. A kernel's program calls nothing, so either of
+    the pair runs it on points and grids alike."""
+    code = loop.__code__
+    params = code.co_varnames[: code.co_argcount]
+    nodes: list[_Value] = []
+    args = [
+        [_Value(nodes, f"{p}[{i}]") for i in range(n)] if k < jets else _Value(nodes, p, name=p)
+        for k, p in enumerate(params)
+    ]
+    return f"{loop.__name__}_{n}", params, nodes, loop(*args)
 
 
 class Jet:
@@ -421,7 +412,8 @@ def jet_linear_combine(a: float, j1: Jet, b: float, j2: Jet) -> Jet:
 def _conv(a: Sequence, b: Sequence) -> list:
     """Binomial convolution of two derivs sequences or two broadcastable
     derivative-major grid arrays: _conv_loop as its straight-line program."""
-    return _program(_CONV_PROGRAMS, _conv_loop, len(a), 2)(a, b)
+    key = (_conv_loop, len(a))
+    return (_PROGRAMS.get(key) or _program(key, _loop_recording, *key, 2))[0](a, b)
 
 
 def _conv_loop(a, b):
@@ -470,7 +462,8 @@ def _exp_derivs(g):
         h0 = _per_value(math.exp, g[0])
     except OverflowError:
         raise NumericRangeError(f"exp overflow at value {g[0]}") from None
-    return _program(_EXP_PROGRAMS, _exp_loop, len(g))(g, h0)
+    key = (_exp_loop, len(g))
+    return (_PROGRAMS.get(key) or _program(key, _loop_recording, *key))[0](g, h0)
 
 
 def _exp_loop(g, h0):
@@ -497,7 +490,9 @@ def _ln_abs_derivs(f):
     the magnitude, then _ln_abs_loop's program."""
     if _any(f[0] == 0.0):
         raise EvalDomainError("log singularity at base point")
-    return _program(_LN_ABS_PROGRAMS, _ln_abs_loop, len(f))(f, _per_value(math.log, abs(f[0])))
+    key = (_ln_abs_loop, len(f))
+    program = (_PROGRAMS.get(key) or _program(key, _loop_recording, *key))[0]
+    return program(f, _per_value(math.log, abs(f[0])))
 
 
 def _ln_abs_loop(f, u0):
@@ -529,7 +524,8 @@ def _reciprocal_derivs(f):
     _reciprocal_loop's program."""
     if _any(f[0] == 0.0):
         raise EvalDomainError("division by zero at base point")
-    return _program(_RECIPROCAL_PROGRAMS, _reciprocal_loop, len(f))(f)
+    key = (_reciprocal_loop, len(f))
+    return (_PROGRAMS.get(key) or _program(key, _loop_recording, *key))[0](f)
 
 
 def _reciprocal_loop(f):
@@ -558,7 +554,8 @@ def _sin_cos_derivs(g):
     _sin_cos_loop's program."""
     s0 = _per_value(math.sin, g[0])
     c0 = _per_value(math.cos, g[0])
-    return _program(_SIN_COS_PROGRAMS, _sin_cos_loop, len(g))(g, s0, c0)
+    key = (_sin_cos_loop, len(g))
+    return (_PROGRAMS.get(key) or _program(key, _loop_recording, *key))[0](g, s0, c0)
 
 
 def _sin_cos_loop(g, s0, c0):

@@ -1,8 +1,9 @@
 """Operator families applied pointwise through jets.
 
 A local operator reads only f's derivatives 0..order at x, and answers one
-call, values(x, derivs), on a point's floats or on a grid's derivative-major
-stack in one pass. CanonicalOp is the closed form
+call, at(x): the rule that maps f's derivatives at x to D(f)(x), on a
+point's floats or on a grid's derivative-major stack in one pass.
+CanonicalOp is the closed form
 
     D(f)(x) = sum_i c_i(x)·f^(i)(x) + sum_i d_i(x)·f(x)·ln|f(x)|^i,
 
@@ -18,6 +19,7 @@ ones included; it is applied point by point.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -74,9 +76,9 @@ class CanonicalOp:
         d_vals = tuple(fn.value_at(x) for fn in self.d)
         return c_vals, d_vals if any(d_vals) else ()
 
-    def values(self, x, derivs):
-        """apply_canonical_values on derivs with the coefficients at x."""
-        return apply_canonical_values(*self.coefficient_values(x), derivs)
+    def at(self, x):
+        """apply_canonical_values with the coefficients read at x, once."""
+        return partial(apply_canonical_values, *self.coefficient_values(x))
 
     def __repr__(self) -> str:
         return self.descriptor
@@ -113,9 +115,9 @@ class JetOp:
         self.rule = rule
         self.descriptor = descriptor
 
-    def values(self, x, derivs):
-        """The rule on derivs; x is unused."""
-        return self.rule(derivs)
+    def at(self, x):
+        """The rule; x is unused."""
+        return self.rule
 
     def __repr__(self) -> str:
         return self.descriptor
@@ -159,7 +161,7 @@ def finite_value(op: Operator, value: float, x: float) -> float:
 def apply(op: Operator, f: SmoothFn, x):
     """D(f)(x) at the point x or, for a grid given as a tuple of points, an
     array of D(f) at each point, bitwise the point values. A local D reads
-    f's jet at op.order, then runs op.values on it, on a grid in one pass; a
+    f's jet at op.order, then runs op.at(x) on it, on a grid in one pass; a
     black box is called point by point. A non-finite value raises
     NumericRangeError naming the (first such) point."""
     if isinstance(op, BlackBoxOp):
@@ -168,18 +170,20 @@ def apply(op: Operator, f: SmoothFn, x):
         return finite_value(op, op.fn(f, x), x)
     if type(x) is tuple:
         return apply_on_grid(op, x, f.eval_jet(x, op.order))
-    return finite_value(op, op.values(x, f.eval_jet(x, op.order)), x)
+    derivs = f.eval_jet(x, op.order)
+    return finite_value(op, op.at(x)(derivs), x)
 
 
 def apply_on_grid(op: CanonicalOp | JetOp, grid: tuple, derivs: np.ndarray) -> np.ndarray:
     """D on a derivative-major stack derivs of shape (op.order+1, ..., P), or
-    (op.order+1, ..., 1) for jets that are the same at every point: op.values
-    at the grid, copied into and broadcast over the grid's (..., P) result.
+    (op.order+1, ..., 1) for jets that are the same at every point: the rule
+    op.at(grid) on it, copied into and broadcast over the grid's (..., P)
+    result.
     A non-finite entry of derivs or of the result raises NumericRangeError
     naming the first grid point that has one."""
     out = np.empty(derivs.shape[1:-1] + (len(grid),))
     with np.errstate(all="ignore"):
-        out[...] = op.values(grid, derivs)
+        out[...] = op.at(grid)(derivs)
     finite = np.isfinite(derivs).all(axis=0) & np.isfinite(out)
     finite = finite.all(axis=tuple(range(finite.ndim - 1)))
     if not finite.all():

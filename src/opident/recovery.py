@@ -13,8 +13,8 @@ for bit: exp_probe(x0, p) evaluates its inner polynomial at t = x0 - x0 =
 0.0, so its jet at x0 is the exp of (0, p, 0, ...), and a constant's jet is
 (e^p, 0, ...) everywhere. So for a local D, every response at every grid
 point comes from one pass of apply_on_grid over the (order+1, 2n, 1) stack
-of those jets (_probe_jets), bitwise the per-point responses: op.values
-reads them at the whole grid, broadcast over its points. Only a BlackBoxOp
+of those jets (_probe_jets), bitwise the per-point responses: the rule
+op.at(grid) reads them at the whole grid, broadcast over its points. Only a BlackBoxOp
 is probed point by point, and so is a local D whose grid pass leaves its
 domain or the finite range, so that each failing point is recorded.
 

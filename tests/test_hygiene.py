@@ -1,6 +1,6 @@
-"""Source hygiene: no module imports a name it never uses, no package
-module catches every exception, the package keeps one memo dict, no
-functools cache and, at module level, only its program tables and their
+"""Source hygiene: no module imports a name it never uses, no package or
+tools module catches every exception, the package keeps one memo dict, no
+functools cache and, at module level, only its one program table and its
 fixed companions, only jets.py and exprs.py handle the Jet wrapper, only
 functions.py constructs a SmoothFn, no engine tells the local operator
 classes apart, and every module-level definition in the package has a
@@ -11,12 +11,13 @@ import re
 from pathlib import Path
 from types import FunctionType
 
-from opident import exprs, jets
+from opident import jets
 from opident.functions import fn_from_expr
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "opident").glob("*.py"))
-MODULES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
+TOOLS = sorted((ROOT / "tools").glob("*.py"))
+MODULES = sorted([*PACKAGE, *TOOLS, *(ROOT / "tests").glob("*.py")])
 BENCH = sorted((ROOT / "bench").glob("*.py"))
 BROAD = {"Exception", "BaseException"}
 CACHES = {"lru_cache", "cache"}
@@ -40,7 +41,7 @@ def unused_imports(source: str) -> list[str]:
 
 
 def test_no_unused_imports():
-    assert {"identities.py", "test_hygiene.py"} <= {path.name for path in MODULES}
+    assert {"identities.py", "fingerprint.py", "test_hygiene.py"} <= {path.name for path in MODULES}
     found = {}
     for path in MODULES:
         unused = unused_imports(path.read_text())
@@ -71,9 +72,9 @@ def broad_excepts(source: str) -> list[str]:
 
 
 def test_no_broad_excepts():
-    assert "identities.py" in {path.name for path in PACKAGE}
+    assert {"identities.py", "fingerprint.py"} <= {path.name for path in PACKAGE + TOOLS}
     found = {}
-    for path in PACKAGE:
+    for path in PACKAGE + TOOLS:
         broad = broad_excepts(path.read_text())
         if broad:
             found[str(path.relative_to(ROOT))] = broad
@@ -162,34 +163,23 @@ def module_tables(source: str) -> list[str]:
     return found
 
 
-PROGRAM_TABLES = {
-    "jets._CONV_PROGRAMS": jets._CONV_PROGRAMS,
-    "jets._EXP_PROGRAMS": jets._EXP_PROGRAMS,
-    "jets._LN_ABS_PROGRAMS": jets._LN_ABS_PROGRAMS,
-    "jets._RECIPROCAL_PROGRAMS": jets._RECIPROCAL_PROGRAMS,
-    "jets._SIN_COS_PROGRAMS": jets._SIN_COS_PROGRAMS,
-    "exprs._PROGRAMS": exprs._PROGRAMS,
-}
-
-
 def test_module_tables_are_the_program_tables():
-    # jets' five kernel tables and exprs' one hold code, never results;
-    # beside them are only the Pascal rows and the two name bindings of
-    # traced programs, so a result cache at module level shows up here
+    # jets._PROGRAMS, the one program table, holds code, never results:
+    # kernel programs at (loop, jet length) and expression programs at
+    # (shape, order), each a (point, grid) pair of one code object; beside
+    # it are only the Pascal rows and the two name bindings of its programs,
+    # so a result cache at module level shows up here
     found = {f"{path.stem}.{name}" for path in PACKAGE for name in module_tables(path.read_text())}
-    assert found == {*PROGRAM_TABLES, "jets._BINOM", "jets._POINT_CALLS", "jets._GRID_CALLS"}
+    assert found == {"jets._PROGRAMS", "jets._BINOM", "jets._POINT_CALLS", "jets._GRID_CALLS"}
     fn_from_expr("sin(x)/(2+x^2)+exp(x)*ln(3+x)").eval_jet(0.5, 3)
     fn_from_expr("cos(x)^2.5").eval_jet((0.25, 0.5), 2)
     jets._conv((1.0, 2.0), (3.0, 4.0))
-    assert all(PROGRAM_TABLES.values())
-    for name, table in PROGRAM_TABLES.items():
-        if name.startswith("jets."):
-            assert all(p is None or type(p) is FunctionType for p in table), name
-            continue
-        for (key, order), (point, grid) in table.items():
-            assert (type(key), type(order)) == (str, int)
-            assert type(point) is type(grid) is FunctionType
-            assert point.__code__ is grid.__code__
+    assert {type(key) for key, _ in jets._PROGRAMS} == {FunctionType, str}
+    for (key, size), (point, grid) in jets._PROGRAMS.items():
+        assert type(key) in (FunctionType, str) and type(size) is int
+        assert type(point) is type(grid) is FunctionType
+        assert point.__code__ is grid.__code__
+        assert point.__globals__ is jets._POINT_CALLS and grid.__globals__ is jets._GRID_CALLS
 
 
 def test_detects_a_module_table():

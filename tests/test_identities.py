@@ -47,6 +47,7 @@ from opident.identities import (
 from opident.jets import binomial_row, signed_sum
 from opident.operators import (
     BlackBoxOp,
+    CanonicalOp,
     JetOp,
     apply,
     builtin_blackbox,
@@ -273,6 +274,21 @@ class TestOncePerPoint:
         assert list(calls) == [[0.3]] * len(fs)
         want = _fn_product_terms(op, [fn_from_expr(s) for s in self.SOURCES], 0.3)
         assert [t.hex() for t in got] == [float(t).hex() for t in want]
+
+    def test_a_canonical_op_reads_its_coefficients_once(self, monkeypatch):
+        # one read per point, where each of the 31 complements read them
+        op = random_canonical_op(random.Random(4), 4)
+        fs = [fn_from_expr(s) for s in (*self.SOURCES, "x^3-x")]
+        points = (0.3, -0.7)
+        want = [[float(t).hex() for t in _fn_product_terms(op, fs, x)] for x in points]
+        reads = []
+        read = CanonicalOp.coefficient_values
+        monkeypatch.setattr(
+            CanonicalOp, "coefficient_values", lambda op, x: reads.append(x) or read(op, x)
+        )
+        got = [[t.hex() for t in alternating_subset_terms(op, fs, x)] for x in points]
+        assert reads == list(points)
+        assert got == want
 
     def test_suite(self, monkeypatch):
         # an opaque box runs the per-point engine; a JetOp's suite runs on grids

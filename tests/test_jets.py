@@ -3,6 +3,7 @@
 import math
 import random
 import sys
+from types import FunctionType
 
 import mpmath
 import numpy as np
@@ -21,13 +22,14 @@ from opident.jets import (
     _exp_loop,
     _ln_abs_derivs,
     _ln_abs_loop,
+    _loop_recording,
     _per_value,
     _program,
+    _program_code,
     _reciprocal_derivs,
     _reciprocal_loop,
     _sin_cos_derivs,
     _sin_cos_loop,
-    _straight_line,
     jet_exp,
     jet_linear_combine,
     jet_ln_abs,
@@ -421,13 +423,13 @@ class TestPerValue:
         assert seen == [1.0, 800.0]
 
 
-# (programs, loop, jet parameters, value parameters) of each straight-line kernel
+# (loop, jet parameters, value parameters) of each straight-line kernel
 STRAIGHT = {
-    "conv": (jets._CONV_PROGRAMS, _conv_loop, 2, 0),
-    "exp": (jets._EXP_PROGRAMS, _exp_loop, 1, 1),
-    "ln_abs": (jets._LN_ABS_PROGRAMS, _ln_abs_loop, 1, 1),
-    "reciprocal": (jets._RECIPROCAL_PROGRAMS, _reciprocal_loop, 1, 0),
-    "sin_cos": (jets._SIN_COS_PROGRAMS, _sin_cos_loop, 1, 2),
+    "conv": (_conv_loop, 2, 0),
+    "exp": (_exp_loop, 1, 1),
+    "ln_abs": (_ln_abs_loop, 1, 1),
+    "reciprocal": (_reciprocal_loop, 1, 0),
+    "sin_cos": (_sin_cos_loop, 1, 2),
 }
 # signed zeros, subnormals, and magnitudes whose products overflow to inf
 # (and then to nan beside a zero or an opposite inf)
@@ -456,22 +458,24 @@ def outcome(fn, args):
 
 
 class TestStraightLine:
-    """Each kernel's straight-line program is bitwise its loop, the
-    recurrence's one written form, on points and grids."""
+    """Each kernel's straight-line program, both functions of its (point,
+    grid) pair in jets._PROGRAMS at (loop, jet length), is bitwise its loop,
+    the recurrence's one written form, on points and grids."""
 
     def check(self, kernel, n, args):
-        programs, loop, n_jets, _ = STRAIGHT[kernel]
+        loop, n_jets, _ = STRAIGHT[kernel]
         before = bits(args)
         want = outcome(loop, args)
         assert bits(args) == before  # the reference leaves its inputs alone
-        got = outcome(_program(programs, loop, n, n_jets), args)
-        assert got == want
-        assert bits(args) == before
+        key = (loop, n)
+        for program in jets._PROGRAMS.get(key) or _program(key, _loop_recording, loop, n, n_jets):
+            assert outcome(program, args) == want
+            assert bits(args) == before
 
     @pytest.mark.parametrize("kernel", STRAIGHT)
     @pytest.mark.parametrize("n", range(1, 9))
     def test_floats(self, kernel, n):
-        _, _, n_jets, n_values = STRAIGHT[kernel]
+        _, n_jets, n_values = STRAIGHT[kernel]
         rng = random.Random(f"{kernel}{n}")
         for _ in range(60):
             jets_ = [tuple(draw(rng) for _ in range(n)) for _ in range(n_jets)]
@@ -481,7 +485,7 @@ class TestStraightLine:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_grid_rows_beside_floats(self, kernel, n):
         # entries as eval_derivs makes them: x is [row, 1.0, 0.0, ...]
-        _, _, n_jets, n_values = STRAIGHT[kernel]
+        _, n_jets, n_values = STRAIGHT[kernel]
         rng = random.Random(f"grid{kernel}{n}")
 
         def entry():
@@ -496,7 +500,7 @@ class TestStraightLine:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_grid_stacks(self, kernel, n):
         # derivative-major (n, m, P) stacks; a second factor broadcast over m
-        _, _, n_jets, n_values = STRAIGHT[kernel]
+        _, n_jets, n_values = STRAIGHT[kernel]
         rng = random.Random(f"stack{kernel}{n}")
 
         def stack(m):
@@ -520,21 +524,42 @@ class TestStraightLine:
             want = _sin_cos_loop(g, math.sin(g[0]), math.cos(g[0]))
             assert bits(_sin_cos_derivs(g)) == bits(want)
 
-    def test_built_once_per_length_on_demand(self):
-        programs = []
-        program = _program(programs, _conv_loop, 3, 2)
-        assert programs == [None, None, None, program]
-        assert _program(programs, _conv_loop, 3, 2) is program
-        assert _program(programs, _conv_loop, 1, 2) is programs[1] is not None
-        assert programs[3] is program and programs[0] is programs[2] is None
+    def test_built_once_per_length_on_demand(self, program_table):
+        _conv((1.0, 2.0, 3.0), (4.0, 5.0, 6.0))
+        program = program_table[_conv_loop, 3]
+        assert list(program_table) == [(_conv_loop, 3)]
+        _conv((0.5, 0.25, 2.0), (1.0, 3.0, -1.0))
+        assert program_table[_conv_loop, 3] is program
+        _conv((1.0,), (2.0,))
+        _exp_derivs((0.5, 1.0, 2.0))
+        assert list(program_table) == [(_conv_loop, 3), (_conv_loop, 1), (_exp_loop, 3)]
+        assert program_table[_conv_loop, 3] is program
 
     def test_records_only_arithmetic_on_floats_within_the_jet(self):
         def int_constant(a):
             return [a[0] * 2]
 
-        def out_of_range(a):
-            return [a[-1]]
+        def past_the_end(a):
+            return [a[len(a)]]
 
-        for loop, error in ((int_constant, TypeError), (out_of_range, IndexError)):
+        for loop, error in ((int_constant, TypeError), (past_the_end, IndexError)):
             with pytest.raises(error):
-                _straight_line(loop, 1, 1)
+                _program_code(*_loop_recording(loop, 1))
+
+    def test_reads_the_indices_the_loop_reads(self):
+        # a negative index is recorded as the loop reads it, and an entry
+        # never read is not read by the program
+        def last(a):
+            return [a[-1] * a[0]]
+
+        class Reads(list):
+            def __getitem__(self, i):
+                read.append(i)
+                return super().__getitem__(i)
+
+        name, params, nodes, result = _loop_recording(last, 3)
+        assert [v.op for v in nodes] == ["a[0]", "a[1]", "a[2]", "*"]
+        read = []
+        program = FunctionType(_program_code(name, params, nodes, result), {})
+        assert bits(program(Reads([2.0, 3.0, 5.0]))) == bits(last([2.0, 3.0, 5.0]))
+        assert read == [2, 0]

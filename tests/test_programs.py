@@ -143,9 +143,13 @@ def test_errors_through_fn_from_expr_name_the_point():
 TEMPLATES = ("{a}*sin({b}*x+{c})", "ln(x^2+{a})", "1/({r}+cos(x))", "(x^2+{a})^2.5")
 
 
+def expression_keys(table):
+    """The keys of the expression programs in the program table."""
+    return [key for key in table if type(key[0]) is str]
+
+
 @pytest.mark.parametrize("template", TEMPLATES)
-def test_one_program_per_shape(monkeypatch, template):
-    monkeypatch.setattr(exprs, "_PROGRAMS", {})
+def test_one_program_per_shape(monkeypatch, program_table, template):
     args = [-1.0, -0.0, 0.3, 1.0, np.linspace(-1.0, 1.0, 9)]
     trees = [
         parse(template.format(a=a, b=b, c=c, r=r))
@@ -154,39 +158,65 @@ def test_one_program_per_shape(monkeypatch, template):
     want = [outcome(eval_derivs, tree, x, 3) for tree in trees for x in args]
     calls = reruns(monkeypatch)
     assert [outcome(compiled, tree, x, 3) for tree in trees for x in args] == want
-    assert len(exprs._PROGRAMS) == 1  # three sets of constants, one program
+    assert len(expression_keys(program_table)) == 1  # three sets of constants, one program
     assert calls == []  # no guard failed
 
 
-def test_point_and_grid_share_one_code_object(monkeypatch):
-    monkeypatch.setattr(exprs, "_PROGRAMS", {})
+def test_point_and_grid_share_one_code_object(program_table):
     tree = parse("exp(x)*cos(2*x)")
     compiled(tree, 0.5, 2)
-    [(point, grid)] = exprs._PROGRAMS.values()
+    [key] = expression_keys(program_table)
+    point, grid = program_table[key]
     assert point.__code__ is grid.__code__
     assert point.__globals__["exp"] is math.exp
     assert grid.__globals__ is not point.__globals__
 
 
-def test_table_is_cleared_when_full(monkeypatch):
-    monkeypatch.setattr(exprs, "_PROGRAMS", {})
-    monkeypatch.setattr(exprs, "_PROGRAMS_CAP", 3)
-    sources = ("x+1", "x*2", "sin(x)", "cos(x)", "x+1")
-    for count, source in zip((1, 2, 3, 1, 2), sources):
+def test_table_is_cleared_when_full(monkeypatch, program_table):
+    # kernel and expression programs share the table and its cap
+    monkeypatch.setattr(jets, "_PROGRAMS_CAP", 3)
+    conv = (jets._conv_loop, 3)
+    jet = ([0.5, 1.0, 0.0], [0.25, -2.0, 3.0])
+    compiled(parse("x*2"), 0.7, 2)
+    assert list(program_table) == [conv, ("(x)*(c)", 2)]
+    old, want = program_table[conv], bits(jets._conv(*jet))
+    compiled(parse("x+1"), 0.7, 2)
+    assert len(program_table) == 3
+    compiled(parse("x-1"), 0.7, 2)  # a miss at the cap drops both kinds
+    assert list(program_table) == [("(x)-(c)", 2)]
+    assert bits(jets._conv(*jet)) == want
+    new = program_table[conv]
+    assert new is not old and new[0].__code__ == old[0].__code__
+    for source in ("x*2", "sin(x)", "cos(x)*x", "x+1", "x^3"):
         tree = parse(source)
         assert bits(compiled(tree, 0.7, 2)) == bits(eval_derivs(tree, 0.7, 2))
-        assert len(exprs._PROGRAMS) == count
+        assert len(program_table) <= 3
     # the same shape at another order is another program
     compiled(parse("x+3"), 0.7, 4)
-    assert set(exprs._PROGRAMS) == {("cos(x)", 2), ("(x)+(c)", 2), ("(x)+(c)", 4)}
+    assert ("(x)+(c)", 4) in program_table
 
 
-def test_compiles_at_the_first_evaluation(monkeypatch):
-    monkeypatch.setattr(exprs, "_PROGRAMS", {})
+def test_compiles_at_the_first_evaluation(program_table):
     f = functions.fn_from_expr("x^2+0.5")
-    assert exprs._PROGRAMS == {}
+    assert program_table == {}
     f.eval_jet(0.25, 1)
-    assert list(exprs._PROGRAMS) == [("((x)^2.0)+(c)", 1)]
+    assert expression_keys(program_table) == [("((x)^2.0)+(c)", 1)]
+
+
+def test_a_long_recording_is_not_compiled(monkeypatch, program_table):
+    # x^1e308 squares 1,023 times: a recording far past the cap, whose
+    # program returns None at once, so every read runs the interpreter
+    tree = parse("x^1e308")
+    name, params, nodes, result = exprs._compile(tree, 4)
+    assert (params, nodes, result) == (["x"], [], None)
+    points = (0.5, 1.0, 1.5, -1.0, np.array([0.5, 1.0, 2.0]))
+    want = [outcome(eval_derivs, tree, x, 4) for x in points]
+    assert "NumericRangeError" in {w[0] for w in want}
+    calls = reruns(monkeypatch)
+    assert [outcome(compiled, tree, x, 4) for x in points] == want
+    assert sum(node is tree for node in calls) == len(points)
+    point, grid = program_table[shape(tree)[0], 4]
+    assert point(0.5) is grid(np.array([0.5])) is None
 
 
 def test_shape_leaves_out_the_constants():
