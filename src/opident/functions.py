@@ -260,7 +260,10 @@ def fn_monomial(m: int) -> SmoothFn:
     """x^m, exact for jet purposes (polynomial with prescribed jet at 0)."""
     if m < 0:
         raise StructuralError("monomial degree must be nonnegative")
-    v = [0.0] * m + [float(math.factorial(m))]
+    try:
+        v = [0.0] * m + [float(math.factorial(m))]
+    except OverflowError:
+        raise NumericRangeError(f"x^{m}: {m}! is past the float range") from None
     fn = fn_from_jet(0.0, v)
     fn.descriptor = "1" if m == 0 else ("x" if m == 1 else f"x^{m}")
     return fn

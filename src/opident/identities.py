@@ -644,6 +644,8 @@ def run_check_suite_full(op: Operator, n: int, cfg: SamplingConfig) -> SuiteOutc
     _power_terms forms both diagonal forms from the engine's arrays; each
     tuple's samples are added as rows, point by point.
     """
+    if n < 1:
+        raise StructuralError(f"the subset identity needs at least 2 functions, got n = {n}")
     if cfg.tuples < 0:
         raise StructuralError(f"tuples must be nonnegative, got {cfg.tuples}")
     rng = random.Random(cfg.seed)

@@ -19,16 +19,17 @@ _abs_derivs and _power_derivs run on a point's derivatives or a grid's with
 the same operations in the same order, and hence give bitwise the per-point
 results.
 
-The recurrences of _conv, _exp_derivs, _ln_abs_derivs, _reciprocal_derivs
-and _sin_cos_derivs are written once, as loops over entry indices
-(_conv_loop, ...), and run as straight-line programs: a loop's index pattern
-depends only on the jet length, so it is run once per length on
+The recurrences of _conv and _exp_derivs run as straight-line programs,
+because values run through them outside any expression. Each is written
+once, as a loop over entry indices (_conv_loop, _exp_loop), whose index
+pattern depends only on the jet length, so it is run once per length on
 placeholders that record each + - * / and unary minus, and the recording is
 written out as code and exec'd as a function of the loop's parameters. A
 program performs the loop's operations on the same operands, so its results
-are bitwise the loop's, on floats and grid rows alike. What depends on
-values stays in the kernel around the program: the domain checks and exp,
-log, sin and cos of the value.
+are bitwise the loop's, on floats and grid rows alike. exp of the value
+stays in the kernel around the program. _ln_abs_derivs, _reciprocal_derivs
+and _sin_cos_derivs run as written: inside an expression a trace inlines
+them into its program, and few values reach them elsewhere.
 
 The same recorder traces a whole evaluation that runs these kernels, as
 exprs does for eval_derivs. Such a trace also records the kernels' checks
@@ -223,27 +224,16 @@ def _guard_finite(values: list[_Value]) -> None:
             v.checked = True
 
 
-def _placeholders(x):
-    """The placeholders in a recorded result, a list or tuple of them."""
-    if isinstance(x, (list, tuple)):
-        for v in x:
-            yield from _placeholders(v)
-    elif isinstance(x, _Value):
-        yield x
-
-
 def _text(x) -> str:
     """Program text of an operand or a result: a named placeholder's name,
-    an unnamed one's expression, a finite float's repr, None, or a list or
-    tuple of those."""
+    an unnamed one's expression, a finite float's repr, None, or a list of
+    those."""
     if isinstance(x, _Value):
         if x.name is not None:
             return x.name
         return f"({_expression(x)})" if x.operands else x.op
     if isinstance(x, list):
         return "[" + ", ".join(map(_text, x)) + "]"
-    if isinstance(x, tuple):
-        return "(" + "".join(_text(v) + ", " for v in x) + ")"
     if type(x) is float and math.isfinite(x):
         return repr(x)
     if x is None:
@@ -266,19 +256,18 @@ def _program_code(name: str, params: Sequence[str], nodes: list[_Value], result)
 
     A placeholder used once is written into the expression that uses it,
     so an intermediate grid row is freed as soon as it is used (and numpy
-    may reuse its buffer), and a jet entry never read is left out; every
-    other one is assigned to a name, in the recording's order, and each
-    guard is a statement in its place. Either way each operation has the
-    recording's operands, and operations have no side effects, so the
-    results are bitwise the recording's. A written expression runs no
-    earlier than where it was recorded, so a guard comes before every
-    operation recorded after it. The text holds only
-    parameter names, integer indices, finite floats, operators, the called
-    names of _POINT_CALLS, parentheses and guard statements."""
-    returned = set(map(id, _placeholders(result)))
+    may reuse its buffer); one never read, with what only it reads, is left
+    out; one read twice or returned is assigned to a name, in the
+    recording's order, and each guard is a statement in its place. Each
+    written operation has the recording's operands, and operations have no
+    side effects, so the results are bitwise the recording's. A written
+    expression runs no earlier than where it was recorded, so a guard comes
+    before every operation recorded after it. The text holds only parameter
+    names, integer indices, finite floats, operators, the called names of
+    _POINT_CALLS, parentheses and guard statements."""
+    returned = set(map(id, result or ()))
     for i, v in enumerate(nodes):
-        named = v.uses > 1 or id(v) in returned or (v.uses == 0 and v.operands)
-        if v.name is None and v.op not in _GUARDS and named:
+        if v.name is None and v.op not in _GUARDS and (v.uses > 1 or id(v) in returned):
             v.name = f"v{i}"
     lines = [
         f"{v.op} {_expression(v.operands[0])}: return None"
@@ -486,26 +475,18 @@ def jet_ln_abs(j: Jet) -> Jet:
 
 
 def _ln_abs_derivs(f):
-    """Derivatives of ln|f| from those of f, nonzero at every point: log of
-    the magnitude, then _ln_abs_loop's program."""
-    if _any(f[0] == 0.0):
-        raise EvalDomainError("log singularity at base point")
-    key = (_ln_abs_loop, len(f))
-    program = (_PROGRAMS.get(key) or _program(key, _loop_recording, *key))[0]
-    return program(f, _per_value(math.log, abs(f[0])))
-
-
-def _ln_abs_loop(f, u0):
-    """u = ln|f| from u0 = ln|f(x0)| by solving f·u' = f' order by order; all
+    """Derivatives of ln|f| from those of f, nonzero at every point: u =
+    ln|f| from u0 = ln|f(x0)| by solving f·u' = f' order by order; all
     coefficients beyond the value are sign-independent because only ratios
     over f appear."""
+    if _any(f[0] == 0.0):
+        raise EvalDomainError("log singularity at base point")
     n = len(f)
-    u = [u0] + [0.0] * (n - 1)
+    u = [_per_value(math.log, abs(f[0]))] + [0.0] * (n - 1)
     inv_f0 = 1.0 / f[0]
     for k in range(n - 1):
         # f[0]*u[k+1] = f[k+1] - sum_{i=1..k} C(k,i) f[i] u[k+1-i]; no -=,
-        # which on a grid (the tests run this loop as the reference) would
-        # write into the row f[k+1]
+        # which on a grid would write into the row f[k+1]
         row = binomial_row(k)
         s = f[k + 1]
         for i in range(1, k + 1):
@@ -520,17 +501,11 @@ def jet_reciprocal(j: Jet) -> Jet:
 
 
 def _reciprocal_derivs(f):
-    """Derivatives of 1/f from those of f, nonzero at every point:
-    _reciprocal_loop's program."""
+    """Derivatives of 1/f from those of f, nonzero at every point: w = 1/f
+    by w^(k) = -w(x0) sum_{i=1..k} C(k,i) f^(i) w^(k-i), the product rule
+    applied to f·w = 1."""
     if _any(f[0] == 0.0):
         raise EvalDomainError("division by zero at base point")
-    key = (_reciprocal_loop, len(f))
-    return (_PROGRAMS.get(key) or _program(key, _loop_recording, *key))[0](f)
-
-
-def _reciprocal_loop(f):
-    """w = 1/f by w^(k) = -w(x0) sum_{i=1..k} C(k,i) f^(i) w^(k-i), the
-    product rule applied to f·w = 1."""
     n = len(f)
     w = [0.0] * n
     w[0] = 1.0 / f[0]
@@ -538,7 +513,9 @@ def _reciprocal_loop(f):
         row = binomial_row(k)
         s = 0.0
         for i in range(1, k + 1):
-            s += row[i] * f[i] * w[k - i]
+            # no +=, which on a grid would fail where a term broadcasts to
+            # more points than s holds
+            s = s + row[i] * f[i] * w[k - i]
         w[k] = -s * w[0]
     return w
 
@@ -550,28 +527,19 @@ def jet_sin_cos(j: Jet) -> tuple[Jet, Jet]:
 
 
 def _sin_cos_derivs(g):
-    """Derivatives of sin∘g and cos∘g: sin and cos of the value, then
-    _sin_cos_loop's program."""
-    s0 = _per_value(math.sin, g[0])
-    c0 = _per_value(math.cos, g[0])
-    key = (_sin_cos_loop, len(g))
-    return (_PROGRAMS.get(key) or _program(key, _loop_recording, *key))[0](g, s0, c0)
-
-
-def _sin_cos_loop(g, s0, c0):
-    """s = sin(g) and c = cos(g) from their values s0 and c0, advanced
-    jointly via s' = g'·c, c' = -g'·s."""
+    """Derivatives of s = sin∘g and c = cos∘g: sin and cos of the value,
+    then both advanced jointly via s' = g'·c, c' = -g'·s."""
     n = len(g)
-    s = [s0] + [0.0] * (n - 1)
-    c = [c0] + [0.0] * (n - 1)
+    s = [_per_value(math.sin, g[0])] + [0.0] * (n - 1)
+    c = [_per_value(math.cos, g[0])] + [0.0] * (n - 1)
     for k in range(n - 1):
         row = binomial_row(k)
         acc_s = 0.0
         acc_c = 0.0
         for i in range(k + 1):
-            gi = row[i] * g[i + 1]
-            acc_s += gi * c[k - i]
-            acc_c -= gi * s[k - i]
+            gi = row[i] * g[i + 1]  # no += or -=, as in _reciprocal_derivs
+            acc_s = acc_s + gi * c[k - i]
+            acc_c = acc_c - gi * s[k - i]
         s[k + 1] = acc_s
         c[k + 1] = acc_c
     return s, c

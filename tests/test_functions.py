@@ -207,6 +207,12 @@ class TestCombinators:
         assert f.eval_jet(2.0, 4) == (8.0, 12.0, 12.0, 6.0, 0.0)
         assert fn_monomial(0).eval_jet(1.0, 2) == (1.0, 0.0, 0.0)
 
+    def test_monomial_degree_within_the_float_factorials(self):
+        # 170! is the largest factorial below the float range
+        assert math.isclose(fn_monomial(170).eval_jet(0.5, 0)[0], 0.5**170, rel_tol=1e-12)
+        with pytest.raises(NumericRangeError, match="x\\^171"):
+            fn_monomial(171)
+
     def test_jet_consistency(self):
         # a fresh function per order, so no read is served by the memo
         def fresh():

@@ -165,16 +165,22 @@ def module_tables(source: str) -> list[str]:
 
 def test_module_tables_are_the_program_tables():
     # jets._PROGRAMS, the one program table, holds code, never results:
-    # kernel programs at (loop, jet length) and expression programs at
-    # (shape, order), each a (point, grid) pair of one code object; beside
-    # it are only the Pascal rows and the two name bindings of its programs,
-    # so a result cache at module level shows up here
+    # the programs of the two kernel loops at (loop, jet length) and
+    # expression programs at (shape, order), each a (point, grid) pair of
+    # one code object; beside it are only the Pascal rows and the two name
+    # bindings of its programs, so a result cache at module level shows up
+    # here
     found = {f"{path.stem}.{name}" for path in PACKAGE for name in module_tables(path.read_text())}
     assert found == {"jets._PROGRAMS", "jets._BINOM", "jets._POINT_CALLS", "jets._GRID_CALLS"}
     fn_from_expr("sin(x)/(2+x^2)+exp(x)*ln(3+x)").eval_jet(0.5, 3)
     fn_from_expr("cos(x)^2.5").eval_jet((0.25, 0.5), 2)
     jets._conv((1.0, 2.0), (3.0, 4.0))
+    jets._exp_derivs((1.0, 2.0))
+    for kernel in (jets._ln_abs_derivs, jets._reciprocal_derivs, jets._sin_cos_derivs):
+        kernel((1.0, 2.0))
     assert {type(key) for key, _ in jets._PROGRAMS} == {FunctionType, str}
+    kernels = {key for key, _ in jets._PROGRAMS if type(key) is FunctionType}
+    assert kernels == {jets._conv_loop, jets._exp_loop}
     for (key, size), (point, grid) in jets._PROGRAMS.items():
         assert type(key) in (FunctionType, str) and type(size) is int
         assert type(point) is type(grid) is FunctionType

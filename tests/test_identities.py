@@ -663,6 +663,13 @@ class TestChecks:
         report = check_poly_annihilation(derivative_op(3), 2, [-0.5, 0.5])
         assert report.max_abs_residual == 0.0 and report.passed
 
+    def test_annihilation_degree_within_the_float_factorials(self):
+        # 170! is the largest factorial below the float range
+        report = check_poly_annihilation(derivative_op(1), 170, [0.0, 0.5])
+        assert report.max_abs_residual == 1.0 and not report.passed
+        with pytest.raises(NumericRangeError, match="x\\^171"):
+            check_poly_annihilation(derivative_op(1), 171, [0.0, 0.5])
+
 
 class TestSuite:
     def test_canonical_passes(self):
@@ -731,6 +738,15 @@ class TestSuite:
         for op in (derivative_op(1), builtin_blackbox("square")):
             with pytest.raises(StructuralError):
                 run_check_suite_full(op, 1, SamplingConfig(tuples=-1))
+
+    def test_fewer_than_two_functions_raise(self):
+        # a tuple holds n + 1 functions; n < 1 raises on the local and the
+        # black-box engine, even with no tuple to draw
+        for op in (derivative_op(1), builtin_blackbox("square"), builtin_blackbox("translate")):
+            for n in (0, -1):
+                for tuples in (1, 0):
+                    with pytest.raises(StructuralError, match="at least 2 functions"):
+                        run_check_suite_full(op, n, SamplingConfig(tuples=tuples))
 
     def test_deterministic(self):
         cfg = SamplingConfig(seed=33, tuples=3)

@@ -21,15 +21,12 @@ from opident.jets import (
     _exp_derivs,
     _exp_loop,
     _ln_abs_derivs,
-    _ln_abs_loop,
     _loop_recording,
     _per_value,
     _program,
     _program_code,
     _reciprocal_derivs,
-    _reciprocal_loop,
     _sin_cos_derivs,
-    _sin_cos_loop,
     jet_exp,
     jet_linear_combine,
     jet_ln_abs,
@@ -423,13 +420,17 @@ class TestPerValue:
         assert seen == [1.0, 800.0]
 
 
-# (loop, jet parameters, value parameters) of each straight-line kernel
+# (loop, jet parameters, value parameters) of each kernel that runs as a
+# straight-line program
 STRAIGHT = {
     "conv": (_conv_loop, 2, 0),
     "exp": (_exp_loop, 1, 1),
-    "ln_abs": (_ln_abs_loop, 1, 1),
-    "reciprocal": (_reciprocal_loop, 1, 0),
-    "sin_cos": (_sin_cos_loop, 1, 2),
+}
+# the kernels that run as written, each of one jet
+WRITTEN = {
+    "ln_abs": _ln_abs_derivs,
+    "reciprocal": _reciprocal_derivs,
+    "sin_cos": _sin_cos_derivs,
 }
 # signed zeros, subnormals, and magnitudes whose products overflow to inf
 # (and then to nan beside a zero or an opposite inf)
@@ -453,16 +454,28 @@ def outcome(fn, args):
     with np.errstate(all="ignore"):
         try:
             return bits(fn(*args))
-        except ArithmeticError as exc:  # 1.0 / 0.0 at a point, in both
+        except (ArithmeticError, EvalDomainError) as exc:  # 1.0 / 0.0 at a point; f(x0) = 0
             return type(exc).__name__
 
 
+def column(x, index, shape):
+    """The point values at index of a grid result or input, shape the grid's."""
+    if isinstance(x, (list, tuple)):
+        return type(x)(column(v, index, shape) for v in x)
+    return float(np.broadcast_to(x, shape)[index]) if isinstance(x, np.ndarray) else x
+
+
 class TestStraightLine:
-    """Each kernel's straight-line program, both functions of its (point,
-    grid) pair in jets._PROGRAMS at (loop, jet length), is bitwise its loop,
-    the recurrence's one written form, on points and grids."""
+    """Each kernel that runs as a straight-line program, both functions of
+    its (point, grid) pair in jets._PROGRAMS at (loop, jet length), is
+    bitwise its loop, the recurrence's one written form, on points and
+    grids. Each kernel that runs as written gives on a grid, in every
+    column, bitwise its result on that column's point values, or the error
+    of a failing column. None writes into its inputs."""
 
     def check(self, kernel, n, args):
+        if kernel in WRITTEN:
+            return self.check_columns(WRITTEN[kernel], *args)
         loop, n_jets, _ = STRAIGHT[kernel]
         before = bits(args)
         want = outcome(loop, args)
@@ -472,20 +485,37 @@ class TestStraightLine:
             assert outcome(program, args) == want
             assert bits(args) == before
 
-    @pytest.mark.parametrize("kernel", STRAIGHT)
+    def check_columns(self, kernel, jet):
+        before = bits(jet)
+        shape = np.broadcast_shapes(*map(np.shape, jet))
+        indices = list(np.ndindex(shape))
+        want = [outcome(kernel, [column(list(jet), index, shape)]) for index in indices]
+        errors = [w for w in want if type(w) is str]
+        got = outcome(lambda j: [column(kernel(j), index, shape) for index in indices], [jet])
+        assert got == (errors[0] if errors else ["list", *want])
+        assert bits(jet) == before
+
+    @pytest.mark.parametrize("kernel", [*STRAIGHT, *WRITTEN])
     @pytest.mark.parametrize("n", range(1, 9))
     def test_floats(self, kernel, n):
+        if kernel in WRITTEN:
+            # float jets at 6 points, and the grid of their rows
+            rng = random.Random(f"{kernel}{n}")
+            for _ in range(10):
+                points = [[draw(rng) for _ in range(n)] for _ in range(6)]
+                self.check(kernel, n, [list(map(np.array, zip(*points)))])
+            return
         _, n_jets, n_values = STRAIGHT[kernel]
         rng = random.Random(f"{kernel}{n}")
         for _ in range(60):
             jets_ = [tuple(draw(rng) for _ in range(n)) for _ in range(n_jets)]
             self.check(kernel, n, [*jets_, *(draw(rng) for _ in range(n_values))])
 
-    @pytest.mark.parametrize("kernel", STRAIGHT)
+    @pytest.mark.parametrize("kernel", [*STRAIGHT, *WRITTEN])
     @pytest.mark.parametrize("n", range(1, 9))
     def test_grid_rows_beside_floats(self, kernel, n):
         # entries as eval_derivs makes them: x is [row, 1.0, 0.0, ...]
-        _, n_jets, n_values = STRAIGHT[kernel]
+        _, n_jets, n_values = STRAIGHT.get(kernel, (None, 1, 0))
         rng = random.Random(f"grid{kernel}{n}")
 
         def entry():
@@ -496,11 +526,11 @@ class TestStraightLine:
             jets_ = [x[:n]] + [[entry() for _ in range(n)] for _ in range(n_jets - 1)]
             self.check(kernel, n, [*jets_, *(entry() for _ in range(n_values))])
 
-    @pytest.mark.parametrize("kernel", STRAIGHT)
+    @pytest.mark.parametrize("kernel", [*STRAIGHT, *WRITTEN])
     @pytest.mark.parametrize("n", range(1, 9))
     def test_grid_stacks(self, kernel, n):
         # derivative-major (n, m, P) stacks; a second factor broadcast over m
-        _, n_jets, n_values = STRAIGHT[kernel]
+        _, n_jets, n_values = STRAIGHT.get(kernel, (None, 1, 0))
         rng = random.Random(f"stack{kernel}{n}")
 
         def stack(m):
@@ -508,6 +538,8 @@ class TestStraightLine:
 
         for _ in range(5):
             jets_ = [stack(3), stack(1)][:n_jets]
+            if kernel in WRITTEN:  # entries over m and broadcast over m, mixed
+                jets_ = [[rng.choice(pair) for pair in zip(stack(3), stack(1))]]
             values = [np.array([draw(rng) for _ in range(12)]).reshape(3, 4) for _ in range(n_values)]
             self.check(kernel, n, [*jets_, *values])
 
@@ -519,10 +551,23 @@ class TestStraightLine:
             g = tuple(rng.uniform(-2.0, 2.0) for _ in range(n))
             assert bits(_conv(f, g)) == bits(_conv_loop(f, g))
             assert bits(_exp_derivs(g)) == bits(_exp_loop(g, math.exp(g[0])))
-            assert bits(_ln_abs_derivs(f)) == bits(_ln_abs_loop(f, math.log(abs(f[0]))))
-            assert bits(_reciprocal_derivs(f)) == bits(_reciprocal_loop(f))
-            want = _sin_cos_loop(g, math.sin(g[0]), math.cos(g[0]))
-            assert bits(_sin_cos_derivs(g)) == bits(want)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_written_kernels_are_undone_by_the_programs(self, n):
+        # f·(1/f) = 1, exp(ln|f|) = |f| and sin² + cos² = 1, as jets
+        rng = random.Random(f"undone{n}")
+        one = [1.0] + [0.0] * (n - 1)
+        for _ in range(20):
+            f = [rng.uniform(0.5, 2.0) * rng.choice((1.0, -1.0))]
+            f += [rng.uniform(-1.0, 1.0) for _ in range(n - 1)]
+            s, c = _sin_cos_derivs(f)
+            sides = (
+                (_conv(f, _reciprocal_derivs(f)), one),
+                (_exp_derivs(_ln_abs_derivs(f)), [math.copysign(1.0, f[0]) * v for v in f]),
+                ([a + b for a, b in zip(_conv(s, s), _conv(c, c))], one),
+            )
+            for got, want in sides:
+                assert np.allclose(got, want, rtol=1e-9, atol=1e-9 * max(map(abs, got))), (f, got)
 
     def test_built_once_per_length_on_demand(self, program_table):
         _conv((1.0, 2.0, 3.0), (4.0, 5.0, 6.0))
@@ -534,6 +579,10 @@ class TestStraightLine:
         _exp_derivs((0.5, 1.0, 2.0))
         assert list(program_table) == [(_conv_loop, 3), (_conv_loop, 1), (_exp_loop, 3)]
         assert program_table[_conv_loop, 3] is program
+        # the kernels that run as written add no program
+        for f in ((0.5, 1.0, 2.0), [np.array([0.5, -2.0]), 1.0, 0.0]):
+            _ln_abs_derivs(f), _reciprocal_derivs(f), _sin_cos_derivs(f)
+        assert list(program_table) == [(_conv_loop, 3), (_conv_loop, 1), (_exp_loop, 3)]
 
     def test_records_only_arithmetic_on_floats_within_the_jet(self):
         def int_constant(a):
@@ -548,8 +597,10 @@ class TestStraightLine:
 
     def test_reads_the_indices_the_loop_reads(self):
         # a negative index is recorded as the loop reads it, and an entry
-        # never read is not read by the program
+        # never read, or read only by a result nothing reads, is not read by
+        # the program
         def last(a):
+            (a[1] + 1.0) / 2.0
             return [a[-1] * a[0]]
 
         class Reads(list):
@@ -558,7 +609,7 @@ class TestStraightLine:
                 return super().__getitem__(i)
 
         name, params, nodes, result = _loop_recording(last, 3)
-        assert [v.op for v in nodes] == ["a[0]", "a[1]", "a[2]", "*"]
+        assert [v.op for v in nodes] == ["a[0]", "a[1]", "a[2]", "+", "/", "*"]
         read = []
         program = FunctionType(_program_code(name, params, nodes, result), {})
         assert bits(program(Reads([2.0, 3.0, 5.0]))) == bits(last([2.0, 3.0, 5.0]))

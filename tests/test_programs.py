@@ -2,6 +2,7 @@
 interpreter it traces: results bitwise, errors by type and message, at
 points and on grid rows, and the program table's sharing and bound."""
 
+import dis
 import math
 
 import numpy as np
@@ -170,6 +171,20 @@ def test_point_and_grid_share_one_code_object(program_table):
     assert point.__code__ is grid.__code__
     assert point.__globals__["exp"] is math.exp
     assert grid.__globals__ is not point.__globals__
+
+
+def test_a_result_nothing_reads_is_not_computed(monkeypatch, program_table):
+    # ln's kernel divides by the value for the entries past it; at order 0
+    # nothing reads the quotient, so the program holds no division
+    tree = parse("ln(x^2+1)")
+    args = [0.0, -0.5, 3.0, np.linspace(-2.0, 2.0, 9)]
+    want = [outcome(eval_derivs, tree, x, 0) for x in args]
+    calls = reruns(monkeypatch)
+    assert [outcome(compiled, tree, x, 0) for x in args] == want
+    assert calls == []
+    [key] = expression_keys(program_table)
+    code = dis.get_instructions(program_table[key][0])
+    assert [i.opname for i in code if "/" in i.argrepr or "DIVIDE" in i.opname] == []
 
 
 def test_table_is_cleared_when_full(monkeypatch, program_table):
