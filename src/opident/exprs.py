@@ -24,9 +24,9 @@ fails, or the program raises OverflowError, eval_derivs reruns and gives
 its own result or error. So results and errors are the interpreter's,
 bitwise. A shape's recording (_compile) is compiled at its first
 evaluation by jets._program into jets._PROGRAMS, the package's one program
-table, beside the kernels' programs. A recording of more than
-jets._RECORDING_CAP nodes compiles to a program that returns None at once,
-so its shape always runs the interpreter.
+table, beside the kernels' programs. A trace stops as it passes
+jets._RECORDING_CAP nodes and compiles to a program that returns None at
+once, so its shape always runs the interpreter.
 """
 
 from __future__ import annotations
@@ -38,11 +38,11 @@ from dataclasses import dataclass, field
 from .errors import EvalDomainError, NumericRangeError, ParseError, StructuralError
 from .jets import (
     _PROGRAMS,
-    _RECORDING_CAP,
     Jet,
     _abs_derivs,
     _any,
     _as_float,
+    _CappedNodes,
     _check_finite,
     _conv,
     _exp_derivs,
@@ -404,9 +404,9 @@ def _compile(node: Expr, order: int) -> tuple:
     order) as a function of x and node's constants. A trace that raises the
     interpreter's error has met a check on values the shape alone fixes, as
     in ln(x^0-x^0), which fails at every input: its program returns None
-    after the guards before it. A trace of more than _RECORDING_CAP nodes,
-    as of x^1e308, records none, and its program returns None at once."""
-    nodes: list[_Value] = []
+    after the guards before it. A trace that passes jets._RECORDING_CAP
+    nodes, as of x^1e308, stops; its program returns None at once."""
+    nodes = _CappedNodes()
     params = ["x"]
 
     def parameter():
@@ -419,8 +419,6 @@ def _compile(node: Expr, order: int) -> tuple:
         result = eval_derivs(template, x, order)
     except (EvalDomainError, NumericRangeError):
         result = None
-    if len(nodes) > _RECORDING_CAP:
-        nodes, result = [], None
     return f"expr_order_{order}", params, nodes, result
 
 

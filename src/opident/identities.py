@@ -21,19 +21,19 @@ engine's arrays span T·P columns, tuple-major. The diagonal identity on
 fs[0] is formed from the last two, once per tuple.
 
 A local D, any operator but a BlackBoxOp, reads only jets, at op.order,
-through its rule op.at(x). At a point, its terms come from each input's
-jet, read once, and one _outside_products DP over the jets' canonical
-order, which gives every outside value product and every complement
-product jet (one _conv each); the rule, taken once per point, runs once
-per complement. A local D is checked on a
-block of tuples, drawn as jets, over the whole grid at once: one family
-pass gives every input's grid jets; _subset_stacks builds every subset
-product and the powers of fs[0] by the same DP over each tuple's canonical
-order, one _conv per top rank; apply_on_grid runs op.at(grid) on them in
-one pass; and each term gathers its subset's outside value product and D of
-its complement's product. A block that raises is rerun once on the
-per-point engine below, tuple by tuple, which raises the first failing
-tuple's error at its first failing point.
+through its rule op.at(x). At a point, each input's jet is read once and
+the jets are stably sorted; _subset_loop, a DP over their ranks, gives
+every signed outside value product and complement product jet, as one
+straight-line program per (m, jet length) with each product's check a
+guard; the rule, taken once per point, runs once per complement. A local D
+is checked on a block of tuples, drawn as jets, over the whole grid at
+once: one family pass gives every input's grid jets; _subset_stacks builds
+every subset product and the powers of fs[0] by the same DP over each
+tuple's canonical order, one _conv per top rank; apply_on_grid runs
+op.at(grid) on them in one pass; and each term gathers its subset's outside
+value product and D of its complement's product. A block that raises is
+rerun once on the per-point engine below, tuple by tuple, which raises the
+first failing tuple's error at its first failing point.
 
 A black-box D, which may read f off the point, sees only opaque SmoothFn
 products, evaluated per point, and its path is the sum as written:
@@ -66,9 +66,13 @@ from .functions import (
     fn_product,
 )
 from .jets import (
+    _PROGRAMS,
+    _CappedNodes,
     _check_finite,
     _conv,
     _exp_derivs,
+    _program,
+    _Value,
     binomial_row,
     signed_sum,
     sorted_jet_order,
@@ -217,55 +221,60 @@ def _subset_plan(fs: Sequence[SmoothFn]):
     ]
 
 
-def _outside_products(jets):
-    """(outside, prods) for m functions' jets at a point, bitwise, for every
-    bitmask: math.prod(sorted(jets[j][0] for j in mask)) and fn_product's
-    sorted fold of the jets in mask. One stable sort of the jets (a tie in
-    value is a tie in the factor multiplied), then per rank bitmask R the
-    product of R without its top rank times the top-rank entry: one
-    multiply each, and one _conv and _check_finite per product of two or
-    more."""
-    values = [jet[0] for jet in jets]
-    order = sorted(range(len(jets)), key=jets.__getitem__)
-    outside = [1.0] * (1 << len(jets))
-    prods = [None] * len(outside)
-    # by_rank[R]: the index bitmask of the functions with the ranks in R
-    by_rank = [0] * len(outside)
-    for ranks in range(1, len(outside)):
+def _subset_loop(jets):
+    """[signed, inner] by rank bitmask R < 2^m - 1 for m jets at a point,
+    stably sorted: signed[R] is (-1)^|R| math.prod of the sorted values in
+    R, inner[R] fn_product's fold of the jets not in R. Each product over R
+    is the one without R's top rank times that rank's entry: one _conv and
+    _check_finite per product of two or more jets."""
+    size = 1 << len(jets)
+    outside = [1.0] * size
+    prods = [None] * size
+    for ranks in range(1, size):
         top = ranks.bit_length() - 1
-        j = order[top]
-        rest = by_rank[ranks ^ (1 << top)]
-        by_rank[ranks] = mask = rest | 1 << j
-        outside[mask] = outside[rest] * values[j]
-        prods[mask] = _check_finite(_conv(prods[rest], jets[j])) if rest else jets[j]
-    return outside, prods
+        rest = ranks ^ 1 << top
+        outside[ranks] = outside[rest] * jets[top][0]
+        prods[ranks] = _check_finite(_conv(prods[rest], jets[top])) if rest else jets[top]
+    signed = [-v if ranks.bit_count() % 2 else v for ranks, v in enumerate(outside[:-1])]
+    return [signed, prods[:0:-1]]
+
+
+def _subset_recording(m: int, n: int):
+    """_subset_loop's recording for m jets of length n, read from its
+    parameter as jets[k][i], on _CappedNodes."""
+    nodes = _CappedNodes()
+    jets = [[_Value(nodes, f"jets[{k}][{i}]") for i in range(n)] for k in range(m)]
+    return f"subset_loop_{m}_{n}", ["jets"], nodes, _subset_loop(jets)
 
 
 def _jet_terms(op: CanonicalOp | JetOp, fs: Sequence[SmoothFn], x: float) -> list[float]:
     """alternating_subset_terms for a local D, bitwise _terms_from_plan's
-    terms: each input's jet read once at op.order, one _outside_products DP
-    for the outside values and the complement products, then D's rule at x,
-    op.at(x), once, and run once per complement. If a jet raises, the values
-    are read in index order, so a failing value's error replaces it, as on
-    the opaque path. An error is of the opaque path's type at the same
-    point, but as every product is formed before the rule runs, an
-    overflowing product can be named where the opaque path names D's
-    value."""
-    _require_tuple(len(fs))
+    terms: each input's jet read once at op.order, stably sorted (a tie in
+    value is a tie in the factor multiplied), _subset_loop's program, or
+    the loop as written where that returns None, then D's rule op.at(x)
+    checked on each complement in ascending index-bitmask order. If a jet
+    raises, the values are read in index order, so a failing value's error
+    replaces it. An error is of the opaque path's type at the same point,
+    but an overflowing product can be named where it names D's value."""
+    m = len(fs)
+    _require_tuple(m)
     try:
         jets = [f.eval_jet(x, op.order) for f in fs]
     except (EvalDomainError, NumericRangeError):
         for f in fs:
             f.value_at(x)
         raise
-    outside, prods = _outside_products(jets)
+    order = sorted(range(m), key=jets.__getitem__)
+    ranked = [jets[j] for j in order]
+    key = (_subset_loop, m, len(ranked[0]))
+    program = (_PROGRAMS.get(key) or _program(key, _subset_recording, *key[1:]))[0]
+    signed, inner = program(ranked) or _subset_loop(ranked)
+    # inside[mask]: the rank bitmask of index bitmask mask
+    inside = [0]
+    for rank in sorted(range(m), key=order.__getitem__):
+        inside += [ranks | 1 << rank for ranks in inside]
     rule = op.at(x)
-    full = len(outside) - 1
-    terms = []
-    for mask in subset_masks(len(fs)):
-        signed = outside[mask] * finite_value(op, rule(prods[full ^ mask]), x)
-        terms.append(-signed if mask.bit_count() % 2 else signed)
-    return terms
+    return [signed[ranks] * finite_value(op, rule(inner[ranks]), x) for ranks in inside[:-1]]
 
 
 def _terms_from_plan(op: Operator, plan, fs: Sequence[SmoothFn], x: float) -> list[float]:

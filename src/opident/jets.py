@@ -32,24 +32,28 @@ and _sin_cos_derivs run as written: inside an expression a trace inlines
 them into its program, and few values reach them elsewhere.
 
 The same recorder traces a whole evaluation that runs these kernels, as
-exprs does for eval_derivs. Such a trace also records the kernels' checks
-and calls: a _check_finite of placeholders becomes a guard
-`if not isfinite(e0 + e1 + ...): return None` on the entries not checked
-before (an inf or NaN entry makes the sum non-finite, so a finite sum
-clears them all); a branch on a comparison, as in `if _any(f[0] == 0.0)`,
-becomes `if any_(...): return None`, and the trace goes on as if it did
-not hold; and _per_value and abs become calls of exp, log, sin, cos and
-abs. A program that returns None has met a value its trace did not
-follow, and its caller reruns what was traced. _POINT_CALLS and _GRID_CALLS
-bind these names: math's functions at a point, and on a grid the per-value
-maps and whole-row tests of the kernels, so one code object serves both.
+exprs does for eval_derivs, or a loop that calls them, as identities does
+for _subset_loop, the per-point DP over a tuple's subset products. Such a
+trace also records the kernels' checks and calls: a _check_finite of
+placeholders becomes a guard `if not isfinite(e0 + e1 + ...): return None`
+on the entries not checked before (an inf or NaN entry makes the sum
+non-finite, so a finite sum clears them all); a branch on a comparison, as
+in `if _any(f[0] == 0.0)`, becomes `if any_(...): return None`, and the
+trace goes on as if it did not hold; and _per_value and abs become calls of
+exp, log, sin, cos and abs. A program that returns None has met a value its
+trace did not follow, and its caller reruns what was traced. _POINT_CALLS
+and _GRID_CALLS bind these names: math's functions at a point, and on a
+grid the per-value maps and whole-row tests of the kernels, so one code
+object serves both.
 
-Every straight-line program of the package, a kernel's or an expression's
+Every straight-line program of the package, a loop's or an expression's
 (exprs.run_program), sits in one table, _PROGRAMS: a key, (loop, jet
-length) or (shape, order), maps to the (point, grid) pair of functions of
-its one code object. One compile step, _program, fills it on a miss from a
-recording (name, params, nodes, result) and clears it when it holds
-_PROGRAMS_CAP programs.
+length), (identities._subset_loop, m, jet length) for m jets, or (shape,
+order), maps to the (point, grid) pair of functions of its one code object.
+One compile step, _program, fills it on a miss from a recording (name,
+params, nodes, result) and clears it when it holds _PROGRAMS_CAP programs.
+An expression's or the subset loop's recording stops at _RECORDING_CAP
+nodes (_CappedNodes), and its program then returns None.
 
 Jet, a checked (base point, finite derivatives) wrapper, is returned only
 by the jet_* wrappers of the kernels and exprs.eval_jet, which the
@@ -241,6 +245,11 @@ def _text(x) -> str:
     raise TypeError(f"a recorded recurrence may use placeholders and floats only, not {x!r}")
 
 
+def _leaves(x) -> list:
+    """x, or the entries of x at any depth of lists."""
+    return [v for item in x for v in _leaves(item)] if isinstance(x, list) else [x]
+
+
 def _expression(v: _Value) -> str:
     """Program text of what v computes, reads or calls."""
     if len(v.operands) == 2:
@@ -265,7 +274,7 @@ def _program_code(name: str, params: Sequence[str], nodes: list[_Value], result)
     before every operation recorded after it. The text holds only parameter
     names, integer indices, finite floats, operators, the called names of
     _POINT_CALLS, parentheses and guard statements."""
-    returned = set(map(id, result or ()))
+    returned = set(map(id, _leaves(result)))
     for i, v in enumerate(nodes):
         if v.name is None and v.op not in _GUARDS and (v.uses > 1 or id(v) in returned):
             v.name = f"v{i}"
@@ -299,21 +308,33 @@ _GRID_CALLS = {
 }
 
 
-# Every straight-line program of the package, a (point, grid) pair of
-# functions of one code object: a kernel loop's at (loop, jet length), an
-# expression's at (shape, order). Cleared when it holds _PROGRAMS_CAP; an
-# expression whose recording has more than _RECORDING_CAP nodes is not
-# compiled (exprs._compile).
 _PROGRAMS: dict = {}
 _PROGRAMS_CAP = 256
 _RECORDING_CAP = 4096
 
 
+class _RecordingFull(Exception):
+    """Raised by _CappedNodes to stop a recording at _RECORDING_CAP nodes."""
+
+
+class _CappedNodes(list):
+    """A recording's nodes, which take at most _RECORDING_CAP nodes."""
+
+    def append(self, node) -> None:
+        if len(self) >= _RECORDING_CAP:
+            raise _RecordingFull
+        super().append(node)
+
+
 def _program(key, record, *args):
     """_PROGRAMS[key], filled from record(*args), a recording (name, params,
-    nodes, result): its code bound to _POINT_CALLS and to _GRID_CALLS. A
-    full table is cleared first."""
-    code = _program_code(*record(*args))
+    nodes, result), or for one stopped at the cap a function of any
+    arguments that returns None: its code bound to _POINT_CALLS and to
+    _GRID_CALLS. A full table is cleared first."""
+    try:
+        code = _program_code(*record(*args))
+    except _RecordingFull:
+        code = _program_code("over_cap", ["*args"], [], None)
     if len(_PROGRAMS) >= _PROGRAMS_CAP:
         _PROGRAMS.clear()
     _PROGRAMS[key] = programs = FunctionType(code, _POINT_CALLS), FunctionType(code, _GRID_CALLS)

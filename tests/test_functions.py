@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -206,6 +207,23 @@ class TestCombinators:
         assert f.descriptor == "x^3"
         assert f.eval_jet(2.0, 4) == (8.0, 12.0, 12.0, 6.0, 0.0)
         assert fn_monomial(0).eval_jet(1.0, 2) == (1.0, 0.0, 0.0)
+
+    def test_monomial_jet_at_zero_is_exact(self):
+        for m in range(0, 171, 13):
+            for order in (0, m, m + 2):
+                want = [float(math.factorial(m)) if k == m else 0.0 for k in range(order + 1)]
+                got = fn_monomial(m).eval_jet(0.0, order)
+                assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    def test_monomial_values_round_past_53_bits(self):
+        # exact where m!·t^m fits in 53 bits (t^m itself is exact here)
+        for m, t in itertools.product(range(23), (0.5, 1.5, -0.75)):
+            numerator = abs((math.factorial(m) * Fraction(t) ** m).numerator)
+            if (numerator // (numerator & -numerator)).bit_length() <= 53:
+                assert fn_monomial(m).eval_jet(t, 0)[0].hex() == (t**m).hex()
+        # 15!·1.5^15 needs 54 bits
+        got = fn_monomial(15).eval_jet(1.5, 0)[0]
+        assert got == 437.8938903808593 == 1.5**15 - math.ulp(1.5**15)
 
     def test_monomial_degree_within_the_float_factorials(self):
         # 170! is the largest factorial below the float range

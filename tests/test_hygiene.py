@@ -11,8 +11,9 @@ import re
 from pathlib import Path
 from types import FunctionType
 
-from opident import jets
+from opident import identities, jets
 from opident.functions import fn_from_expr
+from opident.operators import builtin_blackbox
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "opident").glob("*.py"))
@@ -165,7 +166,8 @@ def module_tables(source: str) -> list[str]:
 
 def test_module_tables_are_the_program_tables():
     # jets._PROGRAMS, the one program table, holds code, never results:
-    # the programs of the two kernel loops at (loop, jet length) and
+    # the programs of the two kernel loops at (loop, jet length), of the
+    # subset loop at (identities._subset_loop, m jets, jet length) and
     # expression programs at (shape, order), each a (point, grid) pair of
     # one code object; beside it are only the Pascal rows and the two name
     # bindings of its programs, so a result cache at module level shows up
@@ -178,11 +180,15 @@ def test_module_tables_are_the_program_tables():
     jets._exp_derivs((1.0, 2.0))
     for kernel in (jets._ln_abs_derivs, jets._reciprocal_derivs, jets._sin_cos_derivs):
         kernel((1.0, 2.0))
-    assert {type(key) for key, _ in jets._PROGRAMS} == {FunctionType, str}
-    kernels = {key for key, _ in jets._PROGRAMS if type(key) is FunctionType}
-    assert kernels == {jets._conv_loop, jets._exp_loop}
-    for (key, size), (point, grid) in jets._PROGRAMS.items():
-        assert type(key) in (FunctionType, str) and type(size) is int
+    fs = [fn_from_expr("x"), fn_from_expr("sin(x)"), fn_from_expr("exp(x)")]
+    identities.alternating_subset_terms(builtin_blackbox("third-derivative"), fs, 0.5)
+    assert {type(key[0]) for key in jets._PROGRAMS} == {FunctionType, str}
+    loops = {key[0] for key in jets._PROGRAMS if type(key[0]) is FunctionType}
+    assert loops == {jets._conv_loop, jets._exp_loop, identities._subset_loop}
+    assert (identities._subset_loop, 3, 4) in jets._PROGRAMS
+    for key, (point, grid) in jets._PROGRAMS.items():
+        sizes = 2 if key[0] is identities._subset_loop else 1
+        assert len(key) == 1 + sizes and all(type(size) is int for size in key[1:])
         assert type(point) is type(grid) is FunctionType
         assert point.__code__ is grid.__code__
         assert point.__globals__ is jets._POINT_CALLS and grid.__globals__ is jets._GRID_CALLS

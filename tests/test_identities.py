@@ -1,6 +1,7 @@
 """Identity engine: residuals, structural sanity, and the random suites."""
 
 import collections
+import dis
 import gc
 import itertools
 import json
@@ -22,7 +23,7 @@ from opident.functions import (
     fn_linear_combination,
     fn_product,
 )
-from opident import identities
+from opident import identities, jets
 from opident.identities import (
     DEFAULT_TOL_ABS,
     DEFAULT_TOL_REL,
@@ -116,6 +117,13 @@ def _first_error(terms_fn, op, fs, grid):
     return None
 
 
+def _subset_program(m, n):
+    """The point program of _subset_loop for m jets of length n, from the
+    program table or compiled into it."""
+    key = (identities._subset_loop, m, n)
+    return (jets._PROGRAMS.get(key) or jets._program(key, identities._subset_recording, m, n))[0]
+
+
 # jets at x = 0 tied in value with ±0.0 entries, duplicates and sign changes
 PLAN_POOL = (
     fn_constant(0.0),
@@ -180,23 +188,28 @@ class TestSubsetPlan:
                 assert [v.hex() for v in inner[i].tolist()] == [v.hex() for v in want]
 
     def test_outside_products_with_jets_are_fn_products(self):
-        # ranked by jets, each outside product is bitwise the sorted product
-        # of its values, and each product jet is fn_product's, ±0.0 and ties
-        # included
+        # on the jets ranked by a stable sort, the program and the loop as
+        # written give, per rank bitmask, the signed sorted product of its
+        # values, bitwise, and its complement's fn_product jet, ±0.0 and
+        # ties included
         rng = random.Random(6)
         for m in range(1, 6):
             for _ in range(40):
                 fs = [rng.choice(PLAN_POOL) for _ in range(m)]
                 for x, order in itertools.product((0.0, -0.0, 0.5), (0, 1, 3)):
                     jets = [f.eval_jet(x, order) for f in fs]
-                    outside, prods = identities._outside_products(jets)
-                    for mask in range(1 << m):
-                        inside = sorted(jets[j][0] for j in range(m) if mask >> j & 1)
-                        assert outside[mask].hex() == float(math.prod(inside)).hex()
-                    for mask in range(1, 1 << m):
-                        product = fn_product([f for j, f in enumerate(fs) if mask >> j & 1])
-                        got = [d.hex() for d in prods[mask]]
-                        assert got == [d.hex() for d in product.eval_jet(x, order)]
+                    ranks = sorted(range(m), key=jets.__getitem__)
+                    ranked = [jets[j] for j in ranks]
+                    runs = _subset_program(m, order + 1)(ranked), identities._subset_loop(ranked)
+                    for signed, inner in runs:
+                        for rank_mask in range((1 << m) - 1):
+                            inside = [ranks[r] for r in range(m) if rank_mask >> r & 1]
+                            value = float(math.prod(sorted(jets[j][0] for j in inside)))
+                            want = -value if len(inside) % 2 else value
+                            assert signed[rank_mask].hex() == want.hex()
+                            product = fn_product([f for j, f in enumerate(fs) if j not in inside])
+                            got = [d.hex() for d in inner[rank_mask]]
+                            assert got == [d.hex() for d in product.eval_jet(x, order)]
 
     def test_errors_are_the_fn_product_errors(self):
         grid = default_grid(9)
@@ -218,6 +231,69 @@ class TestSubsetPlan:
         with pytest.raises(EvalDomainError) as want:
             _fn_product_terms(PLAN_OPS[2], tuples[0], -0.5)
         assert str(got.value) == str(want.value)
+
+    def test_an_overflowing_product_raises_the_loops_error(self):
+        # the program's guard fails, and the loop as written names the entry
+        fs = [fn_constant(1e200), fn_from_expr("x+2"), fn_constant(-1e200)]
+        ranked = sorted(f.eval_jet(0.5, 3) for f in fs)
+        assert _subset_program(3, 4)(ranked) is None
+        with pytest.raises(NumericRangeError) as want:
+            identities._subset_loop(ranked)
+        with pytest.raises(NumericRangeError) as got:
+            alternating_subset_terms(PLAN_OPS[2], fs, 0.5)
+        assert str(got.value) == str(want.value)
+
+    def test_a_guard_that_fails_on_finite_entries_falls_back(self):
+        # the product's entries 1e308 are finite, their guard's sum is not:
+        # the loop as written gives the terms
+        op = JetOp(2, lambda d: d[2] - d[1], "f -> f'' - f'")
+        fs = [fn_from_jet(0.0, [1.0, 1e308, 0.0]), fn_from_jet(0.0, [1.0, 0.0, 1e308])]
+        ranked = sorted(f.eval_jet(0.0, 2) for f in fs)
+        assert _subset_program(2, 3)(ranked) is None
+        got = alternating_subset_terms(op, fs, 0.0)
+        assert [t.hex() for t in got] == [float(t).hex() for t in _fn_product_terms(op, fs, 0.0)]
+
+    def test_the_first_failing_complement_in_index_order_raises(self):
+        # index bitmask 2 (complement 5·2) gives inf before bitmask 4
+        # (complement 5·3) raises, though the rank order reaches 5·3 first
+        def rule(d):
+            if d[0] == 15.0:
+                raise EvalDomainError("the rule fails on 5·3")
+            return math.inf if d[0] == 10.0 else d[0]
+
+        op = JetOp(0, rule, "f -> f, inf at 10")
+        fs = [fn_constant(5.0), fn_constant(3.0), fn_constant(2.0)]
+        with pytest.raises(NumericRangeError) as got:
+            alternating_subset_terms(op, fs, 0.5)
+        with pytest.raises(NumericRangeError) as want:
+            _fn_product_terms(op, fs, 0.5)
+        assert str(got.value) == str(want.value)
+
+    def test_a_recording_over_the_cap_runs_the_loop(self):
+        # 7 jets of length 6 need 7,552 nodes, past the cap: the recording
+        # stops, its program returns None, and the loop as written gives
+        # the terms
+        with pytest.raises(jets._RecordingFull):
+            identities._subset_recording(7, 6)
+        op = JetOp(5, lambda d: d[5] + d[2], "f -> f^(5) + f''")
+        fs = [fn_from_expr(s) for s in ("x", "sin(x)", "x^2", "exp(x)-1", "x", "-x", "1/(2+x)")]
+        for x in (0.0, -0.0, 0.5):
+            got = alternating_subset_terms(op, fs, x)
+            assert [t.hex() for t in got] == [float(t).hex() for t in _fn_product_terms(op, fs, x)]
+        assert _subset_program(7, 6)(sorted(f.eval_jet(0.5, 5) for f in fs)) is None
+
+    @pytest.mark.parametrize("m, n", [(3, 2), (4, 4), (5, 3)])
+    def test_the_program_writes_each_operation_once(self, m, n):
+        # a product entry read by its guard and returned in the nested
+        # result is computed once; only the full set's value product, which
+        # nothing reads, is left out
+        name, params, nodes, result = identities._subset_recording(m, n)
+        code = jets._program_code(name, params, nodes, result)
+        written = collections.Counter(
+            i.argrepr for i in dis.get_instructions(code) if i.opname == "BINARY_OP"
+        )
+        recorded = collections.Counter(v.op for v in nodes)
+        assert (written["*"], written["+"]) == (recorded["*"] - 1, recorded["+"])
 
     @pytest.mark.parametrize("m", range(2, 6))
     def test_one_conv_per_product_and_no_cycle(self, m, monkeypatch):
@@ -992,7 +1068,7 @@ class TestSampleScales:
 
 class TestSubsetStacksOrder:
     """_subset_stacks' DP over top ranks folds every product in the order of
-    _outside_products, fn_product's sorted fold, column by column."""
+    _subset_loop, fn_product's sorted fold, column by column."""
 
     POOL = (0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 3.0)
 
@@ -1006,8 +1082,11 @@ class TestSubsetStacksOrder:
 
     @pytest.mark.parametrize("m", range(2, 7))
     def test_products_are_outside_products(self, monkeypatch, m):
-        # the reference runs unchecked, so the column holding an inf compares
-        # its non-finite products too
+        # the loop as written runs unchecked, so the column holding an inf
+        # compares its non-finite products too; the program, compiled before
+        # the check is taken out, returns None there and the loop's result
+        # elsewhere
+        programs = [_subset_program(m, order + 1) for order in range(6)]
         monkeypatch.setattr(identities, "_check_finite", lambda values: values)
         rng = random.Random(m)
         size = 1 << m
@@ -1021,15 +1100,27 @@ class TestSubsetStacksOrder:
             with np.errstate(all="ignore"):
                 outside, prods, inside, odd = identities._subset_stacks(stack)
                 for c, jets in enumerate(columns):
-                    want_outside, want_prods = identities._outside_products(jets)
                     ranks = sorted(range(m), key=jets.__getitem__)
+                    ranked = [jets[j] for j in ranks]
+                    signed, inner = identities._subset_loop(ranked)
+                    program = programs[order](ranked)
+                    if jets is bad:
+                        assert program is None
+                    else:
+                        assert np.array(program[0]).tobytes() == np.array(signed).tobytes()
+                        assert [np.array(p).tobytes() for p in program[1]] == [
+                            np.array(p).tobytes() for p in inner
+                        ]
                     bits = np.array([1 << ranks.index(j) for j in range(m)])
                     assert inside[:, c].tolist() == (member @ bits).tolist()
                     for mask in range(1, size):
                         rank_mask = int(bits[[j for j in range(m) if mask >> j & 1]].sum())
-                        got = prods[:, rank_mask, c], outside[rank_mask, c]
-                        want = np.array(want_prods[mask]), np.float64(want_outside[mask])
-                        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+                        want = np.array(inner[rank_mask ^ (size - 1)])
+                        assert prods[:, rank_mask, c].tobytes() == want.tobytes()
+                        if mask < size - 1:
+                            value = signed[rank_mask]
+                            value = -value if mask.bit_count() % 2 else value
+                            assert outside[rank_mask, c].tobytes() == np.float64(value).tobytes()
                     power = jets[0]
                     for k in range(1, m + 1):
                         assert prods[:, size - 1 + k, c].tobytes() == np.array(power).tobytes()

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opident import exprs, functions, jets
+from opident import exprs, functions, identities, jets
 from opident.errors import EvalDomainError, NumericRangeError
 from opident.exprs import (
     FUNCTIONS,
@@ -219,11 +219,12 @@ def test_compiles_at_the_first_evaluation(program_table):
 
 
 def test_a_long_recording_is_not_compiled(monkeypatch, program_table):
-    # x^1e308 squares 1,023 times: a recording far past the cap, whose
-    # program returns None at once, so every read runs the interpreter
+    # x^1e308 squares 1,023 times: a recording far past the cap, which
+    # stops there, and whose program returns None at once, so every read
+    # runs the interpreter
     tree = parse("x^1e308")
-    name, params, nodes, result = exprs._compile(tree, 4)
-    assert (params, nodes, result) == (["x"], [], None)
+    with pytest.raises(jets._RecordingFull):
+        exprs._compile(tree, 4)
     points = (0.5, 1.0, 1.5, -1.0, np.array([0.5, 1.0, 2.0]))
     want = [outcome(eval_derivs, tree, x, 4) for x in points]
     assert "NumericRangeError" in {w[0] for w in want}
@@ -232,6 +233,25 @@ def test_a_long_recording_is_not_compiled(monkeypatch, program_table):
     assert sum(node is tree for node in calls) == len(points)
     point, grid = program_table[shape(tree)[0], 4]
     assert point(0.5) is grid(np.array([0.5])) is None
+
+
+def test_a_long_recording_stops_at_the_cap(monkeypatch):
+    # the trace of x^1e308, and the subset loop's for 7 jets of length 6,
+    # stop at the node that would pass the cap: one failed append, no more
+    tried = []
+    append = jets._CappedNodes.append
+
+    def counted(nodes, node):
+        tried.append(len(nodes))
+        append(nodes, node)
+
+    monkeypatch.setattr(jets._CappedNodes, "append", counted)
+    recordings = ((exprs._compile, (parse("x^1e308"), 4)), (identities._subset_recording, (7, 6)))
+    for record, args in recordings:
+        tried.clear()
+        with pytest.raises(jets._RecordingFull):
+            record(*args)
+        assert tried == list(range(jets._RECORDING_CAP + 1))
 
 
 def test_shape_leaves_out_the_constants():

@@ -17,9 +17,13 @@ evaluations: for each function of a seeded corpus (100 draws of
 blackbox-dsl's templates for each of seeds 1-3, and recovery's holdouts),
 `fn_from_expr(...).eval_jet` at each of 41 points at order 3 and on the
 21-point grid at order 4, in `float.hex` and bytes; then, for each of
-`FAILING`, the outcome of the same two reads on a grid that holds its point.
-A unit or evaluation that raises one of the package's errors enters the
-hash as its type and message. A refactor that keeps every result bitwise
+`FAILING`, the outcome of the same two reads on a grid that holds its point;
+and one line, `local-points:`, with the SHA-1 of every term of
+`alternating_subset_terms(op, fs, x)` in `float.hex`, for the three local
+builtins, `entropy_op()` and `random_canonical_op` at n = 1..5, on seeded
+tuples of m = 2..6 functions from `LOCAL_POOL` at each of `LOCAL_POINTS`.
+A unit, evaluation or term list that raises one of the package's errors
+enters the hash as its type and message. A refactor that keeps every result bitwise
 prints the same lines as its parent commit.
 """
 
@@ -42,7 +46,12 @@ from opident.errors import (  # noqa: E402
     RecoveryError,
     StructuralError,
 )
-from opident.operators import BlackBoxOp, apply, builtin_blackbox  # noqa: E402
+from opident.operators import (  # noqa: E402
+    BlackBoxOp,
+    apply,
+    builtin_blackbox,
+    entropy_op,
+)
 
 ERRORS = (EvalDomainError, NumericRangeError, RecoveryError, StructuralError)
 SEEDS = (1, 2, 3)
@@ -64,6 +73,25 @@ FAILING = (
     ("ln(x^0-x^0)", 0.5),
     (exprs.BinOp("+", exprs.Var(), exprs.Const(float("inf"))), 0.5),
 )
+
+# exact zeros at grid points, ±0.0, and 1e200-scale constants whose products
+# overflow; a tuple drawn from it often repeats a function (a tie)
+LOCAL_POOL = (
+    "0",
+    "-0",
+    "1e200",
+    "-1e200",
+    "x",
+    "x-0.25",
+    "x*(x-0.5)",
+    "x^2",
+    "sin(x)",
+    "exp(x)-1",
+    "1/(2+x)",
+    "ln(2+x)",
+)
+LOCAL_POINTS = (0.0, -0.0, 0.25, -0.25, 0.5, -0.5, 0.75, -1.0, 1.0)
+LOCAL_TUPLES = 12  # per tuple size m
 
 
 def unit_record(workload, seed: int, index: int):
@@ -136,12 +164,37 @@ def exprs_digest() -> str:
     return digest.hexdigest()
 
 
+def subset_terms(op, fs, x: float):
+    """alternating_subset_terms(op, fs, x) in float.hex, or the error's
+    type and message."""
+    try:
+        terms = identities.alternating_subset_terms(op, fs, x)
+    except ERRORS as exc:
+        return type(exc).__name__, str(exc)
+    return [t.hex() for t in terms]
+
+
+def local_points_digest() -> str:
+    ops = [builtin_blackbox(name) for name in ("square", "third-derivative", "km-entropy")]
+    ops += [entropy_op()]
+    ops += [suites.random_canonical_op(random.Random(f"local:{n}"), n) for n in range(1, 6)]
+    pool = [functions.fn_from_expr(source) for source in LOCAL_POOL]
+    rng = random.Random("local-points")
+    tuples = [rng.choices(pool, k=m) for m in range(2, 7) for _ in range(LOCAL_TUPLES)]
+    digest = hashlib.sha1()
+    for op in ops:
+        for fs in tuples:
+            digest.update(repr([subset_terms(op, fs, x) for x in LOCAL_POINTS]).encode())
+    return digest.hexdigest()
+
+
 def main() -> int:
     for name in workloads.WORKLOADS:
         print(f"{name}: {workload_digest(name)}", flush=True)
     print(f"selftest: {selftest_digest()}", flush=True)
     print(f"opaque: {opaque_digest()}", flush=True)
-    print(f"exprs: {exprs_digest()}")
+    print(f"exprs: {exprs_digest()}", flush=True)
+    print(f"local-points: {local_points_digest()}")
     return 0
 
 
