@@ -247,15 +247,20 @@ def _subset_recording(m: int, n: int):
     return f"subset_loop_{m}_{n}", ["jets"], nodes, _subset_loop(jets)
 
 
+def _subset_program(m: int, n: int):
+    """_subset_loop's point program for m jets of length n, at (_subset_loop, m, n)."""
+    key = (_subset_loop, m, n)
+    return (_PROGRAMS.get(key) or _program(key, _subset_recording, m, n))[0]
+
+
 def _jet_terms(op: CanonicalOp | JetOp, fs: Sequence[SmoothFn], x: float) -> list[float]:
     """alternating_subset_terms for a local D, bitwise _terms_from_plan's
-    terms: each input's jet read once at op.order, stably sorted (a tie in
-    value is a tie in the factor multiplied), _subset_loop's program, or
-    the loop as written where that returns None, then D's rule op.at(x)
-    checked on each complement in ascending index-bitmask order. If a jet
-    raises, the values are read in index order, so a failing value's error
-    replaces it. An error is of the opaque path's type at the same point,
-    but an overflowing product can be named where it names D's value."""
+    terms: each input's jet read once at op.order and stably sorted (a tie
+    in value is a tie in the factor multiplied), _subset_loop's program, or
+    the loop as written where it returns None, then D's rule op.at(x) checked
+    on each complement in ascending index-bitmask order. If a jet raises, the
+    values are read in index order, so a failing value's error replaces it.
+    An error has the opaque path's type and point but may name a product's overflow."""
     m = len(fs)
     _require_tuple(m)
     try:
@@ -266,9 +271,7 @@ def _jet_terms(op: CanonicalOp | JetOp, fs: Sequence[SmoothFn], x: float) -> lis
         raise
     order = sorted(range(m), key=jets.__getitem__)
     ranked = [jets[j] for j in order]
-    key = (_subset_loop, m, len(ranked[0]))
-    program = (_PROGRAMS.get(key) or _program(key, _subset_recording, *key[1:]))[0]
-    signed, inner = program(ranked) or _subset_loop(ranked)
+    signed, inner = _subset_program(m, len(ranked[0]))(ranked) or _subset_loop(ranked)
     # inside[mask]: the rank bitmask of index bitmask mask
     inside = [0]
     for rank in sorted(range(m), key=order.__getitem__):

@@ -31,29 +31,27 @@ stays in the kernel around the program. _ln_abs_derivs, _reciprocal_derivs
 and _sin_cos_derivs run as written: inside an expression a trace inlines
 them into its program, and few values reach them elsewhere.
 
-The same recorder traces a whole evaluation that runs these kernels, as
-exprs does for eval_derivs, or a loop that calls them, as identities does
-for _subset_loop, the per-point DP over a tuple's subset products. Such a
-trace also records the kernels' checks and calls: a _check_finite of
-placeholders becomes a guard `if not isfinite(e0 + e1 + ...): return None`
-on the entries not checked before (an inf or NaN entry makes the sum
-non-finite, so a finite sum clears them all); a branch on a comparison, as
-in `if _any(f[0] == 0.0)`, becomes `if any_(...): return None`, and the
-trace goes on as if it did not hold; and _per_value and abs become calls of
-exp, log, sin, cos and abs. A program that returns None has met a value its
-trace did not follow, and its caller reruns what was traced. _POINT_CALLS
-and _GRID_CALLS bind these names: math's functions at a point, and on a
-grid the per-value maps and whole-row tests of the kernels, so one code
-object serves both.
+The same recorder traces a whole evaluation that runs these kernels:
+exprs's eval_derivs and identities' _subset_loop, the per-point DP over a
+tuple's subset products. It records their checks and calls too: a
+_check_finite of placeholders becomes a guard `if not isfinite(e0 + e1 +
+...): return None` on the entries not checked before (an inf or NaN entry
+makes the sum non-finite, so a finite sum clears them all); a branch on a
+comparison, as in `if _any(f[0] == 0.0)`, becomes `if any_(...): return
+None`, and the trace goes on as if it did not hold; and _per_value and abs
+become calls of exp, log, sin, cos and abs. A program that returns None has
+met a value its trace did not follow, and its caller reruns what was
+traced. _POINT_CALLS and _GRID_CALLS bind these names: math's functions at
+a point, and on a grid the per-value maps and whole-row tests of the
+kernels, so one code object serves both.
 
-Every straight-line program of the package, a loop's or an expression's
-(exprs.run_program), sits in one table, _PROGRAMS: a key, (loop, jet
-length), (identities._subset_loop, m, jet length) for m jets, or (shape,
-order), maps to the (point, grid) pair of functions of its one code object.
-One compile step, _program, fills it on a miss from a recording (name,
-params, nodes, result) and clears it when it holds _PROGRAMS_CAP programs.
-An expression's or the subset loop's recording stops at _RECORDING_CAP
-nodes (_CappedNodes), and its program then returns None.
+Every straight-line program of the package sits in one table, _PROGRAMS:
+a key, (loop, jet length), (identities._subset_loop, m, jet length) or
+(shape, order), maps to the (point, grid) pair of functions of its one
+code object. One compile step, _program, fills it on a miss from a
+recording (name, params, nodes, result) and clears it when it holds
+_PROGRAMS_CAP programs. An expression's or the subset loop's recording
+stops at _RECORDING_CAP nodes (_CappedNodes); its program returns None.
 
 Jet, a checked (base point, finite derivatives) wrapper, is returned only
 by the jet_* wrappers of the kernels and exprs.eval_jet, which the
@@ -328,9 +326,8 @@ class _CappedNodes(list):
 
 def _program(key, record, *args):
     """_PROGRAMS[key], filled from record(*args), a recording (name, params,
-    nodes, result), or for one stopped at the cap a function of any
-    arguments that returns None: its code bound to _POINT_CALLS and to
-    _GRID_CALLS. A full table is cleared first."""
+    nodes, result), or one of None if it stops at the cap: its code bound to
+    _POINT_CALLS and to _GRID_CALLS. A full table is cleared first."""
     try:
         code = _program_code(*record(*args))
     except _RecordingFull:

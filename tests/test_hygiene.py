@@ -185,7 +185,7 @@ def test_module_tables_are_the_program_tables():
     assert {type(key[0]) for key in jets._PROGRAMS} == {FunctionType, str}
     loops = {key[0] for key in jets._PROGRAMS if type(key[0]) is FunctionType}
     assert loops == {jets._conv_loop, jets._exp_loop, identities._subset_loop}
-    assert (identities._subset_loop, 3, 4) in jets._PROGRAMS
+    assert identities._subset_program(3, 4) is jets._PROGRAMS[identities._subset_loop, 3, 4][0]
     for key, (point, grid) in jets._PROGRAMS.items():
         sizes = 2 if key[0] is identities._subset_loop else 1
         assert len(key) == 1 + sizes and all(type(size) is int for size in key[1:])
