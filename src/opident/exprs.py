@@ -24,7 +24,7 @@ fails, or the program raises OverflowError, eval_derivs reruns and gives
 its own result or error. So results and errors are the interpreter's,
 bitwise. A shape's recording (_compile) is compiled at its first
 evaluation by jets._program into jets._PROGRAMS, the package's one program
-table, beside the kernels' programs. A trace stops as it passes
+table, beside the subset loop's programs. A trace stops as it passes
 jets._RECORDING_CAP nodes and compiles to a program that returns None at
 once, so its shape always runs the interpreter.
 """
@@ -42,7 +42,6 @@ from .jets import (
     _abs_derivs,
     _any,
     _as_float,
-    _CappedNodes,
     _check_finite,
     _conv,
     _exp_derivs,
@@ -399,14 +398,14 @@ def _with_constants(node: Expr, new) -> Expr:
     return node
 
 
-def _compile(node: Expr, order: int) -> tuple:
-    """The recording (name, params, nodes, result) of eval_derivs(node, x,
-    order) as a function of x and node's constants. A trace that raises the
-    interpreter's error has met a check on values the shape alone fixes, as
-    in ln(x^0-x^0), which fails at every input: its program returns None
-    after the guards before it. A trace that passes jets._RECORDING_CAP
-    nodes, as of x^1e308, stops; its program returns None at once."""
-    nodes = _CappedNodes()
+def _compile(nodes: list, node: Expr, order: int) -> tuple:
+    """The recording (name, params, nodes, result), on nodes, of
+    eval_derivs(node, x, order) as a function of x and node's constants. A
+    trace that raises the interpreter's error has met a check on values the
+    shape alone fixes, as in ln(x^0-x^0), which fails at every input: its
+    program returns None after the guards before it. A trace that passes
+    jets._RECORDING_CAP nodes, as of x^1e308, stops; its program returns
+    None at once."""
     params = ["x"]
 
     def parameter():

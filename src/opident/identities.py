@@ -67,7 +67,6 @@ from .functions import (
 )
 from .jets import (
     _PROGRAMS,
-    _CappedNodes,
     _check_finite,
     _conv,
     _exp_derivs,
@@ -239,10 +238,9 @@ def _subset_loop(jets):
     return [signed, prods[:0:-1]]
 
 
-def _subset_recording(m: int, n: int):
-    """_subset_loop's recording for m jets of length n, read from its
-    parameter as jets[k][i], on _CappedNodes."""
-    nodes = _CappedNodes()
+def _subset_recording(nodes: list, m: int, n: int):
+    """_subset_loop's recording on nodes for m jets of length n, read from
+    its parameter as jets[k][i]."""
     jets = [[_Value(nodes, f"jets[{k}][{i}]") for i in range(n)] for k in range(m)]
     return f"subset_loop_{m}_{n}", ["jets"], nodes, _subset_loop(jets)
 

@@ -19,39 +19,32 @@ _abs_derivs and _power_derivs run on a point's derivatives or a grid's with
 the same operations in the same order, and hence give bitwise the per-point
 results.
 
-The recurrences of _conv and _exp_derivs run as straight-line programs,
-because values run through them outside any expression. Each is written
-once, as a loop over entry indices (_conv_loop, _exp_loop), whose index
-pattern depends only on the jet length, so it is run once per length on
-placeholders that record each + - * / and unary minus, and the recording is
-written out as code and exec'd as a function of the loop's parameters. A
-program performs the loop's operations on the same operands, so its results
-are bitwise the loop's, on floats and grid rows alike. exp of the value
-stays in the kernel around the program. _ln_abs_derivs, _reciprocal_derivs
-and _sin_cos_derivs run as written: inside an expression a trace inlines
-them into its program, and few values reach them elsewhere.
-
-The same recorder traces a whole evaluation that runs these kernels:
-exprs's eval_derivs and identities' _subset_loop, the per-point DP over a
-tuple's subset products. It records their checks and calls too: a
-_check_finite of placeholders becomes a guard `if not isfinite(e0 + e1 +
-...): return None` on the entries not checked before (an inf or NaN entry
-makes the sum non-finite, so a finite sum clears them all); a branch on a
-comparison, as in `if _any(f[0] == 0.0)`, becomes `if any_(...): return
-None`, and the trace goes on as if it did not hold; and _per_value and abs
-become calls of exp, log, sin, cos and abs. A program that returns None has
-met a value its trace did not follow, and its caller reruns what was
-traced. _POINT_CALLS and _GRID_CALLS bind these names: math's functions at
-a point, and on a grid the per-value maps and whole-row tests of the
-kernels, so one code object serves both.
+Every kernel runs as written. A whole evaluation that runs the kernels is
+traced instead, and its trace inlines them: exprs's eval_derivs and
+identities' _subset_loop, the per-point DP over a tuple's subset products.
+A trace runs the evaluation once on placeholders that record each + - * /
+and unary minus, and the recording is written out as code and exec'd as a
+function of the evaluation's parameters. A program performs the traced
+operations on the same operands, so its results are bitwise the
+evaluation's, on floats and grid rows alike. The trace records checks and
+calls too: a _check_finite of placeholders becomes a guard `if not
+isfinite(e0 + e1 + ...): return None` on the entries not checked before
+(an inf or NaN entry makes the sum non-finite, so a finite sum clears them
+all); a branch on a comparison, as in `if _any(f[0] == 0.0)`, becomes `if
+any_(...): return None`, and the trace goes on as if it did not hold; and
+_per_value and abs become calls of exp, log, sin, cos and abs. A program
+that returns None has met a value its trace did not follow, and its caller
+reruns what was traced. _POINT_CALLS and _GRID_CALLS bind these names:
+math's functions at a point, and on a grid the per-value maps and
+whole-row tests of the kernels, so one code object serves both.
 
 Every straight-line program of the package sits in one table, _PROGRAMS:
-a key, (loop, jet length), (identities._subset_loop, m, jet length) or
-(shape, order), maps to the (point, grid) pair of functions of its one
-code object. One compile step, _program, fills it on a miss from a
-recording (name, params, nodes, result) and clears it when it holds
-_PROGRAMS_CAP programs. An expression's or the subset loop's recording
-stops at _RECORDING_CAP nodes (_CappedNodes); its program returns None.
+a key, (identities._subset_loop, m, jet length) or (shape, order), maps to
+the (point, grid) pair of functions of its one code object. One compile
+step, _program, fills it on a miss from a recording (name, params, nodes,
+result) made on the node list it passes in, and clears it when it holds
+_PROGRAMS_CAP programs. That list takes at most _RECORDING_CAP nodes
+(_CappedNodes): a longer recording stops, and its program returns None.
 
 Jet, a checked (base point, finite derivatives) wrapper, is returned only
 by the jet_* wrappers of the kernels and exprs.eval_jet, which the
@@ -147,9 +140,9 @@ class _Value:
     and floats, a comparison, or a call (a value call or a guard's test).
     A guard statement is a node too, whose op is its text before its
     condition. Each is appended to the recording's nodes when made, so the
-    nodes stand in the order the loop reads and computes them, and counts
-    its uses as an operand; `checked` marks a value a guard has found
-    finite."""
+    nodes stand in the order the traced code reads and computes them, and
+    counts its uses as an operand; `checked` marks a value a guard has
+    found finite."""
 
     __slots__ = ("op", "operands", "nodes", "uses", "name", "checked")
 
@@ -325,33 +318,18 @@ class _CappedNodes(list):
 
 
 def _program(key, record, *args):
-    """_PROGRAMS[key], filled from record(*args), a recording (name, params,
-    nodes, result), or one of None if it stops at the cap: its code bound to
-    _POINT_CALLS and to _GRID_CALLS. A full table is cleared first."""
+    """_PROGRAMS[key], filled from record(nodes, *args), a recording (name,
+    params, nodes, result) on a fresh _CappedNodes, or one of None if it
+    stops at the cap: its code bound to _POINT_CALLS and to _GRID_CALLS. A
+    full table is cleared first."""
     try:
-        code = _program_code(*record(*args))
+        code = _program_code(*record(_CappedNodes(), *args))
     except _RecordingFull:
         code = _program_code("over_cap", ["*args"], [], None)
     if len(_PROGRAMS) >= _PROGRAMS_CAP:
         _PROGRAMS.clear()
     _PROGRAMS[key] = programs = FunctionType(code, _POINT_CALLS), FunctionType(code, _GRID_CALLS)
     return programs
-
-
-def _loop_recording(loop, n: int, jets: int = 1):
-    """loop's recording at jet length n: loop run once with each of its first
-    `jets` parameters a list of the n leaf placeholders name[0] .. name[n-1]
-    and the rest placeholder values. loop must index and branch on integers
-    only, never on a value. A kernel's program calls nothing, so either of
-    the pair runs it on points and grids alike."""
-    code = loop.__code__
-    params = code.co_varnames[: code.co_argcount]
-    nodes: list[_Value] = []
-    args = [
-        [_Value(nodes, f"{p}[{i}]") for i in range(n)] if k < jets else _Value(nodes, p, name=p)
-        for k, p in enumerate(params)
-    ]
-    return f"{loop.__name__}_{n}", params, nodes, loop(*args)
 
 
 class Jet:
@@ -418,13 +396,7 @@ def jet_linear_combine(a: float, j1: Jet, b: float, j2: Jet) -> Jet:
 
 def _conv(a: Sequence, b: Sequence) -> list:
     """Binomial convolution of two derivs sequences or two broadcastable
-    derivative-major grid arrays: _conv_loop as its straight-line program."""
-    key = (_conv_loop, len(a))
-    return (_PROGRAMS.get(key) or _program(key, _loop_recording, *key, 2))[0](a, b)
-
-
-def _conv_loop(a, b):
-    """(a*b)[k] = sum_j C(k,j) a[j] b[k-j].
+    derivative-major grid arrays: (a*b)[k] = sum_j C(k,j) a[j] b[k-j].
 
     Terms are grouped in (j, k-j) pairs so the result is bitwise identical
     under swapping a and b (commutativity of the product is exact).
@@ -435,10 +407,11 @@ def _conv_loop(a, b):
         s = 0.0
         j = 0
         while j < k - j:
-            s += row[j] * (a[j] * b[k - j] + a[k - j] * b[j])
+            # no +=, as in _reciprocal_derivs
+            s = s + row[j] * (a[j] * b[k - j] + a[k - j] * b[j])
             j += 1
         if j == k - j:
-            s += row[j] * (a[j] * b[j])
+            s = s + row[j] * (a[j] * b[j])
         out[k] = s
     return out
 
@@ -464,25 +437,19 @@ def jet_exp(j: Jet) -> Jet:
 
 def _exp_derivs(g):
     """Derivatives of exp∘g from those of g, a derivs sequence or a (K+1, P)
-    grid array: exp of the value, then _exp_loop's program."""
+    grid array: h = exp(g) from h0 = exp(g(x0)) by h^(k+1) = sum_j C(k,j)
+    g^(j+1) h^(k-j), which is the product rule applied to h' = g'·h."""
     try:
         h0 = _per_value(math.exp, g[0])
     except OverflowError:
         raise NumericRangeError(f"exp overflow at value {g[0]}") from None
-    key = (_exp_loop, len(g))
-    return (_PROGRAMS.get(key) or _program(key, _loop_recording, *key))[0](g, h0)
-
-
-def _exp_loop(g, h0):
-    """h = exp(g) from h0 = exp(g(x0)) by h^(k+1) = sum_j C(k,j) g^(j+1) h^(k-j),
-    which is the product rule applied to h' = g'·h."""
     n = len(g)
     h = [h0] + [0.0] * (n - 1)
     for k in range(n - 1):
         row = binomial_row(k)
         s = 0.0
         for i in range(k + 1):
-            s += row[i] * g[i + 1] * h[k - i]
+            s = s + row[i] * g[i + 1] * h[k - i]  # no +=, as in _reciprocal_derivs
         h[k + 1] = s
     return h
 

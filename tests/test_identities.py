@@ -268,7 +268,7 @@ class TestSubsetPlan:
         # stops, its program returns None, and the loop as written gives
         # the terms
         with pytest.raises(jets._RecordingFull):
-            identities._subset_recording(7, 6)
+            identities._subset_recording(jets._CappedNodes(), 7, 6)
         op = JetOp(5, lambda d: d[5] + d[2], "f -> f^(5) + f''")
         fs = [fn_from_expr(s) for s in ("x", "sin(x)", "x^2", "exp(x)-1", "x", "-x", "1/(2+x)")]
         for x in (0.0, -0.0, 0.5):
@@ -281,7 +281,7 @@ class TestSubsetPlan:
         # a product entry read by its guard and returned in the nested
         # result is computed once; only the full set's value product, which
         # nothing reads, is left out
-        name, params, nodes, result = identities._subset_recording(m, n)
+        name, params, nodes, result = identities._subset_recording([], m, n)
         code = jets._program_code(name, params, nodes, result)
         # BINARY_OP names its operator from Python 3.11; before that the
         # opcode is BINARY_MULTIPLY or BINARY_ADD

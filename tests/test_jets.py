@@ -12,21 +12,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opident.errors import EvalDomainError, NumericRangeError, StructuralError
-from opident import jets
 from opident.jets import (
     Jet,
     _abs_derivs,
     _conv,
-    _conv_loop,
     _exp_derivs,
-    _exp_loop,
     _ln_abs_derivs,
-    _loop_recording,
     _per_value,
-    _program,
     _program_code,
     _reciprocal_derivs,
     _sin_cos_derivs,
+    _Value,
     jet_exp,
     jet_linear_combine,
     jet_ln_abs,
@@ -420,17 +416,13 @@ class TestPerValue:
         assert seen == [1.0, 800.0]
 
 
-# (loop, jet parameters, value parameters) of each kernel that runs as a
-# straight-line program
-STRAIGHT = {
-    "conv": (_conv_loop, 2, 0),
-    "exp": (_exp_loop, 1, 1),
-}
-# the kernels that run as written, each of one jet
-WRITTEN = {
-    "ln_abs": _ln_abs_derivs,
-    "reciprocal": _reciprocal_derivs,
-    "sin_cos": _sin_cos_derivs,
+# each derivs kernel, all run as written, and the number of jets it takes
+KERNELS = {
+    "conv": (_conv, 2),
+    "exp": (_exp_derivs, 1),
+    "ln_abs": (_ln_abs_derivs, 1),
+    "reciprocal": (_reciprocal_derivs, 1),
+    "sin_cos": (_sin_cos_derivs, 1),
 }
 # signed zeros, subnormals, and magnitudes whose products overflow to inf
 # (and then to nan beside a zero or an opposite inf)
@@ -465,57 +457,46 @@ def column(x, index, shape):
     return float(np.broadcast_to(x, shape)[index]) if isinstance(x, np.ndarray) else x
 
 
+def recording(loop, n):
+    """loop's recording (name, params, nodes, result), run once on a list of
+    the n placeholders a[0] .. a[n-1]."""
+    nodes = []
+    a = [_Value(nodes, f"a[{i}]") for i in range(n)]
+    return loop.__name__, ["a"], nodes, loop(a)
+
+
 class TestStraightLine:
-    """Each kernel that runs as a straight-line program, both functions of
-    its (point, grid) pair in jets._PROGRAMS at (loop, jet length), is
-    bitwise its loop, the recurrence's one written form, on points and
-    grids. Each kernel that runs as written gives on a grid, in every
+    """Each derivs kernel runs as written, and gives on a grid, in every
     column, bitwise its result on that column's point values, or the error
-    of a failing column. None writes into its inputs."""
+    of the first failing column. None writes into its inputs."""
 
-    def check(self, kernel, n, args):
-        if kernel in WRITTEN:
-            return self.check_columns(WRITTEN[kernel], *args)
-        loop, n_jets, _ = STRAIGHT[kernel]
-        before = bits(args)
-        want = outcome(loop, args)
-        assert bits(args) == before  # the reference leaves its inputs alone
-        key = (loop, n)
-        for program in jets._PROGRAMS.get(key) or _program(key, _loop_recording, loop, n, n_jets):
-            assert outcome(program, args) == want
-            assert bits(args) == before
-
-    def check_columns(self, kernel, jet):
-        before = bits(jet)
-        shape = np.broadcast_shapes(*map(np.shape, jet))
+    def check(self, name, jets_):
+        kernel, _ = KERNELS[name]
+        before = bits(jets_)
+        shape = np.broadcast_shapes(*(np.shape(entry) for jet in jets_ for entry in jet))
         indices = list(np.ndindex(shape))
-        want = [outcome(kernel, [column(list(jet), index, shape)]) for index in indices]
+        points = [[column(list(jet), index, shape) for jet in jets_] for index in indices]
+        want = [outcome(kernel, point) for point in points]
         errors = [w for w in want if type(w) is str]
-        got = outcome(lambda j: [column(kernel(j), index, shape) for index in indices], [jet])
+        got = outcome(lambda *js: [column(kernel(*js), index, shape) for index in indices], jets_)
         assert got == (errors[0] if errors else ["list", *want])
-        assert bits(jet) == before
+        assert bits(jets_) == before
 
-    @pytest.mark.parametrize("kernel", [*STRAIGHT, *WRITTEN])
+    @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("n", range(1, 9))
     def test_floats(self, kernel, n):
-        if kernel in WRITTEN:
-            # float jets at 6 points, and the grid of their rows
-            rng = random.Random(f"{kernel}{n}")
-            for _ in range(10):
-                points = [[draw(rng) for _ in range(n)] for _ in range(6)]
-                self.check(kernel, n, [list(map(np.array, zip(*points)))])
-            return
-        _, n_jets, n_values = STRAIGHT[kernel]
+        # float jets at 6 points, and the grid of their rows
+        n_jets = KERNELS[kernel][1]
         rng = random.Random(f"{kernel}{n}")
-        for _ in range(60):
-            jets_ = [tuple(draw(rng) for _ in range(n)) for _ in range(n_jets)]
-            self.check(kernel, n, [*jets_, *(draw(rng) for _ in range(n_values))])
+        for _ in range(10):
+            jets_ = [[[draw(rng) for _ in range(n)] for _ in range(6)] for _ in range(n_jets)]
+            self.check(kernel, [list(map(np.array, zip(*points))) for points in jets_])
 
-    @pytest.mark.parametrize("kernel", [*STRAIGHT, *WRITTEN])
+    @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("n", range(1, 9))
     def test_grid_rows_beside_floats(self, kernel, n):
         # entries as eval_derivs makes them: x is [row, 1.0, 0.0, ...]
-        _, n_jets, n_values = STRAIGHT.get(kernel, (None, 1, 0))
+        n_jets = KERNELS[kernel][1]
         rng = random.Random(f"grid{kernel}{n}")
 
         def entry():
@@ -523,34 +504,25 @@ class TestStraightLine:
 
         for _ in range(20):
             x = [np.array([draw(rng) for _ in range(5)]), 1.0] + [0.0] * (n - 2)
-            jets_ = [x[:n]] + [[entry() for _ in range(n)] for _ in range(n_jets - 1)]
-            self.check(kernel, n, [*jets_, *(entry() for _ in range(n_values))])
+            others = [[entry() for _ in range(n)] for _ in range(n_jets - 1)]
+            self.check(kernel, [x[:n], *others])
 
-    @pytest.mark.parametrize("kernel", [*STRAIGHT, *WRITTEN])
+    @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("n", range(1, 9))
     def test_grid_stacks(self, kernel, n):
-        # derivative-major (n, m, P) stacks; a second factor broadcast over m
-        _, n_jets, n_values = STRAIGHT.get(kernel, (None, 1, 0))
+        # derivative-major (n, m, P) stacks, a second factor broadcast over
+        # m, and jets whose entries mix the two: a term over m after a sum
+        # broadcast over m
+        n_jets = KERNELS[kernel][1]
         rng = random.Random(f"stack{kernel}{n}")
 
         def stack(m):
             return np.array([draw(rng) for _ in range(n * m * 4)]).reshape(n, m, 4)
 
         for _ in range(5):
-            jets_ = [stack(3), stack(1)][:n_jets]
-            if kernel in WRITTEN:  # entries over m and broadcast over m, mixed
-                jets_ = [[rng.choice(pair) for pair in zip(stack(3), stack(1))]]
-            values = [np.array([draw(rng) for _ in range(12)]).reshape(3, 4) for _ in range(n_values)]
-            self.check(kernel, n, [*jets_, *values])
-
-    @pytest.mark.parametrize("n", range(1, 9))
-    def test_kernels_are_their_loops_around_the_values(self, n):
-        rng = random.Random(n)
-        for _ in range(20):
-            f = tuple(rng.uniform(0.1, 2.0) * rng.choice((1.0, -1.0)) for _ in range(n))
-            g = tuple(rng.uniform(-2.0, 2.0) for _ in range(n))
-            assert bits(_conv(f, g)) == bits(_conv_loop(f, g))
-            assert bits(_exp_derivs(g)) == bits(_exp_loop(g, math.exp(g[0])))
+            self.check(kernel, [stack(3), stack(1)][:n_jets])
+            mixed = [[rng.choice(pair) for pair in zip(stack(3), stack(1))] for _ in range(n_jets)]
+            self.check(kernel, mixed)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_written_kernels_are_undone_by_the_programs(self, n):
@@ -570,19 +542,12 @@ class TestStraightLine:
                 assert np.allclose(got, want, rtol=1e-9, atol=1e-9 * max(map(abs, got))), (f, got)
 
     def test_built_once_per_length_on_demand(self, program_table):
-        _conv((1.0, 2.0, 3.0), (4.0, 5.0, 6.0))
-        program = program_table[_conv_loop, 3]
-        assert list(program_table) == [(_conv_loop, 3)]
-        _conv((0.5, 0.25, 2.0), (1.0, 3.0, -1.0))
-        assert program_table[_conv_loop, 3] is program
-        _conv((1.0,), (2.0,))
-        _exp_derivs((0.5, 1.0, 2.0))
-        assert list(program_table) == [(_conv_loop, 3), (_conv_loop, 1), (_exp_loop, 3)]
-        assert program_table[_conv_loop, 3] is program
-        # the kernels that run as written add no program
+        # every kernel runs as written: none adds a program, on floats or on
+        # grid rows
         for f in ((0.5, 1.0, 2.0), [np.array([0.5, -2.0]), 1.0, 0.0]):
-            _ln_abs_derivs(f), _reciprocal_derivs(f), _sin_cos_derivs(f)
-        assert list(program_table) == [(_conv_loop, 3), (_conv_loop, 1), (_exp_loop, 3)]
+            for kernel, n_jets in KERNELS.values():
+                kernel(*[f] * n_jets)
+        assert program_table == {}
 
     def test_records_only_arithmetic_on_floats_within_the_jet(self):
         def int_constant(a):
@@ -593,7 +558,7 @@ class TestStraightLine:
 
         for loop, error in ((int_constant, TypeError), (past_the_end, IndexError)):
             with pytest.raises(error):
-                _program_code(*_loop_recording(loop, 1))
+                _program_code(*recording(loop, 1))
 
     def test_reads_the_indices_the_loop_reads(self):
         # a negative index is recorded as the loop reads it, and an entry
@@ -608,7 +573,7 @@ class TestStraightLine:
                 read.append(i)
                 return super().__getitem__(i)
 
-        name, params, nodes, result = _loop_recording(last, 3)
+        name, params, nodes, result = recording(last, 3)
         assert [v.op for v in nodes] == ["a[0]", "a[1]", "a[2]", "+", "/", "*"]
         read = []
         program = FunctionType(_program_code(name, params, nodes, result), {})

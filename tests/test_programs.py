@@ -25,6 +25,7 @@ from opident.exprs import (
     run_program,
     shape,
 )
+from opident.operators import builtin_blackbox
 
 # signed zeros, a subnormal and magnitudes whose products overflow
 SPECIAL = (0.0, -0.0, 1.0, -1.0, 2.0, 0.5, 5e-324, 1e-300, 1e300, -1e300)
@@ -188,19 +189,25 @@ def test_a_result_nothing_reads_is_not_computed(monkeypatch, program_table):
 
 
 def test_table_is_cleared_when_full(monkeypatch, program_table):
-    # kernel and expression programs share the table and its cap
+    # subset and expression programs share the table and its cap
     monkeypatch.setattr(jets, "_PROGRAMS_CAP", 3)
-    conv = (jets._conv_loop, 3)
-    jet = ([0.5, 1.0, 0.0], [0.25, -2.0, 3.0])
+    subset = (identities._subset_loop, 2, 4)
+    op = builtin_blackbox("third-derivative")
+    fs = [functions.fn_monomial(3), functions.fn_exp_of(functions.fn_monomial(1))]
+
+    def terms():
+        return [t.hex() for t in identities.alternating_subset_terms(op, fs, 0.7)]
+
+    want = terms()
     compiled(parse("x*2"), 0.7, 2)
-    assert list(program_table) == [conv, ("(x)*(c)", 2)]
-    old, want = program_table[conv], bits(jets._conv(*jet))
+    assert list(program_table) == [subset, ("(x)*(c)", 2)]
+    old = program_table[subset]
     compiled(parse("x+1"), 0.7, 2)
     assert len(program_table) == 3
     compiled(parse("x-1"), 0.7, 2)  # a miss at the cap drops both kinds
     assert list(program_table) == [("(x)-(c)", 2)]
-    assert bits(jets._conv(*jet)) == want
-    new = program_table[conv]
+    assert terms() == want
+    new = program_table[subset]
     assert new is not old and new[0].__code__ == old[0].__code__
     for source in ("x*2", "sin(x)", "cos(x)*x", "x+1", "x^3"):
         tree = parse(source)
@@ -224,7 +231,7 @@ def test_a_long_recording_is_not_compiled(monkeypatch, program_table):
     # runs the interpreter
     tree = parse("x^1e308")
     with pytest.raises(jets._RecordingFull):
-        exprs._compile(tree, 4)
+        exprs._compile(jets._CappedNodes(), tree, 4)
     points = (0.5, 1.0, 1.5, -1.0, np.array([0.5, 1.0, 2.0]))
     want = [outcome(eval_derivs, tree, x, 4) for x in points]
     assert "NumericRangeError" in {w[0] for w in want}
@@ -250,7 +257,7 @@ def test_a_long_recording_stops_at_the_cap(monkeypatch):
     for record, args in recordings:
         tried.clear()
         with pytest.raises(jets._RecordingFull):
-            record(*args)
+            record(jets._CappedNodes(), *args)
         assert tried == list(range(jets._RECORDING_CAP + 1))
 
 
