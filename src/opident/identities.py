@@ -72,7 +72,6 @@ from .jets import (
     _exp_derivs,
     _program,
     _Value,
-    binomial_row,
     signed_sum,
     sorted_jet_order,
 )
@@ -149,16 +148,9 @@ class ResidualReport:
 def bound_ratio(residual, scale, tol_abs: float, tol_rel: float):
     """|residual| / (tol_abs + tol_rel·scale); inf when the residual or the
     scale is not finite, so a NaN sample is the worst one; with a zero
-    bound, 0 for a zero residual and inf otherwise. A float for floats, by
-    the same float operations in Python; for arrays an array, each entry
-    bitwise the float call on its pair."""
-    if type(residual) is float and type(scale) is float:
-        if not (math.isfinite(residual) and math.isfinite(scale)):
-            return math.inf
-        bound = tol_abs + tol_rel * scale
-        if bound > 0.0:
-            return abs(residual) / bound
-        return 0.0 if residual == 0.0 else math.inf
+    bound, 0 for a zero residual and inf otherwise. A float for two floats
+    and an array for arrays, each entry by the IEEE operations a float
+    rule would do on its pair (numpy's float64 + * / and abs round alike)."""
     r, s = np.asarray(residual, dtype=float), np.asarray(scale, dtype=float)
     with np.errstate(all="ignore"):
         bound = tol_abs + tol_rel * s
@@ -332,12 +324,11 @@ def _power_terms(inner: np.ndarray, values: np.ndarray, n: int):
     inner[i], one row per mask of subset_masks(n+1) (both in the float
     operations of a one-point loop over i).
     """
-    row = binomial_row(n + 1)
     pterms, signed = [], []
     vpow = np.ones_like(values)
     with np.errstate(all="ignore"):
         for i in range(n + 1):
-            term = row[i] * vpow * inner[i]
+            term = math.comb(n + 1, i) * vpow * inner[i]
             power = vpow * inner[i]
             pterms.append(term if i % 2 == 0 else -term)
             signed.append(power if i % 2 == 0 else -power)

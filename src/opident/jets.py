@@ -9,7 +9,13 @@ is exact up to floating-point rounding (no series truncation error enters
 below order K).
 
 Raw derivatives, not Taylor coefficients f^(i)/i!, are stored: the product
-rule then reads off the binomial table verbatim.
+rule then reads off the binomial coefficients verbatim. The kernels take
+each C(k,j) as the int math.comb(k, j), start every sum at the int 0 and
+form a reciprocal as 1 / f[0], so they run on any number type with + - * /:
+on floats and numpy rows an int operand rounds as the float it converts to,
+bitwise the float arithmetic, and on Fractions (or object arrays of them)
+_conv and _reciprocal_derivs are exact, as is every recurrence step after
+the exp, log, sin or cos of the value, which gives a float.
 
 A grid of jets is stored derivative-major: entry k holds the k-th
 derivatives at every point, as a numpy row or (..., P) array, or as a float
@@ -26,17 +32,20 @@ A trace runs the evaluation once on placeholders that record each + - * /
 and unary minus, and the recording is written out as code and exec'd as a
 function of the evaluation's parameters. A program performs the traced
 operations on the same operands, so its results are bitwise the
-evaluation's, on floats and grid rows alike. The trace records checks and
-calls too: a _check_finite of placeholders becomes a guard `if not
-isfinite(e0 + e1 + ...): return None` on the entries not checked before
-(an inf or NaN entry makes the sum non-finite, so a finite sum clears them
-all); a branch on a comparison, as in `if _any(f[0] == 0.0)`, becomes `if
-any_(...): return None`, and the trace goes on as if it did not hold; and
-_per_value and abs become calls of exp, log, sin, cos and abs. A program
-that returns None has met a value its trace did not follow, and its caller
-reruns what was traced. _POINT_CALLS and _GRID_CALLS bind these names:
-math's functions at a point, and on a grid the per-value maps and
-whole-row tests of the kernels, so one code object serves both.
+evaluation's, on floats and grid rows alike. A constant operand, an int
+binomial or start included, is written as its float literal: a program
+reads only floats, whose arithmetic CPython runs faster than an int's
+beside a float. The trace records checks and calls too: a _check_finite of
+placeholders becomes a guard `if not isfinite(e0 + e1 + ...): return None`
+on the entries not checked before (an inf or NaN entry makes the sum
+non-finite, so a finite sum clears them all); a branch on a comparison, as
+in `if _any(f[0] == 0.0)`, becomes `if any_(...): return None`, and the
+trace goes on as if it did not hold; and _per_value and abs become calls
+of exp, log, sin, cos and abs. A program that returns None has met a value
+its trace did not follow, and its caller reruns what was traced.
+_POINT_CALLS and _GRID_CALLS bind these names: math's functions at a
+point, and on a grid the per-value maps and whole-row tests of the
+kernels, so one code object serves both.
 
 Every straight-line program of the package sits in one table, _PROGRAMS:
 a key, (identities._subset_loop, m, jet length) or (shape, order), maps to
@@ -62,18 +71,6 @@ import numpy as np
 
 from .errors import EvalDomainError, NumericRangeError, StructuralError
 
-# Pascal rows, extended on demand; entries exact in doubles far beyond order 12.
-_BINOM: list[tuple[float, ...]] = [(1.0,)]
-
-
-def binomial_row(k: int) -> tuple[float, ...]:
-    """Row k of Pascal's triangle as floats: C(k,0..k)."""
-    while len(_BINOM) <= k:
-        n = len(_BINOM)
-        _BINOM.append(tuple(float(math.comb(n, j)) for j in range(n + 1)))
-    return _BINOM[k]
-
-
 def signed_sum(terms: Sequence[float]) -> float:
     """math.fsum of terms: their exact sum rounded once, in any order. Where
     fsum has no value (+inf beside -inf, or a partial sum past the float
@@ -86,8 +83,9 @@ def signed_sum(terms: Sequence[float]) -> float:
 
 def _check_finite(values: Sequence) -> Sequence:
     """values, once every entry (a float or a grid row) is finite: one C-level
-    pass over floats; the entry loop for grid rows (math.isfinite raises
-    TypeError on them) and to name the first bad value. Of a recording's
+    pass over floats; a loop over every value, entry by entry, for grid rows
+    (math.isfinite raises TypeError on them) and to name the first bad
+    value, as the error at that value's point names it. Of a recording's
     placeholders, a guard on those no guard has checked."""
     try:
         if all(map(math.isfinite, values)):
@@ -97,8 +95,8 @@ def _check_finite(values: Sequence) -> Sequence:
         if recorded:
             _guard_finite(recorded)
             return values
-    for v in values:
-        if not (np.isfinite(v).all() if isinstance(v, np.ndarray) else math.isfinite(v)):
+    for v in [value for entry in values for value in np.ravel(entry).tolist()]:
+        if not math.isfinite(v):
             raise NumericRangeError(f"non-finite jet coefficient: {v!r}")
     return values
 
@@ -221,19 +219,22 @@ def _guard_finite(values: list[_Value]) -> None:
 
 def _text(x) -> str:
     """Program text of an operand or a result: a named placeholder's name,
-    an unnamed one's expression, a finite float's repr, None, or a list of
-    those."""
+    an unnamed one's expression, a finite float's repr, an int's as the
+    float it rounds to, None, or a list of those. An int operand thus
+    computes as in the trace (int x float rounds as float(int) x float), and
+    a program reads only float constants, which CPython multiplies and adds
+    faster."""
     if isinstance(x, _Value):
         if x.name is not None:
             return x.name
         return f"({_expression(x)})" if x.operands else x.op
     if isinstance(x, list):
         return "[" + ", ".join(map(_text, x)) + "]"
-    if type(x) is float and math.isfinite(x):
-        return repr(x)
+    if type(x) in (float, int) and math.isfinite(x):
+        return repr(float(x))
     if x is None:
         return "None"
-    raise TypeError(f"a recorded recurrence may use placeholders and floats only, not {x!r}")
+    raise TypeError(f"a recorded recurrence may use placeholders and numbers only, not {x!r}")
 
 
 def _leaves(x) -> list:
@@ -396,22 +397,20 @@ def jet_linear_combine(a: float, j1: Jet, b: float, j2: Jet) -> Jet:
 
 def _conv(a: Sequence, b: Sequence) -> list:
     """Binomial convolution of two derivs sequences or two broadcastable
-    derivative-major grid arrays: (a*b)[k] = sum_j C(k,j) a[j] b[k-j].
+    derivative-major grid arrays: (a*b)[k] = sum_j C(k,j) a[j] b[k-j],
+    with the int C(k,j) of math.comb and each sum started at the int 0, so
+    exact entries (Fractions, or object arrays of them) give exact results.
 
     Terms are grouped in (j, k-j) pairs so the result is bitwise identical
     under swapping a and b (commutativity of the product is exact).
     """
     out = [0.0] * len(a)
     for k in range(len(a)):
-        row = binomial_row(k)
-        s = 0.0
-        j = 0
-        while j < k - j:
-            # no +=, as in _reciprocal_derivs
-            s = s + row[j] * (a[j] * b[k - j] + a[k - j] * b[j])
-            j += 1
-        if j == k - j:
-            s = s + row[j] * (a[j] * b[j])
+        s = 0
+        for j in range((k + 1) // 2):  # j < k - j; no +=, as in _reciprocal_derivs
+            s = s + math.comb(k, j) * (a[j] * b[k - j] + a[k - j] * b[j])
+        if k % 2 == 0:
+            s = s + math.comb(k, k // 2) * (a[k // 2] * b[k // 2])
         out[k] = s
     return out
 
@@ -442,14 +441,18 @@ def _exp_derivs(g):
     try:
         h0 = _per_value(math.exp, g[0])
     except OverflowError:
-        raise NumericRangeError(f"exp overflow at value {g[0]}") from None
+        # name the first value that overflows, as the error at its point does
+        for v in np.ravel(g[0]).tolist():
+            try:
+                math.exp(v)
+            except OverflowError:
+                raise NumericRangeError(f"exp overflow at value {v}") from None
     n = len(g)
     h = [h0] + [0.0] * (n - 1)
     for k in range(n - 1):
-        row = binomial_row(k)
-        s = 0.0
+        s = 0
         for i in range(k + 1):
-            s = s + row[i] * g[i + 1] * h[k - i]  # no +=, as in _reciprocal_derivs
+            s = s + math.comb(k, i) * g[i + 1] * h[k - i]  # no +=, as in _reciprocal_derivs
         h[k + 1] = s
     return h
 
@@ -468,14 +471,13 @@ def _ln_abs_derivs(f):
         raise EvalDomainError("log singularity at base point")
     n = len(f)
     u = [_per_value(math.log, abs(f[0]))] + [0.0] * (n - 1)
-    inv_f0 = 1.0 / f[0]
+    inv_f0 = 1 / f[0]
     for k in range(n - 1):
         # f[0]*u[k+1] = f[k+1] - sum_{i=1..k} C(k,i) f[i] u[k+1-i]; no -=,
         # which on a grid would write into the row f[k+1]
-        row = binomial_row(k)
         s = f[k + 1]
         for i in range(1, k + 1):
-            s = s - row[i] * f[i] * u[k + 1 - i]
+            s = s - math.comb(k, i) * f[i] * u[k + 1 - i]
         u[k + 1] = s * inv_f0
     return u
 
@@ -493,14 +495,13 @@ def _reciprocal_derivs(f):
         raise EvalDomainError("division by zero at base point")
     n = len(f)
     w = [0.0] * n
-    w[0] = 1.0 / f[0]
+    w[0] = 1 / f[0]
     for k in range(1, n):
-        row = binomial_row(k)
-        s = 0.0
+        s = 0
         for i in range(1, k + 1):
             # no +=, which on a grid would fail where a term broadcasts to
             # more points than s holds
-            s = s + row[i] * f[i] * w[k - i]
+            s = s + math.comb(k, i) * f[i] * w[k - i]
         w[k] = -s * w[0]
     return w
 
@@ -518,11 +519,10 @@ def _sin_cos_derivs(g):
     s = [_per_value(math.sin, g[0])] + [0.0] * (n - 1)
     c = [_per_value(math.cos, g[0])] + [0.0] * (n - 1)
     for k in range(n - 1):
-        row = binomial_row(k)
-        acc_s = 0.0
-        acc_c = 0.0
+        acc_s = 0
+        acc_c = 0
         for i in range(k + 1):
-            gi = row[i] * g[i + 1]  # no += or -=, as in _reciprocal_derivs
+            gi = math.comb(k, i) * g[i + 1]  # no += or -=, as in _reciprocal_derivs
             acc_s = acc_s + gi * c[k - i]
             acc_c = acc_c - gi * s[k - i]
         s[k + 1] = acc_s

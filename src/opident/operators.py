@@ -137,8 +137,10 @@ def apply_canonical_values(
     column is bitwise its point's value. An empty d_vals skips the log
     terms. ln|f| is math.log per value (np.log can differ in the last ulp)
     of |f|, or of 1 where f = 0: the ±0.0 log terms there leave the c-term
-    sum, which is never -0.0, unchanged."""
-    total = 0.0
+    sum, which is never -0.0, unchanged. The total starts at the int 0, so
+    exact coefficient rows and derivatives (Fractions) give an exact
+    value."""
+    total = 0
     for i, cv in enumerate(c_vals, 1):
         total = total + cv * derivs[i]
     if len(d_vals):

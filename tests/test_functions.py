@@ -644,6 +644,25 @@ class TestMemo:
         assert f.eval_jet(grid, 1) is kept
         assert calls == [(0.3, 2), (0.3, 5), (0.0, 1), (0.5, 1), (0.0, 3)]
 
+    def test_a_full_memo_is_cleared_and_reads_again(self, monkeypatch):
+        # at _CACHE_CAP entries the memo is emptied before the next one is
+        # stored; what is read again is evaluated again, bitwise as first read
+        monkeypatch.setattr(functions, "_CACHE_CAP", 3)
+        f = fn_from_expr("sin(x)*exp(x)/(2+x^2)")
+        keys = [0.25, -0.5, (0.0, 0.5), 1.5, (0.5, 1.0, 2.0), 0.75, -0.0]
+        first = []
+        for x in keys:
+            first.append(np.array(f.eval_jet(x, 3)).tobytes())
+            assert 1 <= len(f._cache) <= 3
+        for x, want in zip(keys * 2, first * 2):
+            assert np.array(f.eval_jet(x, 3)).tobytes() == want
+            assert len(f._cache) <= 3
+        counter, calls = counted()
+        for x in (0.1, 0.2, 0.3, 0.4, 0.1):
+            counter.eval_jet(x, 1)
+        # the fourth point cleared the memo, so 0.1 is evaluated twice
+        assert calls == [(0.1, 1), (0.2, 1), (0.3, 1), (0.4, 1), (0.1, 1)]
+
     @pytest.mark.parametrize("source", ["x", "-x", "sin(x)"])
     def test_signed_zeros_are_read_apart(self, source):
         # 0.0 and -0.0 compare and hash equal, yet these functions keep the

@@ -169,10 +169,10 @@ def test_module_tables_are_the_program_tables():
     # the subset loop's programs at (identities._subset_loop, m jets, jet
     # length) and expression programs at (shape, order), each a (point,
     # grid) pair of one code object; the kernels run as written and add
-    # none. Beside it are only the Pascal rows and the two name bindings of
-    # its programs, so a result cache at module level shows up here
+    # none. Beside it are only the two name bindings of its programs, so a
+    # result cache at module level shows up here
     found = {f"{path.stem}.{name}" for path in PACKAGE for name in module_tables(path.read_text())}
-    assert found == {"jets._PROGRAMS", "jets._BINOM", "jets._POINT_CALLS", "jets._GRID_CALLS"}
+    assert found == {"jets._PROGRAMS", "jets._POINT_CALLS", "jets._GRID_CALLS"}
     fn_from_expr("sin(x)/(2+x^2)+exp(x)*ln(3+x)").eval_jet(0.5, 3)
     fn_from_expr("cos(x)^2.5").eval_jet((0.25, 0.5), 2)
     jets._conv((1.0, 2.0), (3.0, 4.0))
@@ -320,7 +320,7 @@ def local_class_checks(source: str) -> list[str]:
 
 
 def test_one_engine_selector():
-    # a local operator answers op.values whatever its class: the engines
+    # a local operator answers op.at(x) whatever its class: the engines
     # branch on BlackBoxOp alone
     assert {"identities.py", "operators.py"} <= {path.name for path in PACKAGE}
     found = {path.name: local_class_checks(path.read_text()) for path in PACKAGE}

@@ -9,6 +9,7 @@ import math
 import random
 import weakref
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -46,12 +47,13 @@ from opident.identities import (
     run_check_suite_full,
     subset_masks,
 )
-from opident.jets import binomial_row, signed_sum
+from opident.jets import _conv, _reciprocal_derivs, signed_sum
 from opident.operators import (
     BlackBoxOp,
     CanonicalOp,
     JetOp,
     apply,
+    apply_canonical_values,
     builtin_blackbox,
     derivative_op,
     entropy_op,
@@ -604,11 +606,10 @@ class TestPowerResidual:
         values = np.array([pick() for _ in range(30)])
         inner = np.array([[pick() for _ in range(30)] for _ in range(n + 1)])
         pterms, dterms = _power_terms(inner, values, n)
-        row = binomial_row(n + 1)
         for p, v in enumerate(values.tolist()):
             want, by_card, vpow = [], [], 1.0
             for i in range(n + 1):
-                term = row[i] * vpow * inner[i, p].item()
+                term = float(math.comb(n + 1, i)) * vpow * inner[i, p].item()
                 signed = vpow * inner[i, p].item()
                 want.append(term if i % 2 == 0 else -term)
                 by_card.append(signed if i % 2 == 0 else -signed)
@@ -1128,6 +1129,56 @@ class TestSubsetStacksOrder:
                         assert prods[:, size - 1 + k, c].tobytes() == np.array(power).tobytes()
                         power = identities._conv(power, jets[0])
             assert odd.tolist() == (member.sum(axis=1) % 2 == 1).tolist()
+
+
+class TestExactOracle:
+    """On Fraction entries the kernels, _subset_stacks and the log-free
+    canonical formula run exactly on ℚ: every binomial is an int from
+    math.comb and every sum starts at the int 0. So the subset identity of
+    a linear D of order n on n+1 functions sums to exactly 0, which a float
+    run only approximates."""
+
+    COLUMNS = 7
+
+    def _fraction(self, rng):
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+    def _rows(self, rng, rows, m):
+        """A (rows, m, COLUMNS) object array of random Fractions."""
+        shape = (rows, m, self.COLUMNS)
+        return np.array([self._fraction(rng) for _ in range(math.prod(shape))]).reshape(shape)
+
+    def _column_sums(self, c_rows, jets):
+        # the subset terms as _points_batched gathers and signs them, with
+        # the formula's empty d row
+        size, index = 1 << jets.shape[1], np.arange(self.COLUMNS)
+        outside, prods, inside, odd = identities._subset_stacks(jets)
+        applied = apply_canonical_values(c_rows, (), prods[:, 1:])
+        terms = outside[inside, index] * applied[size - 2 - inside, index]
+        terms[odd] = -terms[odd]
+        return terms.sum(axis=0).tolist()
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_linear_residuals_are_exactly_zero(self, n):
+        rng = random.Random(f"exact{n}")
+        c_rows = self._rows(rng, n, 1)[:, 0]
+        sums = self._column_sums(c_rows, self._rows(rng, n + 1, n + 1))
+        assert [type(s) for s in sums] == [Fraction] * self.COLUMNS
+        assert sums == [0] * self.COLUMNS
+        # D = f^(n+1), of order n+1, does not solve the identity on n+1
+        # functions
+        top = np.array([[Fraction(int(i == n))] * self.COLUMNS for i in range(n + 1)])
+        assert any(s != 0 for s in self._column_sums(top, self._rows(rng, n + 2, n + 1)))
+
+    @pytest.mark.parametrize("length", range(1, 9))
+    def test_reciprocal_undoes_the_jet(self, length):
+        rng = random.Random(f"reciprocal{length}")
+        for _ in range(10):
+            f = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))]
+            f += [self._fraction(rng) for _ in range(length - 1)]
+            product = _conv(f, _reciprocal_derivs(f))
+            assert [type(v) for v in product] == [Fraction] * length
+            assert product == [1] + [0] * (length - 1)
 
 
 def _reference_ratio(residual, scale, tol_abs, tol_rel):

@@ -15,6 +15,7 @@ from opident.errors import EvalDomainError, NumericRangeError, StructuralError
 from opident.jets import (
     Jet,
     _abs_derivs,
+    _check_finite,
     _conv,
     _exp_derivs,
     _ln_abs_derivs,
@@ -447,7 +448,7 @@ def outcome(fn, args):
         try:
             return bits(fn(*args))
         except (ArithmeticError, EvalDomainError) as exc:  # 1.0 / 0.0 at a point; f(x0) = 0
-            return type(exc).__name__
+            return f"{type(exc).__name__}: {exc}"
 
 
 def column(x, index, shape):
@@ -463,6 +464,26 @@ def recording(loop, n):
     nodes = []
     a = [_Value(nodes, f"a[{i}]") for i in range(n)]
     return loop.__name__, ["a"], nodes, loop(a)
+
+
+def test_a_grid_error_names_its_first_failing_value():
+    # the message a grid gives is the one its first failing value's point
+    # gives, not the whole row
+    messages = []
+    for fn, point, grid in (
+        (_exp_derivs, [800.0, 1.0], [np.array([1.0, 800.0, 900.0]), 1.0]),
+        (_check_finite, [1.0, -math.inf], [1.0, np.array([2.0, -math.inf, math.nan])]),
+    ):
+        for jet in (point, grid):
+            with pytest.raises(NumericRangeError) as error:
+                fn(jet)
+            messages.append(str(error.value))
+    assert messages == [
+        "exp overflow at value 800.0",
+        "exp overflow at value 800.0",
+        "non-finite jet coefficient: -inf",
+        "non-finite jet coefficient: -inf",
+    ]
 
 
 class TestStraightLine:
@@ -550,15 +571,22 @@ class TestStraightLine:
         assert program_table == {}
 
     def test_records_only_arithmetic_on_floats_within_the_jet(self):
+        # an int constant is written as the float it rounds to, so the
+        # program reads float literals only
         def int_constant(a):
             return [a[0] * 2]
+
+        def float_constant(a):
+            return [a[0] * 2.0]
 
         def past_the_end(a):
             return [a[len(a)]]
 
-        for loop, error in ((int_constant, TypeError), (past_the_end, IndexError)):
-            with pytest.raises(error):
-                _program_code(*recording(loop, 1))
+        code = _program_code(*recording(int_constant, 1))
+        assert code.co_code == _program_code(*recording(float_constant, 1)).co_code
+        assert code.co_consts == _program_code(*recording(float_constant, 1)).co_consts
+        with pytest.raises(IndexError):
+            _program_code(*recording(past_the_end, 1))
 
     def test_reads_the_indices_the_loop_reads(self):
         # a negative index is recorded as the loop reads it, and an entry

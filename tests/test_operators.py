@@ -95,7 +95,7 @@ class TestApply:
 
     def test_the_functions_error_comes_before_the_coefficients(self):
         # at 0 both f = ln(x) and the coefficient 1/x fail; at a point and
-        # on a grid alike, f's jet is read before op.values reads 1/x
+        # on a grid alike, f's jet is read before op.at(x) reads 1/x
         op = linear_op([fn_from_expr("1/x")])
         for x in (0.0, (0.0,)):
             with pytest.raises(EvalDomainError) as error:

@@ -89,6 +89,16 @@ def test_non_finite_sample_is_the_worst():
     assert not ResidualReport("r", 0, 1, math.inf, math.inf, None, 1e-9, 1e-8).passed
 
 
+def test_merging_vacuous_reports_is_vacuous():
+    # no reports, or reports of no samples, merge into a passing record
+    # with 0 samples and no worst case, under the merged tolerances
+    empty = _Aggregator().report("part", 2, 1e-9, 1e-8)
+    for reports in ([], [empty], [empty, empty]):
+        merged = merge_reports("all", 2, reports, 0.0, 0.0)
+        assert merged == ResidualReport("all", 2, 0, 0.0, 0.0, None, 0.0, 0.0)
+        assert merged.vacuous and merged.passed
+
+
 def test_selftest_fast_all_pass():
     records = selftest(fast=True)
     assert len(records) == 19
