@@ -582,9 +582,8 @@ class TestStraightLine:
         def past_the_end(a):
             return [a[len(a)]]
 
-        code = _program_code(*recording(int_constant, 1))
-        assert code.co_code == _program_code(*recording(float_constant, 1)).co_code
-        assert code.co_consts == _program_code(*recording(float_constant, 1)).co_consts
+        got, want = (_program_code(*recording(loop, 1)) for loop in (int_constant, float_constant))
+        assert (got.co_code, got.co_consts) == (want.co_code, want.co_consts)
         with pytest.raises(IndexError):
             _program_code(*recording(past_the_end, 1))
 
